@@ -69,7 +69,6 @@ struct Options {
   bool window_insts_set = false;
   bool warmup_insts_set = false;
   bool adaptive_warmup_set = false;
-  bool warm_set_sample_set = false;
   bool sweep = false;
   u32 jobs = 0;            // 0 = hardware concurrency
   u64 checkpoint_every = 0;   // periodic snapshot interval (cycles)
@@ -152,11 +151,6 @@ void print_usage() {
       "                      chunks of W instructions while the dcache\n"
       "                      miss rate is still converging (default 1 =\n"
       "                      fixed warm-up; docs/performance.md)\n"
-      "  --warm-set-sample K with --sample-windows: only warm dcache\n"
-      "                      sets with index % K == 0 between windows\n"
-      "                      (K a power of two; default 1 = exact).\n"
-      "                      Faster but APPROXIMATE — estimates are no\n"
-      "                      longer bit-identical to K=1\n"
       "  --stream-store DIR  persist recorded functional streams in DIR\n"
       "                      (<identity>.vfs) and reuse them across\n"
       "                      processes; sampled sweep points sharing a\n"
@@ -171,18 +165,6 @@ void print_usage() {
       "                      step every cycle. Results are bit-identical\n"
       "                      either way (docs/performance.md); use this\n"
       "                      only to bisect the simulator itself\n"
-      "  --pdes-jobs N       partition the simulated cores across N\n"
-      "                      worker threads (conservative PDES,\n"
-      "                      docs/performance.md). Results stay bit-\n"
-      "                      identical to the serial loop; like\n"
-      "                      --no-skip this is purely a simulator-speed\n"
-      "                      knob. Local runs only (ignored by --check\n"
-      "                      and single-core systems)\n"
-      "  --relaxed-sync      with --pdes-jobs: let partitions race\n"
-      "                      within one crossbar round trip instead of\n"
-      "                      synchronizing exactly. Faster but NOT\n"
-      "                      deterministic — never use for recorded\n"
-      "                      experiments\n"
       "  --check             run the lockstep reference oracle and hard\n"
       "                      invariants alongside the simulation; abort\n"
       "                      with a divergence report on any mismatch\n"
@@ -309,9 +291,6 @@ bool parse(int argc, char** argv, Options& opt) {
     else if (arg == "--seed") opt.spec.params.seed = u64_value();
     else if (arg == "--max-cycles") opt.spec.max_cycles = u64_value();
     else if (arg == "--no-skip") opt.spec.no_skip = true;
-    else if (arg == "--pdes-jobs")
-      opt.spec.pdes_jobs = static_cast<u32>(u64_value());
-    else if (arg == "--relaxed-sync") opt.spec.relaxed_sync = true;
     else if (arg == "--sample-windows")
       opt.spec.sample_windows = static_cast<u32>(u64_value());
     else if (arg == "--window-insts") {
@@ -326,10 +305,6 @@ bool parse(int argc, char** argv, Options& opt) {
     else if (arg == "--adaptive-warmup") {
       opt.spec.adaptive_warmup = static_cast<u32>(u64_value());
       opt.adaptive_warmup_set = true;
-    }
-    else if (arg == "--warm-set-sample") {
-      opt.spec.warm_set_sample = static_cast<u32>(u64_value());
-      opt.warm_set_sample_set = true;
     }
     else if (arg == "--stream-store") opt.spec.stream_dir = value();
     else if (arg == "--no-stream-reuse") opt.spec.stream_reuse = false;
@@ -401,22 +376,15 @@ bool parse(int argc, char** argv, Options& opt) {
   if (opt.window_insts_set && opt.spec.window_insts == 0) {
     throw std::invalid_argument("--window-insts: must be > 0");
   }
-  if ((opt.adaptive_warmup_set || opt.warm_set_sample_set ||
-       !opt.spec.stream_dir.empty() || !opt.spec.stream_reuse) &&
+  if ((opt.adaptive_warmup_set || !opt.spec.stream_dir.empty() ||
+       !opt.spec.stream_reuse) &&
       opt.spec.sample_windows == 0) {
     throw std::invalid_argument(
-        "--adaptive-warmup/--warm-set-sample/--stream-store/"
-        "--no-stream-reuse tune sampled measurement and need "
-        "--sample-windows");
+        "--adaptive-warmup/--stream-store/--no-stream-reuse tune sampled "
+        "measurement and need --sample-windows");
   }
   if (opt.adaptive_warmup_set && opt.spec.adaptive_warmup == 0) {
     throw std::invalid_argument("--adaptive-warmup: must be >= 1");
-  }
-  if (opt.warm_set_sample_set &&
-      (opt.spec.warm_set_sample == 0 ||
-       (opt.spec.warm_set_sample & (opt.spec.warm_set_sample - 1)) != 0)) {
-    throw std::invalid_argument(
-        "--warm-set-sample: must be a power of two >= 1");
   }
   if (opt.spec.sample_windows > 0 && opt.spec.functional_ff) {
     throw std::invalid_argument(
@@ -428,16 +396,6 @@ bool parse(int argc, char** argv, Options& opt) {
         "--check validates the full detailed model, which sampling "
         "deliberately skips most of; use --functional-ff --check to "
         "validate the functional tier");
-  }
-  if (opt.spec.relaxed_sync && opt.spec.pdes_jobs == 0) {
-    throw std::invalid_argument("--relaxed-sync needs --pdes-jobs");
-  }
-  if (opt.spec.pdes_jobs > 0 &&
-      (opt.spec.sample_windows > 0 || opt.spec.functional_ff)) {
-    throw std::invalid_argument(
-        "--pdes-jobs parallelizes the detailed run loop and cannot be "
-        "combined with --sample-windows/--functional-ff (the tiered "
-        "runner drives the cores itself)");
   }
   return true;
 }
@@ -734,7 +692,6 @@ int run_tiered_mode(const Options& opt) {
   tiered.warmup_insts = opt.spec.warmup_insts;
   tiered.functional_ff = opt.spec.functional_ff;
   tiered.adaptive_warmup = opt.spec.adaptive_warmup;
-  tiered.warm_set_sample = opt.spec.warm_set_sample;
   tiered.stream_key =
       opt.spec.stream_reuse ? ckpt::functional_stream_hash(opt.spec) : 0;
   tiered.stream_dir = opt.spec.stream_dir;
@@ -787,7 +744,6 @@ int run_tiered_mode(const Options& opt) {
       w.kv("window_insts", opt.spec.window_insts);
       w.kv("warmup_insts", opt.spec.warmup_insts);
       w.kv("adaptive_warmup", opt.spec.adaptive_warmup);
-      w.kv("warm_set_sample", opt.spec.warm_set_sample);
       w.kv("functional_ff", opt.spec.functional_ff);
       w.end_object();
       w.key("tiered");
@@ -857,7 +813,6 @@ int run_tiered_mode(const Options& opt) {
                 << "window_insts " << opt.spec.window_insts << "\n"
                 << "warmup_insts " << opt.spec.warmup_insts << "\n"
                 << "adaptive_warmup " << opt.spec.adaptive_warmup << "\n"
-                << "warm_set_sample " << opt.spec.warm_set_sample << "\n"
                 << "cpi_mean " << result.cpi_mean << "\n"
                 << "cpi_ci_half " << result.cpi_ci_half << "\n"
                 << "est_cycles " << result.est_cycles << "\n"
@@ -942,11 +897,6 @@ int run_connect_single(const Options& opt) {
     throw std::invalid_argument(
         "--sample-windows/--functional-ff report tiered estimates the "
         "service protocol does not carry; run them locally");
-  }
-  if (opt.spec.pdes_jobs > 0) {
-    throw std::invalid_argument(
-        "--pdes-jobs parallelizes the local run loop; the daemon "
-        "schedules its own workers (drop the flag with --connect)");
   }
   // Validates the workload name before dialling the daemon.
   const workloads::Workload& workload =
@@ -1183,9 +1133,6 @@ int main(int argc, char** argv) {
       system.set_checkpointing(opt.checkpoint_every, opt.checkpoint_out);
     }
     if (opt.spec.check) system.enable_check();
-    if (opt.spec.pdes_jobs > 0) {
-      system.set_pdes(opt.spec.pdes_jobs, opt.spec.relaxed_sync);
-    }
     // Restore after all sinks are attached so the continued run traces
     // and samples exactly like the tail of an uninterrupted one.
     if (!opt.restore_path.empty()) system.restore(opt.restore_path);

@@ -6,7 +6,7 @@
 //
 //   sampled_validation [--quick] [--csv PATH]
 //                      [--max-err PCT] [--min-speedup X]
-//                      [--adaptive-warmup F] [--warm-set-sample K]
+//                      [--adaptive-warmup F]
 //
 // --quick shrinks the grid to the CI smoke subset. --max-err /
 // --min-speedup (0 = disabled) turn the run into a gate: the process
@@ -17,11 +17,7 @@
 //
 // --adaptive-warmup F > 1 lets each window extend its warm-up while
 // the dcache miss rate is still converging — this is what shrinks the
-// bulk-miss (software / prefetch-full) optimism. --warm-set-sample
-// K > 1 turns on set-sampled cache warming, which is deliberately
-// APPROXIMATE: with it, every point's error gate is disabled (the
-// estimates are no longer bit-faithful to exact warming) and only the
-// speedup gate remains.
+// bulk-miss (software / prefetch-full) optimism.
 //
 // Sampled points of the gather grid share one functional identity, so
 // the recorded functional stream is built once and replayed by every
@@ -116,7 +112,6 @@ int main(int argc, char** argv) try {
   double max_err_pct = 0.0;    // 0 = no error gate
   double min_speedup = 0.0;    // 0 = no speedup gate
   u32 adaptive_warmup = 1;     // 1 = fixed warm-up (bit-faithful default)
-  u32 warm_set_sample = 1;     // 1 = exact warming (bit-faithful default)
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&](const char* flag) -> std::string {
@@ -138,14 +133,6 @@ int main(int argc, char** argv) try {
           parse_double("--adaptive-warmup", value("--adaptive-warmup")));
       if (adaptive_warmup == 0) {
         throw std::invalid_argument("--adaptive-warmup must be >= 1");
-      }
-    } else if (arg == "--warm-set-sample") {
-      warm_set_sample = static_cast<u32>(
-          parse_double("--warm-set-sample", value("--warm-set-sample")));
-      if (warm_set_sample == 0 ||
-          (warm_set_sample & (warm_set_sample - 1)) != 0) {
-        throw std::invalid_argument(
-            "--warm-set-sample must be a power of two >= 1");
       }
     } else {
       throw std::invalid_argument("unknown argument '" + arg + "'");
@@ -231,7 +218,6 @@ int main(int argc, char** argv) try {
     sampled_spec.window_insts = 10'000;
     sampled_spec.warmup_insts = 2'000;
     sampled_spec.adaptive_warmup = adaptive_warmup;
-    sampled_spec.warm_set_sample = warm_set_sample;
     bench::apply_stream_env(sampled_spec);
     const sim::StreamCache::Stats before =
         sim::StreamCache::instance().stats();
@@ -251,17 +237,13 @@ int main(int argc, char** argv) try {
         full.ipc >= tiered.est_ipc_lo && full.ipc <= tiered.est_ipc_hi;
     const double speedup = full_secs / sampled_secs;
 
-    // Set-sampled warming (K > 1) trades warming fidelity for speed; the
-    // estimates are no longer bit-faithful, so only the speedup gate
-    // applies (the error stays reported for inspection).
-    const bool err_gated = point.gated && warm_set_sample == 1;
     // The speedup gate measures the steady-state sweep cost, so it
     // skips the one-off prepass payer (the "build" point of each
     // functional identity) — that cost amortizes across the sweep.
     const bool speedup_gated =
         point.gated && std::strcmp(stream_role, "build") != 0;
     bool bad = false;
-    if (err_gated && max_err_pct > 0.0 && std::abs(err_pct) > max_err_pct) {
+    if (point.gated && max_err_pct > 0.0 && std::abs(err_pct) > max_err_pct) {
       bad = true;
     }
     if (speedup_gated && min_speedup > 0.0 && speedup < min_speedup) {
@@ -298,10 +280,6 @@ int main(int argc, char** argv) try {
   table.print(std::cout);
   std::cout << "\nUngated rows (gate '-') carry a documented estimator bias;"
                "\nsee the tiered-simulation section of docs/performance.md.\n";
-  if (warm_set_sample > 1) {
-    std::cout << "warm-set-sample " << warm_set_sample
-              << " is approximate: error gates disabled for this run.\n";
-  }
   const sim::StreamCache::Stats ss = sim::StreamCache::instance().stats();
   std::cout << "stream_builds " << ss.built << " stream_loads " << ss.loaded
             << " stream_mem_hits " << ss.mem_hits << '\n';

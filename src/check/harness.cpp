@@ -1,6 +1,5 @@
 #include "check/harness.hpp"
 
-#include <algorithm>
 #include <memory>
 
 #include "check/check.hpp"
@@ -88,32 +87,13 @@ HarnessResult run_checked(const kasm::Program& program,
                           const HarnessSpec& spec) {
   HarnessResult result;
   Rig rig(program, spec);
-  // First cycle past the budget (saturating); skips are clamped here
-  // so a timed-out skip run stops at the same cycle as a stepped one.
-  const Cycle limit =
-      spec.max_cycles + 1 == 0 ? kNeverCycle : spec.max_cycles + 1;
+  const Cycle limit = cpu::watchdog_limit(spec.max_cycles);
   try {
-    while (!rig.core.done()) {
-      if (!spec.no_skip && rig.core.maybe_quiet()) {
-        const Cycle target = std::min(rig.core.next_event_cycle(), limit);
-        if (target > rig.core.cycle() + 1) {
-          rig.core.skip_to(target);
-          if (rig.core.cycle() > spec.max_cycles) {
-            result.timed_out = true;
-            result.message = "timed out after " +
-                             std::to_string(spec.max_cycles) + " cycles";
-            break;
-          }
-          continue;
-        }
-      }
-      rig.core.step();
-      if (rig.core.cycle() > spec.max_cycles) {
-        result.timed_out = true;
-        result.message = "timed out after " +
-                         std::to_string(spec.max_cycles) + " cycles";
-        break;
-      }
+    rig.core.run_until(limit, limit);
+    if (rig.core.cycle() > spec.max_cycles) {
+      result.timed_out = true;
+      result.message =
+          "timed out after " + std::to_string(spec.max_cycles) + " cycles";
     }
     result.ok = !result.timed_out;
   } catch (const CheckError& e) {

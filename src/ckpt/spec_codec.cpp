@@ -37,11 +37,11 @@ void encode_spec_identity(Encoder& enc, const sim::RunSpec& spec) {
   enc.put_u32(spec.sample_windows);
   enc.put_u64(spec.window_insts);
   enc.put_u64(spec.warmup_insts);
-  // v2: adaptive warm-up and set-sampled warming change the sampled
-  // estimate, so they are identity. stream_reuse / stream_dir are NOT:
-  // reuse is bit-identical by construction (tests/test_stream_reuse).
+  // v2: adaptive warm-up changes the sampled estimate, so it is
+  // identity. stream_reuse / stream_dir are NOT: reuse is bit-identical
+  // by construction (tests/test_stream_reuse). v3 dropped the
+  // set-sampled warming factor.
   enc.put_u32(spec.adaptive_warmup);
-  enc.put_u32(spec.warm_set_sample);
 }
 
 namespace {
@@ -72,7 +72,6 @@ sim::RunSpec decode_spec_identity(Decoder& dec) {
   spec.window_insts = dec.get_u64();
   spec.warmup_insts = dec.get_u64();
   spec.adaptive_warmup = dec.get_u32();
-  spec.warm_set_sample = dec.get_u32();
   return spec;
 }
 

@@ -30,7 +30,7 @@ namespace virec::ckpt {
 /// Bumped whenever the canonical encoding changes incompatibly. Decoded
 /// payloads with a different version throw CkptError; store entries
 /// with a different version read as misses.
-inline constexpr u32 kSpecCodecVersion = 2;
+inline constexpr u32 kSpecCodecVersion = 3;
 
 /// Append the identity bytes of @p spec (outcome-defining fields only;
 /// see file comment) to @p enc. Field order is part of the format.

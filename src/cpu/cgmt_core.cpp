@@ -604,44 +604,36 @@ void CgmtCore::throw_max_cycles() const {
                            ") exceeded; " + watchdog_diagnosis());
 }
 
-void CgmtCore::run() {
-  // First cycle at which the watchdog fires, saturating so a maximal
-  // budget disables it. Clamping skips here keeps the throw cycle (and
-  // the stall counters at that point) identical to the stepped loop.
-  const Cycle limit =
-      config_.max_cycles + 1 == 0 ? kNeverCycle : config_.max_cycles + 1;
-  while (!done()) {
+Cycle CgmtCore::run_until(Cycle bound, Cycle skip_end, u64 inst_end) {
+  Cycle skipped = 0;
+  while (!done() && cycle_ < bound && instructions_ < inst_end) {
     if (config_.skip && maybe_quiet()) {
-      const Cycle target = std::min(next_event_cycle(), limit);
+      const Cycle target = std::min(next_event_cycle(), skip_end);
       if (target > cycle_ + 1) {
+        skipped += target - cycle_;
         skip_to(target);
-        if (cycle_ > config_.max_cycles) throw_max_cycles();
         continue;
       }
     }
     step();
-    if (cycle_ > config_.max_cycles) throw_max_cycles();
   }
+  return skipped;
+}
+
+void CgmtCore::run() {
+  // Clamping skips to the watchdog limit keeps the throw cycle (and the
+  // stall counters at that point) identical to the stepped loop.
+  const Cycle limit = watchdog_limit(config_.max_cycles);
+  run_until(limit, limit);
+  if (cycle_ > config_.max_cycles) throw_max_cycles();
   stats_.set("cycles", static_cast<double>(cycle_));
   stats_.set("instructions", static_cast<double>(instructions_));
 }
 
 void CgmtCore::run_insts(u64 max_insts) {
-  const u64 target = instructions_ + max_insts;
-  const Cycle limit =
-      config_.max_cycles + 1 == 0 ? kNeverCycle : config_.max_cycles + 1;
-  while (!done() && instructions_ < target) {
-    if (config_.skip && maybe_quiet()) {
-      const Cycle skip_target = std::min(next_event_cycle(), limit);
-      if (skip_target > cycle_ + 1) {
-        skip_to(skip_target);
-        if (cycle_ > config_.max_cycles) throw_max_cycles();
-        continue;
-      }
-    }
-    step();
-    if (cycle_ > config_.max_cycles) throw_max_cycles();
-  }
+  const Cycle limit = watchdog_limit(config_.max_cycles);
+  run_until(limit, limit, instructions_ + max_insts);
+  if (cycle_ > config_.max_cycles) throw_max_cycles();
 }
 
 int CgmtCore::cut_to_functional() {

@@ -12,11 +12,9 @@
 //
 // Threading: a core and everything it owns (pipeline latches, context
 // manager, store queue, its private dcache slice, stats) is
-// single-threaded state. Under the parallel PDES run mode
-// (sim/system.cpp) each core belongs to exactly one partition and is
-// only ever stepped by that partition's worker thread; all
-// cross-thread traffic goes through the PdesGateway below the private
-// caches. Nothing in this class needs (or has) internal locking.
+// single-threaded state, and one System runs all its cores on one
+// thread (sim/system.cpp's scheduler). Nothing in this class needs (or
+// has) internal locking.
 #pragma once
 
 #include <string>
@@ -54,6 +52,13 @@ struct CgmtCoreConfig {
   u64 max_cycles = 4'000'000'000ull;
 };
 
+/// First cycle at which a max_cycles watchdog fires, saturating so a
+/// maximal budget disables it. Every run loop clamps skips here, so a
+/// timed-out skip run stops at the same cycle as a stepped one.
+inline Cycle watchdog_limit(u64 max_cycles) {
+  return max_cycles + 1 == 0 ? kNeverCycle : max_cycles + 1;
+}
+
 class CgmtCore {
  public:
   /// @p env.num_threads must equal @p config.num_threads.
@@ -68,45 +73,23 @@ class CgmtCore {
   /// Advance one cycle.
   void step();
 
-  /// Earliest cycle at which step() would do real work: move a latch,
-  /// issue/commit an instruction, take a context switch, fetch, or
-  /// react to returning data. Returns cycle() itself when the very
-  /// next step is such work, and kNeverCycle when no future event
-  /// exists (the core would spin to the watchdog). Every cycle from
-  /// cycle() up to (but excluding) the returned value is "quiet": the
-  /// stepped loop would only advance the clock and bump at most one
-  /// stall counter, which is exactly what skip_to() replays in bulk.
-  Cycle next_event_cycle() const;
-
-  /// Fast-forward a quiet stretch: jump the core clock to @p target
-  /// (cycle() < target <= next_event_cycle()) and charge the skipped
-  /// span to the same stall counter the stepped loop would have
-  /// incremented each cycle (idle / switch-masked / switch-no-target /
-  /// frontend-wait). Bit-exact with respect to stepping: no other
-  /// state changes during a quiet stretch.
-  void skip_to(Cycle target);
-
-  /// Cheap pre-filter for the skip path: true when the core is in a
-  /// state that can begin a quiet stretch (an issued memory access
-  /// still in flight, or an empty pipeline waiting on fetch / a
-  /// scheduler candidate). False means the next step() very likely
-  /// does real work, so callers step directly without paying for the
-  /// full next_event_cycle() evaluation. Purely a performance hint:
-  /// declining a possible skip is always bit-exact, because stepping
-  /// through a quiet cycle is the reference behaviour.
-  bool maybe_quiet() const {
-    if (mem_.valid) return mem_.mem_issued && cycle_ < mem_.ready;
-    if (if_.valid || id_.valid || ex_.valid) return false;
-    return current_tid_ >= 0 &&
-           (cycle_ < fetch_ready_ || fetch_pc_ >= program_.size());
-  }
-
   /// All started threads halted.
   bool done() const { return live_threads_ == 0; }
 
+  /// The one step/skip loop every driver shares: run(), run_insts(),
+  /// sim::System's scheduler and check::run_checked. Steps until
+  /// done(), cycle() >= @p bound or instructions() >= @p inst_end.
+  /// With config.skip set, a quiet stretch is instead fast-forwarded in
+  /// one jump to its next event, clamped to @p skip_end (>= @p bound):
+  /// a skip may carry the clock past @p bound, since skipped cycles
+  /// touch nothing outside the core, but never past @p skip_end. No
+  /// watchdog here — callers compare cycle() with their budget.
+  /// Returns the number of cycles skipped.
+  Cycle run_until(Cycle bound, Cycle skip_end, u64 inst_end = ~u64{0});
+
   /// Run to completion (single-core convenience), fast-forwarding
   /// quiet stretches when config.skip is set. Throws on exceeding
-  /// max_cycles (first at max_cycles + 1, same as the lockstep loop).
+  /// max_cycles (first at max_cycles + 1, same as sim::System).
   void run();
 
   /// Like run(), but stop once @p max_insts further instructions have
@@ -235,6 +218,40 @@ class CgmtCore {
   std::string watchdog_diagnosis() const;
 
  private:
+  // --- Event skipping, driven only by run_until() ---
+  /// Earliest cycle at which step() would do real work: move a latch,
+  /// issue/commit an instruction, take a context switch, fetch, or
+  /// react to returning data. Returns cycle() itself when the very
+  /// next step is such work, and kNeverCycle when no future event
+  /// exists (the core would spin to the watchdog). Every cycle from
+  /// cycle() up to (but excluding) the returned value is "quiet": the
+  /// stepped loop would only advance the clock and bump at most one
+  /// stall counter, which is exactly what skip_to() replays in bulk.
+  Cycle next_event_cycle() const;
+
+  /// Fast-forward a quiet stretch: jump the core clock to @p target
+  /// (cycle() < target <= next_event_cycle()) and charge the skipped
+  /// span to the same stall counter the stepped loop would have
+  /// incremented each cycle (idle / switch-masked / switch-no-target /
+  /// frontend-wait). Bit-exact with respect to stepping: no other
+  /// state changes during a quiet stretch.
+  void skip_to(Cycle target);
+
+  /// Cheap pre-filter for the skip path: true when the core is in a
+  /// state that can begin a quiet stretch (an issued memory access
+  /// still in flight, or an empty pipeline waiting on fetch / a
+  /// scheduler candidate). False means the next step() very likely
+  /// does real work, so run_until() steps directly without paying for
+  /// the full next_event_cycle() evaluation. Purely a performance hint:
+  /// declining a possible skip is always bit-exact, because stepping
+  /// through a quiet cycle is the reference behaviour.
+  bool maybe_quiet() const {
+    if (mem_.valid) return mem_.mem_issued && cycle_ < mem_.ready;
+    if (if_.valid || id_.valid || ex_.valid) return false;
+    return current_tid_ >= 0 &&
+           (cycle_ < fetch_ready_ || fetch_pc_ >= program_.size());
+  }
+
   struct Thread {
     bool started = false;
     bool halted = false;

@@ -31,9 +31,9 @@
 namespace virec::cpu {
 
 /// Serialises trace events into one shared JSON array. Thread-safe:
-/// every per-core PerfettoTracer of a PDES run (sim::System::set_pdes)
-/// funnels into one writer from its partition's worker thread, so each
-/// emitting call serialises the whole event under an internal mutex.
+/// each emitting call serialises the whole event under an internal
+/// mutex, so tracers driven from different threads may share one
+/// writer.
 class PerfettoTraceWriter {
  public:
   explicit PerfettoTraceWriter(std::ostream& os);

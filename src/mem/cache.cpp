@@ -47,8 +47,10 @@ Cache::Cache(const CacheConfig& config, MemLevel& below)
       "warm_hits", "functional warm-tier accesses that found the line");
   c_warm_misses_ = stats_.counter(
       "warm_misses", "functional warm-tier accesses that filled or bypassed");
-  c_warm_skipped_ = stats_.counter(
-      "warm_skipped", "warm-tier accesses dropped by set-sampled warming");
+  // Always 0 since set-sampled warming was removed; still registered
+  // so stat dumps (and the digests taken over them) keep their schema.
+  stats_.counter("warm_skipped",
+                 "warm-tier accesses dropped by set-sampled warming");
   hist_miss_cycles_ = stats_.histogram(
       "miss_cycles", "per-miss latency from access to data return");
 }
@@ -98,14 +100,6 @@ u32 Cache::outstanding_misses(Cycle now) const {
     if (until > now) ++count;
   }
   return count;
-}
-
-Cycle Cache::next_event_cycle(Cycle now) const {
-  Cycle next = kNeverCycle;
-  for (const Cycle until : mshr_until_) {
-    if (until > now && until < next) next = until;
-  }
-  return next;
 }
 
 u32 Cache::pinned_lines() const {
@@ -310,29 +304,9 @@ Cycle Cache::line_access(Addr line_addr, bool is_write, Cycle now) {
   return access(line_addr, is_write, now, /*reg_region=*/false).done;
 }
 
-void Cache::set_warm_set_sample(u32 k) {
-  if (k == 0 || !is_pow2(k)) {
-    throw std::invalid_argument("Cache: warm set-sample factor must be a "
-                                "power of two");
-  }
-  if (k > num_sets_) k = num_sets_;
-  warm_sample_mask_ = k - 1;
-}
-
 bool Cache::warm_access(Addr addr, bool is_write, Cycle warm_now,
                         bool reg_region) {
   const Addr laddr = line_of(addr);
-  if (warm_sample_mask_ != 0) {
-    const u32 set =
-        static_cast<u32>((laddr / kLineBytes) & (num_sets_ - 1));
-    if ((set & warm_sample_mask_) != 0) {
-      // Unsampled set: pretend the line is present (no tag churn, no
-      // pin/dirty updates) so the warm tier only models 1/K of the
-      // sets. Deliberately pessimistic for the sampled sets' misses.
-      ++*c_warm_skipped_;
-      return true;
-    }
-  }
   Line* line = find_line(laddr);
 
   auto touch_reg_bits = [&](Line& l) {

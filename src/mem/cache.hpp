@@ -74,16 +74,6 @@ class Cache final : public MemLevel {
   bool warm_access(Addr addr, bool is_write, Cycle warm_now,
                    bool reg_region = false);
 
-  /// Opt-in set-sampled warming (--warm-set-sample=K): only sets whose
-  /// index is 0 mod K are actually warmed; warm accesses to every other
-  /// set are counted under "warm_skipped" and pretend the line is
-  /// present without touching tags. K must be a power of two (1
-  /// restores full warming; values above num_sets() clamp). Biases the
-  /// unsampled sets cold — quantify with bench/sampled_validation
-  /// before trusting absolute numbers (docs/performance.md).
-  void set_warm_set_sample(u32 k);
-  u32 warm_set_sample() const { return warm_sample_mask_ + 1; }
-
   void warm_line(Addr line_addr, bool is_write, Cycle warm_now) override {
     warm_access(line_addr, is_write, warm_now, /*reg_region=*/false);
   }
@@ -105,12 +95,6 @@ class Cache final : public MemLevel {
   /// Misses still in flight at @p now (busy MSHRs). Cheap enough for
   /// periodic sampling.
   u32 outstanding_misses(Cycle now) const;
-
-  /// Earliest MSHR completion strictly after @p now (kNeverCycle if
-  /// none are busy). Event-skip input: the cache resolves all timing at
-  /// access time, so between @p now and this cycle nothing it owns
-  /// changes on its own.
-  Cycle next_event_cycle(Cycle now) const;
 
   u32 num_sets() const { return num_sets_; }
   u32 assoc() const { return config_.assoc; }
@@ -167,9 +151,6 @@ class Cache final : public MemLevel {
   // Stride prefetcher state.
   u64 last_miss_line_ = 0;
   i64 last_stride_ = 0;
-  // Set-sampled warming: warm accesses to sets with (set & mask) != 0
-  // are skipped. 0 = warm every set.
-  u32 warm_sample_mask_ = 0;
   StatSet stats_;
   Histogram* hist_miss_cycles_ = nullptr;  // owned by stats_
   // Hot-path counter handles (owned by stats_; see StatSet::counter).
@@ -187,7 +168,6 @@ class Cache final : public MemLevel {
   double* c_prefetches_ = nullptr;
   double* c_warm_hits_ = nullptr;
   double* c_warm_misses_ = nullptr;
-  double* c_warm_skipped_ = nullptr;
   const check::CheckContext* check_ = nullptr;
 };
 

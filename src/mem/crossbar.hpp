@@ -26,12 +26,6 @@ class Crossbar final : public MemLevel {
     below_.warm_line(line_addr, is_write, warm_now);
   }
 
-  /// Shared-link release strictly after @p now (kNeverCycle when the
-  /// link is idle). Event-skip input.
-  Cycle next_event_cycle(Cycle now) const {
-    return link_next_free_ > now ? link_next_free_ : kNeverCycle;
-  }
-
   const StatSet& stats() const { return stats_; }
   void reset();
 

@@ -29,17 +29,6 @@ DramModel::DramModel(const DramConfig& config)
       "access_latency", "per-access cycles from issue to data return");
 }
 
-Cycle DramModel::next_event_cycle(Cycle now) const {
-  Cycle next = kNeverCycle;
-  for (const Bank& bank : banks_) {
-    if (bank.next_free > now && bank.next_free < next) next = bank.next_free;
-  }
-  for (const Cycle free : bus_next_free_) {
-    if (free > now && free < next) next = free;
-  }
-  return next;
-}
-
 void DramModel::reset() {
   std::fill(banks_.begin(), banks_.end(), Bank{});
   std::fill(bus_next_free_.begin(), bus_next_free_.end(), Cycle{0});

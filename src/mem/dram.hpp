@@ -38,11 +38,6 @@ class DramModel final : public MemLevel {
   /// (open_row) without advancing bank/bus busy cursors or stats.
   void warm_line(Addr line_addr, bool is_write, Cycle warm_now) override;
 
-  /// Earliest bank/bus release strictly after @p now (kNeverCycle if
-  /// everything is free). Event-skip input: the model resolves all
-  /// timing at issue, so nothing changes on its own before this cycle.
-  Cycle next_event_cycle(Cycle now) const;
-
   const StatSet& stats() const { return stats_; }
   StatSet& stats() { return stats_; }
 

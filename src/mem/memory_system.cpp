@@ -1,7 +1,5 @@
 #include "mem/memory_system.hpp"
 
-#include <algorithm>
-
 namespace virec::mem {
 
 MemorySystem::MemorySystem(const MemSystemConfig& config) : config_(config) {
@@ -13,31 +11,9 @@ MemorySystem::MemorySystem(const MemSystemConfig& config) : config_(config) {
     below = l2_.get();
   }
   for (u32 c = 0; c < config_.num_cores; ++c) {
-    gateways_.push_back(std::make_unique<PdesGateway>(*below));
-    icaches_.push_back(std::make_unique<Cache>(config_.icache, *gateways_[c]));
-    dcaches_.push_back(std::make_unique<Cache>(config_.dcache, *gateways_[c]));
+    icaches_.push_back(std::make_unique<Cache>(config_.icache, *below));
+    dcaches_.push_back(std::make_unique<Cache>(config_.dcache, *below));
   }
-}
-
-void MemorySystem::set_pdes_gate(PdesGate* gate,
-                                 const std::vector<u32>& partition_of_core) {
-  for (u32 c = 0; c < config_.num_cores; ++c) {
-    const u32 p = gate != nullptr ? partition_of_core[c] : 0;
-    gateways_[c]->set_gate(gate, p);
-  }
-}
-
-Cycle MemorySystem::next_event_cycle(Cycle now) const {
-  Cycle next = std::min(dram_->next_event_cycle(now),
-                        crossbar_->next_event_cycle(now));
-  if (l2_) next = std::min(next, l2_->next_event_cycle(now));
-  for (const auto& c : icaches_) {
-    next = std::min(next, c->next_event_cycle(now));
-  }
-  for (const auto& c : dcaches_) {
-    next = std::min(next, c->next_event_cycle(now));
-  }
-  return next;
 }
 
 void MemorySystem::reset_timing() {

@@ -15,7 +15,6 @@
 #include "mem/cache.hpp"
 #include "mem/crossbar.hpp"
 #include "mem/dram.hpp"
-#include "mem/pdes_gateway.hpp"
 #include "mem/sparse_memory.hpp"
 
 namespace virec::mem {
@@ -91,20 +90,6 @@ class MemorySystem {
   /// icache address for instruction index @p pc.
   static Addr code_addr(u64 pc) { return kCodeBase + pc * 4; }
 
-  /// Attach every core's shared-boundary gateway to @p gate, mapping
-  /// core c to partition @p partition_of_core[c] (nullptr detaches).
-  /// While attached, all L1-miss traffic into the shared levels obeys
-  /// the conservative PDES ordering protocol. Call only while the
-  /// simulation is quiescent.
-  void set_pdes_gate(PdesGate* gate, const std::vector<u32>& partition_of_core);
-
-  /// Earliest future-dated timing event strictly after @p now anywhere
-  /// in the hierarchy (busy MSHRs, DRAM bank/bus release, crossbar link
-  /// release); kNeverCycle when everything is quiescent. Conservative
-  /// event-skip clamp: all hierarchy timing is resolved at access time,
-  /// so no state a core can observe changes before this cycle.
-  Cycle next_event_cycle(Cycle now) const;
-
   /// Reset all timing state (functional memory is preserved).
   void reset_timing();
 
@@ -119,9 +104,6 @@ class MemorySystem {
   std::unique_ptr<DramModel> dram_;
   std::unique_ptr<Crossbar> crossbar_;
   std::unique_ptr<Cache> l2_;
-  // One gateway per core between its L1s and the shared levels; a
-  // transparent forwarder until set_pdes_gate attaches a gate.
-  std::vector<std::unique_ptr<PdesGateway>> gateways_;
   std::vector<std::unique_ptr<Cache>> icaches_;
   std::vector<std::unique_ptr<Cache>> dcaches_;
 };

@@ -7,15 +7,13 @@ namespace virec::mem {
 
 void SparseMemory::save_state(ckpt::Encoder& enc) const {
   std::vector<u64> page_nos;
-  page_nos.reserve(page_count());
-  for (u32 s = 0; s < kShards; ++s) {
-    for (const auto& [no, page] : shards_[s].pages) page_nos.push_back(no);
-  }
+  page_nos.reserve(pages_.size());
+  for (const auto& [no, page] : pages_) page_nos.push_back(no);
   std::sort(page_nos.begin(), page_nos.end());
   enc.put_u64(page_nos.size());
   for (const u64 no : page_nos) {
     enc.put_u64(no);
-    enc.raw(shards_[shard_of(no)].pages.at(no).data(), kPageSize);
+    enc.raw(pages_.at(no).data(), kPageSize);
   }
 }
 
@@ -24,31 +22,17 @@ void SparseMemory::restore_state(ckpt::Decoder& dec) {
   const u64 n = dec.get_u64();
   for (u64 i = 0; i < n; ++i) {
     const u64 no = dec.get_u64();
-    Page& page = shards_[shard_of(no)].pages[no];
+    Page& page = pages_[no];
     page.resize(kPageSize);
     dec.raw(page.data(), kPageSize);
   }
 }
 
-std::size_t SparseMemory::page_count() const {
-  std::size_t n = 0;
-  for (u32 s = 0; s < kShards; ++s) n += shards_[s].pages.size();
-  return n;
-}
-
 const SparseMemory::Page* SparseMemory::find_page(Addr addr) const {
   const u64 page_no = addr / kPageSize;
-  const Shard& shard = shards_[shard_of(page_no)];
-  if (concurrent_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.pages.find(page_no);
-    // The Page lives in the map until clear(); returning the pointer
-    // past the lock is safe (see header).
-    return it == shard.pages.end() ? nullptr : &it->second;
-  }
   if (page_no == cached_page_no_) return cached_page_;
-  auto it = shard.pages.find(page_no);
-  if (it == shard.pages.end()) return nullptr;
+  auto it = pages_.find(page_no);
+  if (it == pages_.end()) return nullptr;
   cached_page_no_ = page_no;
   cached_page_ = const_cast<Page*>(&it->second);
   return &it->second;
@@ -56,15 +40,8 @@ const SparseMemory::Page* SparseMemory::find_page(Addr addr) const {
 
 SparseMemory::Page& SparseMemory::touch_page(Addr addr) {
   const u64 page_no = addr / kPageSize;
-  Shard& shard = shards_[shard_of(page_no)];
-  if (concurrent_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    Page& page = shard.pages[page_no];
-    if (page.empty()) page.assign(kPageSize, 0);
-    return page;
-  }
   if (page_no == cached_page_no_) return *cached_page_;
-  Page& page = shard.pages[page_no];
+  Page& page = pages_[page_no];
   if (page.empty()) page.assign(kPageSize, 0);
   cached_page_no_ = page_no;
   cached_page_ = &page;

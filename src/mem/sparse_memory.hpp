@@ -4,21 +4,9 @@
 //
 // This is the *functional* half of the memory system; timing lives in
 // mem/cache.hpp, mem/dram.hpp and mem/crossbar.hpp.
-//
-// Pages are held in kShards independently locked maps (sharded by page
-// number) so the parallel simulation mode can create pages from
-// several worker threads: set_concurrent(true) takes the shard lock
-// around every map probe/insert and bypasses the single-entry page
-// cache. The byte payloads themselves are *not* locked — the workload
-// contract (workloads/workload.hpp) keeps runtime traffic race-free at
-// the byte level: inputs are written once at init time and outputs are
-// per-thread disjoint, and unordered_map never moves a mapped Page, so
-// a pointer obtained under the shard lock stays valid outside it.
 #pragma once
 
-#include <array>
 #include <cstring>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -30,31 +18,19 @@ namespace virec::mem {
 class SparseMemory final : public ckpt::Serializable {
  public:
   static constexpr u64 kPageSize = 4096;
-  static constexpr u32 kShards = 64;
 
   SparseMemory() = default;
   // Copies must not inherit the one-entry page cache: the raw pointer
   // would alias the *source's* page map, so a later write through the
   // copy would silently mutate the original. The check subsystem clones
   // functional memory for its shadow state, so this matters.
-  SparseMemory(const SparseMemory& other) {
-    for (u32 s = 0; s < kShards; ++s) shards_[s].pages = other.shards_[s].pages;
-  }
+  SparseMemory(const SparseMemory& other) : pages_(other.pages_) {}
   SparseMemory& operator=(const SparseMemory& other) {
     if (this != &other) {
-      for (u32 s = 0; s < kShards; ++s) {
-        shards_[s].pages = other.shards_[s].pages;
-      }
+      pages_ = other.pages_;
       drop_cache();
     }
     return *this;
-  }
-
-  /// Toggle thread-safe page-map access for the parallel run loop.
-  /// Call only while no simulated core is executing.
-  void set_concurrent(bool on) {
-    concurrent_ = on;
-    drop_cache();
   }
 
   /// Checkpoint every touched page (sorted by page number, so the
@@ -79,11 +55,11 @@ class SparseMemory final : public ckpt::Serializable {
   void read_block(Addr addr, void* dst, std::size_t bytes) const;
 
   /// Number of distinct touched pages (test/diagnostic aid).
-  std::size_t page_count() const;
+  std::size_t page_count() const { return pages_.size(); }
 
   /// Drop all contents.
   void clear() {
-    for (u32 s = 0; s < kShards; ++s) shards_[s].pages.clear();
+    pages_.clear();
     drop_cache();
   }
 
@@ -92,8 +68,7 @@ class SparseMemory final : public ckpt::Serializable {
   // While active, every write() records the bytes it overwrites so
   // journal_rollback() can restore the pre-journal contents exactly
   // (entries are replayed in reverse, so overlapping writes unwind
-  // correctly). Single-threaded use only — a detailed probe runs on
-  // the serial loop; do not combine with set_concurrent(true).
+  // correctly).
 
   /// Start recording undo entries. Must not already be active.
   void journal_begin();
@@ -106,16 +81,6 @@ class SparseMemory final : public ckpt::Serializable {
  private:
   using Page = std::vector<u8>;
 
-  struct Shard {
-    std::unordered_map<u64, Page> pages;
-    // Guards the map structure (probe/insert) in concurrent mode only;
-    // single-threaded callers skip it entirely.
-    mutable std::mutex mu;
-  };
-
-  static u32 shard_of(u64 page_no) {
-    return static_cast<u32>(page_no) & (kShards - 1);
-  }
   void drop_cache() {
     cached_page_no_ = ~u64{0};
     cached_page_ = nullptr;
@@ -129,14 +94,12 @@ class SparseMemory final : public ckpt::Serializable {
     u64 old_value;
   };
 
-  std::array<Shard, kShards> shards_;
-  bool concurrent_ = false;
+  std::unordered_map<u64, Page> pages_;
   bool journaling_ = false;
   std::vector<JournalEntry> journal_;
   // One-entry page cache so sequential/streaming access skips the
   // unordered_map probe. unordered_map never moves mapped values on
-  // insert, so the pointer stays valid until clear(). Bypassed in
-  // concurrent mode (it is shared mutable state).
+  // insert, so the pointer stays valid until clear().
   mutable u64 cached_page_no_ = ~u64{0};
   mutable Page* cached_page_ = nullptr;
 };

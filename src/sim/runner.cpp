@@ -52,7 +52,6 @@ TieredResult run_spec_tiered(const RunSpec& spec) {
   tiered.warmup_insts = spec.warmup_insts;
   tiered.functional_ff = spec.functional_ff;
   tiered.adaptive_warmup = spec.adaptive_warmup;
-  tiered.warm_set_sample = spec.warm_set_sample;
   // Reuse off forces a private stream (key 0): same replay engine,
   // same records, just no sharing — estimates are bit-identical.
   tiered.stream_key =
@@ -84,7 +83,6 @@ RunResult run_spec(const RunSpec& spec) {
   const workloads::Workload& workload = workloads::find_workload(spec.workload);
   System system(build_config(spec), workload, spec.params);
   if (spec.check) system.enable_check();
-  if (spec.pdes_jobs > 0) system.set_pdes(spec.pdes_jobs, spec.relaxed_sync);
   RunResult result = system.run();
   if (!result.check_ok) {
     throw std::runtime_error("workload check failed (" + spec.workload +

@@ -34,22 +34,10 @@ struct RunSpec {
   /// Arm the lockstep reference oracle and hard invariants
   /// (System::enable_check); divergence throws check::CheckError.
   bool check = false;
-  /// Disable event-driven cycle skipping (CgmtCoreConfig::skip) and
-  /// force the cycle-stepped loops. Results are bit-identical either
+  /// Disable event-driven cycle skipping (CgmtCoreConfig::skip): every
+  /// core steps every cycle. Results are bit-identical either
   /// way; skipping only trades simulator wall-clock.
   bool no_skip = false;
-  /// Conservative PDES core partitioning across this many worker
-  /// threads (System::set_pdes; docs/performance.md). 0 = serial run
-  /// loop. Like no_skip this is a pure simulator-speed knob: exact
-  /// mode is bit-identical, so it is deliberately excluded from the
-  /// spec identity (ckpt/spec_codec.cpp) and thus from result-store /
-  /// memo keys. Ignored by tiered and checked runs (serial fallback).
-  u32 pdes_jobs = 0;
-  /// With pdes_jobs > 1: allow shared-boundary accesses to proceed
-  /// within one crossbar round trip of the other partitions instead of
-  /// waiting for exact order. Faster, NOT deterministic — results vary
-  /// with host thread scheduling.
-  bool relaxed_sync = false;
   /// Tiered simulation (sim::TieredRunner; docs/performance.md).
   /// sample_windows > 0 runs SMARTS-style sampled measurement: the
   /// returned RunResult carries the *estimated* cycles/IPC
@@ -70,16 +58,11 @@ struct RunSpec {
   /// converging — bulk-miss schemes need longer warm-up than the fixed
   /// budget. 1 = fixed warm-up (default); part of the spec identity.
   u32 adaptive_warmup = 1;
-  /// Opt-in set-sampled cache warming (Cache::set_warm_set_sample):
-  /// only 1/K of dcache sets are warmed between detailed windows.
-  /// 1 = full warming (default); K > 1 is approximate (documented bias)
-  /// and part of the spec identity.
-  u32 warm_set_sample = 1;
   /// Reuse the functional prepass stream across same-identity points
   /// (sweeps over scheme/policy/phys_regs). Pure simulator-speed knob:
   /// per-point estimates are bit-identical with reuse on or off, so —
-  /// like pdes_jobs — it is deliberately excluded from the spec
-  /// identity and from result-store keys.
+  /// like no_skip — it is deliberately excluded from the spec identity
+  /// and from result-store keys.
   bool stream_reuse = true;
   /// Directory for persisted functional streams ("" = in-memory reuse
   /// only). Excluded from the identity for the same reason.

@@ -2,14 +2,17 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
-
-#include "common/pdes.hpp"
 
 namespace virec::sim {
+
+namespace {
+
+// With a heartbeat attached, a scheduler turn stops stepping after this
+// many cycles, so a single-core run still yields turns to count.
+constexpr Cycle kHeartbeatSlice = 1024;
+
+}  // namespace
 
 System::System(const SystemConfig& config, const workloads::Workload& workload,
                const workloads::WorkloadParams& params)
@@ -158,23 +161,6 @@ Cycle System::max_core_cycle() const {
   return now;
 }
 
-Cycle System::global_skip_target(Cycle now, Cycle next_checkpoint,
-                                 Cycle limit) const {
-  Cycle target = kNeverCycle;
-  for (const auto& core : cores_) {
-    if (core->done()) continue;
-    // Cheap bail-out before the full event evaluation: a core that is
-    // not stall-shaped almost certainly works next cycle.
-    if (!core->maybe_quiet()) return now;
-    target = std::min(target, core->next_event_cycle());
-    if (target <= now + 1) return target;  // someone works next cycle
-  }
-  target = std::min(target, ms_->next_event_cycle(now));
-  if (sample_interval_ > 0) target = std::min(target, sample_next_);
-  if (checkpoint_every_ > 0) target = std::min(target, next_checkpoint);
-  return std::min(target, limit);
-}
-
 RunResult System::run() {
   if (!restored_) {
     samples_.clear();
@@ -183,17 +169,7 @@ RunResult System::run() {
     sample_prev_instructions_ = 0;
   }
   restored_ = false;
-  if (pdes_jobs_ > 0 && cores_.size() > 1 && !check_) {
-    // Conservative PDES over a worker pool. The lockstep oracle
-    // (enable_check) replays commits against a serial interpreter, so
-    // checked runs stay on the serial reference loop.
-    run_pdes_loop();
-  } else if (cores_.size() == 1 && sample_interval_ == 0 &&
-             checkpoint_every_ == 0 && !progress_) {
-    cores_[0]->run();
-  } else {
-    run_lockstep_loop();
-  }
+  schedule();
   return make_result();
 }
 
@@ -211,7 +187,8 @@ void System::throw_watchdog() const {
 }
 
 void System::emit_progress(std::chrono::steady_clock::time_point wall_start,
-                           Cycle run_start_cycle, Cycle skipped_cycles) {
+                           const std::vector<Cycle>& start_cycles,
+                           Cycle skipped_cycles) {
   RunProgress p;
   p.cycle = max_core_cycle();
   p.max_cycles = config_.core.max_cycles;
@@ -234,21 +211,34 @@ void System::emit_progress(std::chrono::steady_clock::time_point wall_start,
     }
   }
   p.top_stall_frac = elapsed == 0.0 ? 0.0 : top / elapsed;
-  p.skip_efficiency = p.cycle <= run_start_cycle
+  // Per-core: each core skips alone, so both sides sum over cores and
+  // the ratio is <= 1 by construction.
+  Cycle run_cycles = 0;
+  for (u32 c = 0; c < config_.num_cores; ++c) {
+    run_cycles += cores_[c]->cycle() - start_cycles[c];
+  }
+  p.skip_efficiency = run_cycles == 0
                           ? 0.0
                           : static_cast<double>(skipped_cycles) /
-                                static_cast<double>(p.cycle - run_start_cycle);
+                                static_cast<double>(run_cycles);
   p.wall_secs = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                               wall_start)
                     .count();
   progress_(p);
 }
 
-void System::run_lockstep_loop() {
-  // Lockstep multi-core simulation so crossbar/DRAM contention is
-  // interleaved correctly (also used whenever sampling or periodic
-  // checkpointing needs to observe the system mid-run).
-  bool any_running = true;
+void System::schedule() {
+  // The one run loop. Shared accesses happen only inside
+  // CgmtCore::step(), and the hierarchy resolves all timing at access
+  // time, so stepping cores in ascending (cycle, core index) key order
+  // issues them in exactly the order of lockstep stepping: always
+  // advance the live core with the smallest key. It steps while its
+  // key stays below the runner-up's; a quiet stretch it skips alone
+  // (skipped cycles touch nothing shared), however far ahead of the
+  // other cores that takes it. Observers see the whole system only at
+  // epoch ends — the next sampling or checkpoint grid point or the
+  // watchdog limit — which every core steps or skips exactly up to.
+  const Cycle limit = cpu::watchdog_limit(config_.core.max_cycles);
   Cycle next_checkpoint = 0;
   if (checkpoint_every_ > 0) {
     // Align the checkpoint grid with the core cycle count so a
@@ -257,10 +247,6 @@ void System::run_lockstep_loop() {
     next_checkpoint = checkpoint_every_;
     while (next_checkpoint <= now) next_checkpoint += checkpoint_every_;
   }
-  // First cycle at which the watchdog fires (saturating).
-  const Cycle limit = config_.core.max_cycles + 1 == 0
-                          ? kNeverCycle
-                          : config_.core.max_cycles + 1;
   // Live telemetry bookkeeping (observers only: the heartbeat reads
   // stats and the wall clock, never simulation state it could alter).
   const auto wall_start = std::chrono::steady_clock::now();
@@ -268,36 +254,66 @@ void System::run_lockstep_loop() {
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
           std::chrono::duration<double>(progress_every_secs_));
   auto next_emit = wall_start + emit_period;
-  const Cycle run_start_cycle = max_core_cycle();
+  std::vector<Cycle> start_cycles;
+  for (const auto& core : cores_) start_cycles.push_back(core->cycle());
   Cycle skipped_cycles = 0;
-  u32 progress_tick = 0;
-  while (any_running) {
-    any_running = false;
-    if (config_.core.skip) {
-      // All live cores share the same cycle in lockstep, so a jump
-      // to the min over their next events (and the memory system's)
-      // reproduces the stepped interleaving exactly: no core would
-      // have done anything but bump a stall counter in between.
-      const Cycle now0 = max_core_cycle();
-      const Cycle target = global_skip_target(now0, next_checkpoint, limit);
-      if (target > now0 + 1) {
-        skipped_cycles += target - now0;
-        for (auto& core : cores_) {
-          if (!core->done()) {
-            core->skip_to(target);
-            any_running = true;
-          }
+  u32 turns = 0;
+
+  const auto before = [this](u32 a, u32 b) {
+    const Cycle ca = cores_[a]->cycle(), cb = cores_[b]->cycle();
+    return ca < cb || (ca == cb && a < b);
+  };
+  // Cores with work left before the epoch end, in ascending key order.
+  std::vector<u32> order;
+  for (;;) {
+    Cycle epoch_end = limit;
+    if (sample_interval_ > 0) epoch_end = std::min(epoch_end, sample_next_);
+    if (checkpoint_every_ > 0) {
+      epoch_end = std::min(epoch_end, next_checkpoint);
+    }
+    bool live = false;
+    order.clear();
+    for (u32 c = 0; c < config_.num_cores; ++c) {
+      if (cores_[c]->done()) continue;
+      live = true;
+      if (cores_[c]->cycle() < epoch_end) order.push_back(c);
+    }
+    if (!live) break;
+    std::sort(order.begin(), order.end(), before);
+    while (!order.empty()) {
+      cpu::CgmtCore& core = *cores_[order[0]];
+      Cycle bound = epoch_end;
+      if (order.size() > 1) {
+        const Cycle next = cores_[order[1]]->cycle();
+        bound = std::min(bound, order[0] < order[1] ? next + 1 : next);
+      }
+      // Slicing a turn is exact: run_until resumes where it stopped.
+      if (progress_) bound = std::min(bound, core.cycle() + kHeartbeatSlice);
+      skipped_cycles += core.run_until(bound, epoch_end);
+      // Re-file the core by its new key: it is past the runner-up now,
+      // and usually past everyone, so search from the back.
+      const u32 c = order[0];
+      if (core.done() || core.cycle() >= epoch_end) {
+        order.erase(order.begin());
+      } else {
+        std::size_t pos = order.size();
+        while (pos > 1 && before(c, order[pos - 1])) --pos;
+        std::copy(order.begin() + 1, order.begin() + pos, order.begin());
+        order[pos - 1] = c;
+      }
+      if (progress_ && (++turns & 0xffu) == 0) {
+        // One wall-clock read per 256 turns keeps the heartbeat off
+        // the simulation hot path.
+        const auto now_wall = std::chrono::steady_clock::now();
+        if (now_wall >= next_emit) {
+          emit_progress(wall_start, start_cycles, skipped_cycles);
+          next_emit = now_wall + emit_period;
         }
       }
     }
-    if (!any_running) {
-      for (auto& core : cores_) {
-        if (!core->done()) {
-          core->step();
-          any_running = true;
-        }
-      }
-    }
+    // Epoch end: every live core sits exactly at epoch_end, as in a
+    // lockstep run. Observe in lockstep order: sample, checkpoint,
+    // watchdog.
     const Cycle now = max_core_cycle();
     if (sample_interval_ > 0 && now >= sample_next_) {
       take_sample(sample_prev_cycle_, sample_prev_instructions_);
@@ -307,18 +323,9 @@ void System::run_lockstep_loop() {
       }
       while (sample_next_ <= now) sample_next_ += sample_interval_;
     }
-    if (checkpoint_every_ > 0 && any_running && now >= next_checkpoint) {
+    if (checkpoint_every_ > 0 && now >= next_checkpoint) {
       save(checkpoint_dir_ + "/ckpt-" + std::to_string(now) + ".vckpt");
       while (next_checkpoint <= now) next_checkpoint += checkpoint_every_;
-    }
-    if (progress_ && (++progress_tick & 0xffu) == 0) {
-      // Amortised wall-clock check: one clock read per 256 loop
-      // iterations keeps the heartbeat off the simulation hot path.
-      const auto now_wall = std::chrono::steady_clock::now();
-      if (now_wall >= next_emit) {
-        emit_progress(wall_start, run_start_cycle, skipped_cycles);
-        next_emit = now_wall + emit_period;
-      }
     }
     if (now > config_.core.max_cycles) throw_watchdog();
   }
@@ -327,258 +334,7 @@ void System::run_lockstep_loop() {
     take_sample(sample_prev_cycle_, sample_prev_instructions_);
   }
   // Final heartbeat so even short runs produce one line.
-  if (progress_) {
-    emit_progress(wall_start, run_start_cycle, skipped_cycles);
-  }
-}
-
-void System::run_pdes_loop() {
-  const u32 num_cores = static_cast<u32>(cores_.size());
-  const u32 parts = std::min(pdes_jobs_, num_cores);
-  // Contiguous core blocks, one per worker: a partition owns its cores,
-  // their private L1 slices and store queues outright, so the only
-  // cross-thread state is the shared boundary behind the per-core
-  // gateways plus the functional page maps (sharded).
-  std::vector<u32> part_lo(parts), part_hi(parts), part_of(num_cores);
-  for (u32 p = 0; p < parts; ++p) {
-    part_lo[p] = num_cores * p / parts;
-    part_hi[p] = num_cores * (p + 1) / parts;
-    for (u32 c = part_lo[p]; c < part_hi[p]; ++c) part_of[c] = p;
-  }
-  // Relaxed-mode slack: one crossbar round trip (request and response
-  // hops plus the line transfer). Within that window reordered shared
-  // accesses at most swap places inside latency the cores cannot
-  // observe anyway, keeping relaxed results plausible — though not
-  // deterministic (docs/performance.md).
-  const Cycle window =
-      pdes_relaxed_
-          ? 2 * config_.mem.xbar.latency + config_.mem.xbar.cycles_per_line
-          : 0;
-  PdesGate gate(parts, window);
-  ms_->set_pdes_gate(&gate, part_of);
-  ms_->memory().set_concurrent(true);
-
-  Cycle next_checkpoint = 0;
-  if (checkpoint_every_ > 0) {
-    const Cycle now = max_core_cycle();
-    next_checkpoint = checkpoint_every_;
-    while (next_checkpoint <= now) next_checkpoint += checkpoint_every_;
-  }
-  const Cycle limit = config_.core.max_cycles + 1 == 0
-                          ? kNeverCycle
-                          : config_.core.max_cycles + 1;
-  const auto wall_start = std::chrono::steady_clock::now();
-  const auto emit_period =
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(progress_every_secs_));
-  auto next_emit = wall_start + emit_period;
-  const Cycle run_start_cycle = max_core_cycle();
-
-  // Epoch barrier: the coordinator publishes an epoch end (the next
-  // sampling/checkpoint grid point or the watchdog limit), every worker
-  // free-runs its partition up to it, and the coordinator observes the
-  // quiescent system between epochs exactly where the lockstep loop
-  // would.
-  struct EpochCtl {
-    std::mutex mu;
-    std::condition_variable go_cv;
-    std::condition_variable done_cv;
-    u64 epoch = 0;
-    Cycle epoch_end = 0;
-    bool quit = false;
-    u32 done_count = 0;
-    Cycle skipped_cycles = 0;  // telemetry for the progress heartbeat
-    std::exception_ptr error;
-  } ctl;
-
-  // Run partition p (cores [lo, hi)) to its epoch end in partition-
-  // local lockstep. Invariant: all live cores of a partition share one
-  // cycle (they start together and step/skip together), so the
-  // published keys walk ascending (cycle, core) order — the global
-  // shared-access order of the serial lockstep loop.
-  const auto run_partition_epoch = [this, &gate](u32 p, u32 lo, u32 hi,
-                                                 Cycle epoch_end,
-                                                 Cycle* skipped) {
-    for (;;) {
-      Cycle now0 = 0;
-      bool live = false;
-      for (u32 c = lo; c < hi; ++c) {
-        if (cores_[c]->done()) continue;
-        live = true;
-        now0 = std::max(now0, cores_[c]->cycle());
-      }
-      if (!live) {
-        gate.publish(p, PdesGate::kDoneBound);
-        return;
-      }
-      if (now0 >= epoch_end) {
-        gate.publish(p, PdesGate::key_of(epoch_end, 0));
-        return;
-      }
-      bool skipped_now = false;
-      if (config_.core.skip) {
-        // Partition-local event skip. No clamp to the shared levels'
-        // next event is needed: quiet cores touch nothing shared, and
-        // skip_to is chunking-invariant, so skipping further in one
-        // jump than the serial loop would is still bit-exact.
-        Cycle target = kNeverCycle;
-        bool quiet = true;
-        for (u32 c = lo; c < hi; ++c) {
-          if (cores_[c]->done()) continue;
-          if (!cores_[c]->maybe_quiet()) {
-            quiet = false;
-            break;
-          }
-          target = std::min(target, cores_[c]->next_event_cycle());
-          if (target <= now0 + 1) {
-            quiet = false;  // someone works next cycle
-            break;
-          }
-        }
-        if (quiet) {
-          target = std::min(target, epoch_end);
-          if (target > now0 + 1) {
-            // Commit first: nothing shared happens before (target, 0).
-            gate.publish(p, PdesGate::key_of(target, 0));
-            for (u32 c = lo; c < hi; ++c) {
-              if (!cores_[c]->done()) cores_[c]->skip_to(target);
-            }
-            *skipped += target - now0;
-            skipped_now = true;
-          }
-        }
-      }
-      if (!skipped_now) {
-        for (u32 c = lo; c < hi; ++c) {
-          if (cores_[c]->done()) continue;
-          gate.publish(p, PdesGate::key_of(now0, c));
-          cores_[c]->step();
-        }
-      }
-    }
-  };
-
-  const auto worker_fn = [&ctl, &gate, &run_partition_epoch, &part_lo,
-                          &part_hi](u32 p) {
-    u64 seen = 0;
-    for (;;) {
-      Cycle epoch_end = 0;
-      {
-        std::unique_lock<std::mutex> lock(ctl.mu);
-        ctl.go_cv.wait(lock, [&] { return ctl.quit || ctl.epoch != seen; });
-        if (ctl.quit) return;
-        seen = ctl.epoch;
-        epoch_end = ctl.epoch_end;
-      }
-      Cycle skipped = 0;
-      try {
-        run_partition_epoch(p, part_lo[p], part_hi[p], epoch_end, &skipped);
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> lock(ctl.mu);
-          if (!ctl.error) ctl.error = std::current_exception();
-        }
-        // Storing the error before aborting guarantees PdesAborted
-        // unwinds from other workers never shadow the root cause.
-        gate.abort();
-      }
-      {
-        std::lock_guard<std::mutex> lock(ctl.mu);
-        ctl.skipped_cycles += skipped;
-        if (++ctl.done_count == part_lo.size()) ctl.done_cv.notify_one();
-      }
-    }
-  };
-
-  std::vector<std::thread> workers;
-  workers.reserve(parts);
-  const auto shutdown = [&]() {
-    {
-      std::lock_guard<std::mutex> lock(ctl.mu);
-      ctl.quit = true;
-    }
-    ctl.go_cv.notify_all();
-    for (auto& w : workers) {
-      if (w.joinable()) w.join();
-    }
-    ms_->set_pdes_gate(nullptr, {});
-    ms_->memory().set_concurrent(false);
-  };
-
-  try {
-    for (u32 p = 0; p < parts; ++p) workers.emplace_back(worker_fn, p);
-    std::exception_ptr worker_error;
-    for (;;) {
-      bool live = false;
-      for (auto& core : cores_) {
-        if (!core->done()) {
-          live = true;
-          break;
-        }
-      }
-      if (!live) break;
-      Cycle epoch_end = limit;
-      if (sample_interval_ > 0) epoch_end = std::min(epoch_end, sample_next_);
-      if (checkpoint_every_ > 0) {
-        epoch_end = std::min(epoch_end, next_checkpoint);
-      }
-      {
-        std::lock_guard<std::mutex> lock(ctl.mu);
-        ctl.epoch_end = epoch_end;
-        ctl.done_count = 0;
-        ++ctl.epoch;
-      }
-      ctl.go_cv.notify_all();
-      Cycle skipped_cycles = 0;
-      {
-        std::unique_lock<std::mutex> lock(ctl.mu);
-        ctl.done_cv.wait(lock, [&] { return ctl.done_count == parts; });
-        worker_error = ctl.error;
-        skipped_cycles = ctl.skipped_cycles;
-      }
-      if (worker_error) break;
-      // Between epochs the workers are parked, so the coordinator
-      // observes and mutates freely — in the lockstep loop's order:
-      // sample, checkpoint, heartbeat, watchdog.
-      const Cycle now = max_core_cycle();
-      if (sample_interval_ > 0 && now >= sample_next_) {
-        take_sample(sample_prev_cycle_, sample_prev_instructions_);
-        if (!samples_.empty()) {
-          sample_prev_cycle_ = samples_.back().cycle;
-          sample_prev_instructions_ = samples_.back().instructions;
-        }
-        while (sample_next_ <= now) sample_next_ += sample_interval_;
-      }
-      if (checkpoint_every_ > 0 && now >= next_checkpoint) {
-        save(checkpoint_dir_ + "/ckpt-" + std::to_string(now) + ".vckpt");
-        while (next_checkpoint <= now) next_checkpoint += checkpoint_every_;
-      }
-      if (progress_) {
-        const auto now_wall = std::chrono::steady_clock::now();
-        if (now_wall >= next_emit) {
-          emit_progress(wall_start, run_start_cycle, skipped_cycles);
-          next_emit = now_wall + emit_period;
-        }
-      }
-      if (now > config_.core.max_cycles) throw_watchdog();
-    }
-    if (worker_error) std::rethrow_exception(worker_error);
-    if (sample_interval_ > 0) {
-      take_sample(sample_prev_cycle_, sample_prev_instructions_);
-    }
-    if (progress_) {
-      Cycle skipped_cycles = 0;
-      {
-        std::lock_guard<std::mutex> lock(ctl.mu);
-        skipped_cycles = ctl.skipped_cycles;
-      }
-      emit_progress(wall_start, run_start_cycle, skipped_cycles);
-    }
-  } catch (...) {
-    shutdown();
-    throw;
-  }
-  shutdown();
+  if (progress_) emit_progress(wall_start, start_cycles, skipped_cycles);
 }
 
 u64 System::total_instructions() const {
@@ -588,56 +344,17 @@ u64 System::total_instructions() const {
 }
 
 void System::run_detailed_insts(u64 insts) {
-  const u64 target = total_instructions() + insts;
-  if (cores_.size() == 1) {
-    cores_[0]->run_insts(insts);
-    return;
+  // The tiered runner is single-core (TieredRunner rejects others).
+  if (cores_.size() != 1) {
+    throw std::logic_error("System::run_detailed_insts: single-core only");
   }
-  // Lockstep multi-core stepping, same interleaving as run() minus the
-  // sampling/checkpoint/progress observers.
-  const Cycle limit = config_.core.max_cycles + 1 == 0
-                          ? kNeverCycle
-                          : config_.core.max_cycles + 1;
-  bool any_running = true;
-  while (any_running && total_instructions() < target) {
-    any_running = false;
-    if (config_.core.skip) {
-      const Cycle now0 = max_core_cycle();
-      const Cycle skip_target = global_skip_target(now0, kNeverCycle, limit);
-      if (skip_target > now0 + 1) {
-        for (auto& core : cores_) {
-          if (!core->done()) {
-            core->skip_to(skip_target);
-            any_running = true;
-          }
-        }
-      }
-    }
-    if (!any_running) {
-      for (auto& core : cores_) {
-        if (!core->done()) {
-          core->step();
-          any_running = true;
-        }
-      }
-    }
-    if (max_core_cycle() > config_.core.max_cycles) {
-      std::string diagnosis;
-      for (auto& core : cores_) {
-        if (core->done()) continue;
-        if (!diagnosis.empty()) diagnosis += "; ";
-        diagnosis += core->watchdog_diagnosis();
-      }
-      throw std::runtime_error("System: max_cycles (" +
-                               std::to_string(config_.core.max_cycles) +
-                               ") exceeded; " + diagnosis);
-    }
-  }
+  cores_[0]->run_insts(insts);
 }
 
 RunResult System::make_result() {
-  // The step-driven paths bypass CgmtCore::run(); mirror its final
-  // scalar bookkeeping so registry dumps always carry totals.
+  // The scheduler drives cores through run_until(), not
+  // CgmtCore::run(); mirror run()'s final scalar bookkeeping so registry
+  // dumps always carry totals.
   for (auto& core : cores_) {
     core->stats().set("cycles", static_cast<double>(core->cycle()));
     core->stats().set("instructions",

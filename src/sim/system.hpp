@@ -64,7 +64,9 @@ struct RunProgress {
   double ipc = 0.0;          ///< cumulative IPC
   const char* top_stall = "";    ///< dominant non-useful cycle bucket
   double top_stall_frac = 0.0;   ///< its share of elapsed core cycles
-  double skip_efficiency = 0.0;  ///< cycles fast-forwarded / elapsed
+  /// Core-cycles fast-forwarded / core-cycles elapsed since run()
+  /// started, both summed over cores (so always in [0, 1]).
+  double skip_efficiency = 0.0;
   double wall_secs = 0.0;        ///< wall time since run() started
 };
 
@@ -78,10 +80,10 @@ class System {
   RunResult run();
 
   /// Run the detailed model until @p insts further instructions have
-  /// committed (summed over cores) or every core is done. Used by the
-  /// tiered runner for warm-up prefixes and measurement windows; the
-  /// plain sampling/checkpoint/progress observers of run() do not
-  /// apply here.
+  /// committed or the core is done. Single-core systems only: used by
+  /// the tiered runner for warm-up prefixes and measurement windows;
+  /// the sampling/checkpoint/progress observers of run() do not apply
+  /// here.
   void run_detailed_insts(u64 insts);
 
   /// Assemble the RunResult for the current simulation state (run()'s
@@ -114,9 +116,9 @@ class System {
   void set_detailed_stats(bool on) { registry_.set_detailed(on); }
 
   /// Record a Sample every @p interval cycles during run() (0 turns
-  /// sampling off). Forces the lockstep run loop; event skips are
-  /// clamped to the sampling grid so samples land on the same cycles
-  /// either way.
+  /// sampling off). Grid points are epoch ends of the scheduler: event
+  /// skips are clamped to them, so samples land on the same cycles with
+  /// and without skipping.
   void set_sample_interval(Cycle interval) { sample_interval_ = interval; }
   const std::vector<Sample>& samples() const { return samples_; }
 
@@ -128,7 +130,7 @@ class System {
   }
 
   /// Emit a RunProgress heartbeat to @p fn roughly every @p every_secs
-  /// of wall time during run() (forces the lockstep loop; purely an
+  /// of wall time during run(), plus one when it ends (purely an
   /// observer — simulation results stay bit-identical). nullptr
   /// detaches.
   void set_progress(std::function<void(const RunProgress&)> fn,
@@ -180,51 +182,31 @@ class System {
                const std::function<void(ckpt::CheckpointReader&)>& extra = {});
 
   /// Save a snapshot to "<dir>/ckpt-<cycle>.vckpt" every @p every
-  /// cycles during run() (0 disables). Forces the lockstep loop; event
-  /// skips are clamped to the checkpoint grid so snapshots land on the
-  /// same cycles either way.
+  /// cycles during run() (0 disables). Grid points are epoch ends of
+  /// the scheduler, like the sampling grid, so snapshots land on the
+  /// same cycles with and without skipping.
   void set_checkpointing(Cycle every, std::string dir) {
     checkpoint_every_ = every;
     checkpoint_dir_ = std::move(dir);
   }
-
-  /// Run() on @p jobs worker threads with conservative PDES core
-  /// partitioning (docs/performance.md); 0 restores the serial loops.
-  /// Exact mode (@p relaxed_sync false) is bit-identical to lockstep.
-  /// A pure simulator-speed knob like `skip`: it is excluded from
-  /// config_hash(), so checkpoints move freely between parallel and
-  /// serial runs. Ignored (serial fallback) for single-core systems
-  /// and when the lockstep oracle (enable_check) is armed.
-  void set_pdes(u32 jobs, bool relaxed_sync = false) {
-    pdes_jobs_ = jobs;
-    pdes_relaxed_ = relaxed_sync;
-  }
-  u32 pdes_jobs() const { return pdes_jobs_; }
 
  private:
   void offload_contexts();
   std::unique_ptr<cpu::ContextManager> make_manager(const cpu::CoreEnv& env);
   void build_registry();
   void take_sample(Cycle prev_cycle, u64 prev_instructions);
-  /// Global clock of the lockstep loop: max cycle over all cores.
+  /// Max cycle over all cores (the system clock at an epoch end).
   Cycle max_core_cycle() const;
-  /// Largest cycle every live core (and the memory system) is provably
-  /// quiet until, clamped to the sampling grid, the checkpoint grid
-  /// and the watchdog limit so those observe exactly the cycles they
-  /// would in a stepped run. <= now + 1 means "no profitable skip".
-  Cycle global_skip_target(Cycle now, Cycle next_checkpoint,
-                           Cycle limit) const;
-  /// The serial reference loop of run() (lockstep stepping plus the
-  /// sampling/checkpoint/progress/watchdog observers).
-  void run_lockstep_loop();
-  /// The conservative-PDES run loop (partitioned cores on a worker
-  /// pool); bit-identical to run_lockstep_loop() in exact mode.
-  void run_pdes_loop();
+  /// run()'s scheduler: every core to completion in (cycle, core index)
+  /// order, with the sampling/checkpoint/progress/watchdog observers.
+  void schedule();
   /// Throw the watchdog error naming every stuck core.
   [[noreturn]] void throw_watchdog() const;
-  /// Build and emit one RunProgress heartbeat.
+  /// Build and emit one RunProgress heartbeat; @p start_cycles holds
+  /// each core's cycle when run() started.
   void emit_progress(std::chrono::steady_clock::time_point wall_start,
-                     Cycle run_start_cycle, Cycle skipped_cycles);
+                     const std::vector<Cycle>& start_cycles,
+                     Cycle skipped_cycles);
 
   SystemConfig config_;
   const workloads::Workload& workload_;
@@ -248,8 +230,6 @@ class System {
   u64 sample_prev_instructions_ = 0;
   Cycle checkpoint_every_ = 0;
   std::string checkpoint_dir_;
-  u32 pdes_jobs_ = 0;
-  bool pdes_relaxed_ = false;
   /// run() continues from restored state instead of starting fresh.
   bool restored_ = false;
 };

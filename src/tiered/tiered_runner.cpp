@@ -52,12 +52,6 @@ void TieredConfig::validate() const {
     throw std::invalid_argument(
         "TieredConfig: adaptive_warmup must be >= 1 (1 = fixed warm-up)");
   }
-  if (warm_set_sample == 0 ||
-      (warm_set_sample & (warm_set_sample - 1)) != 0) {
-    throw std::invalid_argument(
-        "TieredConfig: warm_set_sample must be a power of two (1 = full "
-        "warming)");
-  }
 }
 
 TieredRunner::TieredRunner(System& system, const TieredConfig& config)
@@ -395,10 +389,6 @@ TieredResult TieredRunner::run() {
   // stream — it subsumes the prepass, since recording fixes the total
   // instruction count — then alternate replayed functional stretches
   // with reverted detailed probes.
-  if (config_.warm_set_sample > 1) {
-    sys_.memory_system().dcache(0).set_warm_set_sample(
-        config_.warm_set_sample);
-  }
   if (stream_ == nullptr) {
     emit_progress("prepass", false);
     const double t0 = now_secs();

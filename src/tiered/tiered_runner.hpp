@@ -52,12 +52,6 @@ struct TieredConfig {
   /// one is unfair to the other. 1 = fixed warm-up. Ignored by
   /// functional_ff.
   u32 adaptive_warmup = 1;
-  /// Set-sampled cache warming factor K (power of two, >= 1): between
-  /// detailed stretches only dcache sets with index % K == 0 are
-  /// warmed (Cache::set_warm_set_sample). K > 1 is opt-in and
-  /// *approximate* — see the bias note on set_warm_set_sample —
-  /// 1 restores exact warming. Ignored by functional_ff.
-  u32 warm_set_sample = 1;
   /// Functional identity of the run (ckpt::functional_stream_hash):
   /// sampled runs replay a recorded functional stream, and points
   /// sharing a nonzero key share one recorded stream per process

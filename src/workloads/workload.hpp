@@ -10,16 +10,13 @@
 //     host — because the simulator executes real data through real
 //     register movement, a ViReC bug shows up as a wrong answer here.
 //
-// Memory contract (relied on by the parallel PDES run mode,
-// mem/sparse_memory.hpp): every *output* byte of the functional memory
-// is written by at most one simulated thread. Threads may freely share
+// Memory contract: every *output* byte of the functional memory is
+// written by at most one simulated thread. Threads may freely share
 // read-only inputs (index arrays, source data), but their result
 // ranges are disjoint at byte granularity — each thread owns a slice
 // of the output array selected by its thread/core id registers. New
-// kernels must keep this property (the checkers verify per-slice
-// results, so a violation shows up as a failed check); it is what lets
-// partitions of one System touch the byte memory concurrently with
-// only page-map sharding, no per-byte locks.
+// kernels must keep this property: the checkers verify per-slice
+// results, so a violation shows up as a failed check.
 #pragma once
 
 #include <array>

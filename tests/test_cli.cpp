@@ -9,7 +9,7 @@
 #include <sstream>
 #include <string>
 
-#include "json_checker.hpp"
+#include "common/json_parse.hpp"
 
 namespace {
 
@@ -174,7 +174,7 @@ TEST(Cli, SweepJsonIsValid) {
       "--sweep --workload reduce --threads 2,4 --iters 16 --elements 4096 "
       "--jobs 2 --json");
   EXPECT_EQ(r.exit_code, 0) << r.output;
-  const auto v = virec::testing::JsonParser::parse(r.output);
+  const auto v = virec::json_parse(r.output);
   ASSERT_TRUE(v.is_array());
   ASSERT_EQ(v.array.size(), 2u);
   EXPECT_EQ(v.array[1].at("spec").at("threads").number, 4.0);
@@ -321,7 +321,7 @@ TEST(Cli, JsonReportIsValidAndComplete) {
   const CliResult r = run_cli(
       "--workload gather --scheme virec --iters 32 --elements 4096 --json");
   ASSERT_EQ(r.exit_code, 0) << r.output;
-  const auto v = virec::testing::JsonParser::parse(r.output);
+  const auto v = virec::json_parse(r.output);
   EXPECT_EQ(v.at("config").at("workload").string, "gather");
   EXPECT_EQ(v.at("config").at("scheme").string, "virec");
   EXPECT_TRUE(v.at("results").at("check_ok").boolean);
@@ -344,15 +344,15 @@ TEST(Cli, JsonToFileKeepsTextReport) {
   ASSERT_TRUE(in.good());
   std::stringstream ss;
   ss << in.rdbuf();
-  const auto v = virec::testing::JsonParser::parse(ss.str());
-  EXPECT_TRUE(v.has("results"));
+  const auto v = virec::json_parse(ss.str());
+  EXPECT_NE(v.find("results"), nullptr);
 }
 
 TEST(Cli, SampleIntervalAddsTimeSeries) {
   const CliResult r = run_cli(
       "--iters 32 --elements 4096 --json --sample-interval 200");
   ASSERT_EQ(r.exit_code, 0) << r.output;
-  const auto v = virec::testing::JsonParser::parse(r.output);
+  const auto v = virec::json_parse(r.output);
   const auto& ts = v.at("time_series");
   EXPECT_DOUBLE_EQ(ts.at("interval").number, 200.0);
   ASSERT_FALSE(ts.at("samples").array.empty());
@@ -370,13 +370,13 @@ TEST(Cli, TraceOutIsWellFormedEventArray) {
   ASSERT_TRUE(in.good());
   std::stringstream ss;
   ss << in.rdbuf();
-  const auto v = virec::testing::JsonParser::parse(ss.str());
+  const auto v = virec::json_parse(ss.str());
   ASSERT_TRUE(v.is_array());
   ASSERT_FALSE(v.array.empty());
   bool saw_residency = false;
   for (const auto& e : v.array) {
     ASSERT_TRUE(e.is_object());
-    ASSERT_TRUE(e.has("ph"));
+    ASSERT_NE(e.find("ph"), nullptr);
     if (e.at("ph").string == "X" && e.at("cat").string == "residency") {
       saw_residency = true;
     }
@@ -401,7 +401,7 @@ TEST(Cli, SampledJsonCarriesWindows) {
       "--workload gather --iters 2048 --elements 4096 "
       "--sample-windows 5 --window-insts 300 --warmup-insts 150 --json");
   ASSERT_EQ(r.exit_code, 0) << r.output;
-  const auto v = virec::testing::JsonParser::parse(r.output);
+  const auto v = virec::json_parse(r.output);
   ASSERT_TRUE(v.is_object());
   const auto& tiered = v.at("tiered");
   EXPECT_EQ(tiered.at("windows").array.size(), 5u);

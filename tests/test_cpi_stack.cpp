@@ -16,13 +16,13 @@
 
 #include "check/check.hpp"
 #include "common/cycle_account.hpp"
+#include "common/json_parse.hpp"
 #include "cpu/ooo_core.hpp"
 #include "kasm/assembler.hpp"
 #include "sim/observability.hpp"
 #include "sim/runner.hpp"
 #include "sim/sweep.hpp"
 #include "sim/system.hpp"
-#include "json_checker.hpp"
 #include "workloads/workload.hpp"
 
 namespace virec::sim {
@@ -249,27 +249,27 @@ TEST(CpiReport, JsonReportCarriesClosedStack) {
 
   std::ostringstream os;
   write_json_report(os, system, spec, result, 512);
-  const testing::JsonValue doc = testing::JsonParser::parse(os.str());
+  const JsonValue doc = json_parse(os.str());
 
-  const testing::JsonValue& stack = doc.at("cpi_stack");
-  const testing::JsonValue& buckets = stack.at("buckets");
+  const JsonValue& stack = doc.at("cpi_stack");
+  const JsonValue& buckets = stack.at("buckets");
   ASSERT_EQ(buckets.array.size(), kNumCycleBuckets);
   EXPECT_EQ(buckets.array[0].string,
             cycle_bucket_name(CycleBucket::kCommit));
 
-  const testing::JsonValue& total = stack.at("total");
+  const JsonValue& total = stack.at("total");
   ASSERT_EQ(total.array.size(), kNumCycleBuckets);
   double sum = 0.0;
-  for (const testing::JsonValue& v : total.array) sum += v.number;
+  for (const JsonValue& v : total.array) sum += v.number;
   EXPECT_DOUBLE_EQ(sum, static_cast<double>(result.cycles));
 
   ASSERT_EQ(stack.at("per_core").array.size(), 1u);
   EXPECT_EQ(stack.at("per_thread").array.size(), 4u);
 
   // Every sample row carries the cumulative stack.
-  const testing::JsonValue& samples = doc.at("time_series").at("samples");
+  const JsonValue& samples = doc.at("time_series").at("samples");
   ASSERT_FALSE(samples.array.empty());
-  for (const testing::JsonValue& s : samples.array) {
+  for (const JsonValue& s : samples.array) {
     ASSERT_EQ(s.at("cpi").array.size(), kNumCycleBuckets);
   }
 
@@ -309,10 +309,10 @@ TEST(CpiReport, SweepCsvCarriesBucketColumns) {
   // The JSON export carries the raw stack and it closes there too.
   std::ostringstream js;
   results.write_json(js);
-  const testing::JsonValue doc = testing::JsonParser::parse(js.str());
+  const JsonValue doc = json_parse(js.str());
   ASSERT_EQ(doc.array.size(), 2u);
-  for (const testing::JsonValue& rec : doc.array) {
-    const testing::JsonValue& stack = rec.at("result").at("cpi_stack");
+  for (const JsonValue& rec : doc.array) {
+    const JsonValue& stack = rec.at("result").at("cpi_stack");
     double sum = 0.0;
     for (const auto& [name, v] : stack.object) sum += v.number;
     EXPECT_DOUBLE_EQ(sum, rec.at("result").at("cycles").number);

@@ -164,8 +164,9 @@ TEST(Skip, PointerChaseEquivalence) {
 }
 
 // ---------------------------------------------------------------------
-// Multi-core contention: the lockstep loop may only jump to the global
-// minimum next event, or crossbar/DRAM interleaving would diverge.
+// Multi-core contention: each core skips alone, so the scheduler must
+// keep steps in (cycle, core) order or crossbar/DRAM interleaving would
+// diverge.
 
 TEST(Skip, MulticoreContentionEquivalence) {
   RunSpec spec = tiny_spec(Scheme::kViReC, core::PolicyKind::kLRC);
@@ -271,11 +272,10 @@ TEST(Skip, SweepCsvByteIdentical) {
 }
 
 // ---------------------------------------------------------------------
-// Watchdog boundary: both run loops (single-core fast path and the
-// lockstep loop) fire strictly after max_cycles — a budget equal to
-// the natural run length completes, one cycle less throws — and the
-// boundary is the same with skipping on or off (skips are clamped to
-// the budget).
+// Watchdog boundary: the run fires strictly after max_cycles — a
+// budget equal to the natural run length completes, one cycle less
+// throws — in one epoch and when sampling splits the run into many,
+// with skipping on or off (skips are clamped to the budget).
 
 class SkipWatchdog : public ::testing::TestWithParam<bool> {};
 
@@ -291,7 +291,7 @@ TEST_P(SkipWatchdog, FiresStrictlyAfterBudgetOnBothLoops) {
   spec.max_cycles = natural - 1;  // one short: must throw
   EXPECT_THROW(run_spec(spec), std::runtime_error);
 
-  // Same boundary on the lockstep loop (sampling forces it).
+  // Same boundary when sampling epochs end every 100 cycles.
   spec.max_cycles = natural;
   const workloads::Workload& workload = workloads::find_workload(spec.workload);
   {

@@ -599,6 +599,9 @@ TEST(JsonParse, ParsesDocumentsAndRejectsMalformed) {
   EXPECT_THROW(json_parse("{\"a\":}"), JsonParseError);
   EXPECT_THROW(json_parse("{\"a\":1"), JsonParseError);  // unterminated
   EXPECT_THROW(json_parse(""), JsonParseError);
+  EXPECT_THROW(json_parse("{\"a\": 1,}"), JsonParseError);  // trailing comma
+  EXPECT_THROW(json_parse("[1, 2] trailing"), JsonParseError);
+  EXPECT_THROW(json_parse("{\"a\": 1 \"b\": 2}"), JsonParseError);  // no comma
   EXPECT_THROW(doc.at("absent"), JsonParseError);
   EXPECT_THROW(doc.at("type").as_u64(), JsonParseError);  // not a number
 }
