@@ -26,7 +26,6 @@
 #include "area/area_model.hpp"
 #include "check/harness.hpp"
 #include "check/repro.hpp"
-#include "ckpt/journal.hpp"
 #include "ckpt/spec_codec.hpp"
 #include "common/json.hpp"
 #include "common/table.hpp"
@@ -38,7 +37,7 @@
 #include "sim/runner.hpp"
 #include "sim/sweep.hpp"
 #include "sim/system.hpp"
-#include "svc/client.hpp"
+#include "svc/result_store.hpp"
 #include "tiered/func_stream.hpp"
 
 using namespace virec;
@@ -53,7 +52,6 @@ struct Options {
   bool area = false;
   bool help = false;
   bool version = false;
-  std::string connect_path;  // virec-simd socket; empty = run locally
   u32 trace_core = 0;
   bool json = false;
   bool cpi_stack = false;  // print the closed cycle-accounting table
@@ -74,7 +72,7 @@ struct Options {
   u64 checkpoint_every = 0;   // periodic snapshot interval (cycles)
   std::string checkpoint_out; // snapshot directory
   std::string restore_path;   // snapshot to resume a single run from
-  std::string resume_path;    // sweep journal to resume a sweep from
+  std::string store_dir;      // result store a sweep reads and fills
   std::string replay_path;    // fuzzer repro file to replay and exit
   // Grid axes: in --sweep mode these accept comma-separated lists, so
   // they are captured raw and parsed once the mode is known.
@@ -176,23 +174,16 @@ void print_usage() {
       "  --checkpoint-out DIR  directory for ckpt-<cycle>.vckpt files\n"
       "  --restore FILE      restore a snapshot and continue the run\n"
       "                      (config must match; single-run only)\n"
-      "  --resume FILE       journal completed sweep points to FILE and\n"
-      "                      skip points already recorded in it (so a\n"
-      "                      killed sweep continues where it stopped;\n"
-      "                      needs --sweep)\n"
+      "  --store DIR         look sweep points up in the result store DIR\n"
+      "                      and put each fresh result there (a killed\n"
+      "                      sweep rerun with it simulates only the\n"
+      "                      missing points; needs --sweep)\n"
       "  --sweep             run the full cross product of the grid axes\n"
       "                      (--workload/--scheme/--policy/--threads/\n"
       "                      --ctx/--cores accept comma-separated lists)\n"
       "                      and print a CSV table (or JSON with --json)\n"
       "  --jobs N            worker threads for --sweep (0 = all\n"
       "                      hardware threads, the default; 1 = serial)\n"
-      "  --connect SOCKET    run points through a virec-simd daemon\n"
-      "                      (docs/service.md) instead of simulating\n"
-      "                      locally; cached points cost no simulation\n"
-      "                      and output stays byte-identical. Works for\n"
-      "                      plain single runs and --sweep; local-\n"
-      "                      inspection flags (--trace/--stats/--json\n"
-      "                      single-run reports/...) stay local-only\n"
       "  --list              list workloads and exit\n"
       "  --version           print build provenance and exit\n";
 }
@@ -262,7 +253,6 @@ bool parse(int argc, char** argv, Options& opt) {
     auto u64_value = [&]() { return parse_u64(arg, value()); };
     if (arg == "--help" || arg == "-h") opt.help = true;
     else if (arg == "--version") opt.version = true;
-    else if (arg == "--connect") opt.connect_path = value();
     else if (arg == "--list") opt.list = true;
     else if (arg == "--stats") opt.stats = true;
     else if (arg == "--trace") opt.trace = true;
@@ -311,7 +301,7 @@ bool parse(int argc, char** argv, Options& opt) {
     else if (arg == "--checkpoint-every") opt.checkpoint_every = u64_value();
     else if (arg == "--checkpoint-out") opt.checkpoint_out = value();
     else if (arg == "--restore") opt.restore_path = value();
-    else if (arg == "--resume") opt.resume_path = value();
+    else if (arg == "--store") opt.store_dir = value();
     else if (arg == "--check") opt.spec.check = true;
     else if (arg == "--replay") opt.replay_path = value();
     else if (arg == "--trace-core")
@@ -341,6 +331,11 @@ bool parse(int argc, char** argv, Options& opt) {
     }
   }
   if (!opt.sweep) {
+    if (!opt.store_dir.empty()) {
+      throw std::invalid_argument(
+          "--store keeps sweep points and needs --sweep "
+          "(to continue a single run from a snapshot, use --restore)");
+    }
     // Single-run mode: the axis flags behave exactly as before.
     if (!opt.workload_arg.empty()) {
       opt.spec.workload = single_value("--workload", opt.workload_arg);
@@ -446,38 +441,6 @@ sim::Sweep build_sweep(const Options& opt) {
   return sweep;
 }
 
-/// Shared by sweep and single-run --connect paths: dial the daemon,
-/// run the grid remotely, and print the client-side source summary
-/// (machine-greppable on stderr; CI asserts service_executed 0 on a
-/// warm cache).
-svc::ServiceClient::Outcome run_via_service(
-    const Options& opt, const std::vector<sim::RunSpec>& grid) {
-  svc::ServiceClient client(opt.connect_path);
-  if (!client.connect()) {
-    throw std::runtime_error("--connect: " + client.error());
-  }
-  std::function<void(std::size_t, std::size_t)> on_progress;
-  if (opt.progress) {
-    auto t0 = std::chrono::steady_clock::now();
-    on_progress = [t0](std::size_t done, std::size_t total) {
-      const double wall =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      std::cerr << "{\"type\": \"sweep\", \"done\": " << done
-                << ", \"total\": " << total << ", \"wall_secs\": " << wall
-                << "}\n";
-    };
-  }
-  const svc::ServiceClient::Outcome outcome =
-      client.run_sweep(grid, std::move(on_progress));
-  std::cerr << "service_points " << grid.size() << "\n"
-            << "service_executed " << outcome.executed << "\n"
-            << "service_store_hits " << outcome.store_hits << "\n"
-            << "service_dedup_hits " << outcome.dedup_hits << "\n"
-            << "service_failed " << outcome.failed << "\n";
-  return outcome;
-}
-
 /// Machine-greppable stream-cache summary on stderr after sampled
 /// runs/sweeps (the CI smoke asserts stream_builds 0 on a warm
 /// --stream-store, i.e. the functional tier was not paid again).
@@ -502,56 +465,15 @@ int run_sweep_mode(const Options& opt) {
       !opt.restore_path.empty()) {
     throw std::invalid_argument(
         "--checkpoint-every/--checkpoint-out/--restore are single-run "
-        "options and cannot be combined with --sweep (use --resume to "
+        "options and cannot be combined with --sweep (use --store to "
         "make a sweep resumable)");
   }
-  if (!opt.connect_path.empty()) {
-    if (!opt.resume_path.empty()) {
-      throw std::invalid_argument(
-          "--resume journals local sweeps; with --connect the daemon's "
-          "result store already makes re-runs resumable");
-    }
-    const sim::Sweep sweep = build_sweep(opt);
-    std::vector<sim::RunSpec> grid = sweep.specs();
-    const svc::ServiceClient::Outcome outcome = run_via_service(opt, grid);
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      if (!outcome.errors[i].empty()) {
-        throw std::runtime_error("point " + std::to_string(i) +
-                                 " failed on the daemon: " +
-                                 outcome.errors[i]);
-      }
-    }
-    std::vector<sim::SweepRecord> records;
-    records.reserve(grid.size());
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      records.push_back(
-          sim::SweepRecord{std::move(grid[i]), outcome.results[i]});
-    }
-    const sim::SweepResults results(std::move(records));
-    if (opt.json) {
-      if (opt.json_path.empty()) {
-        results.write_json(std::cout);
-      } else {
-        std::ofstream out(opt.json_path);
-        if (!out) throw std::runtime_error("cannot open " + opt.json_path);
-        results.write_json(out);
-        results.write_csv(std::cout);
-      }
-    } else {
-      results.write_csv(std::cout);
-    }
-    return 0;
-  }
   const sim::Sweep sweep = build_sweep(opt);
-  std::unique_ptr<ckpt::SweepJournal> journal;
-  if (!opt.resume_path.empty()) {
-    journal = std::make_unique<ckpt::SweepJournal>(opt.resume_path);
-    const std::size_t done = journal->load();
-    std::cerr << "resume: " << done << " of " << sweep.size()
-              << " point(s) already journalled in " << opt.resume_path
-              << "\n";
+  std::unique_ptr<svc::ResultStore> store;
+  if (!opt.store_dir.empty()) {
+    store = std::make_unique<svc::ResultStore>(opt.store_dir);
   }
-  sim::Sweep::SweepProgressFn on_point;
+  sim::SweepProgressFn on_point;
   if (opt.progress) {
     // Called from worker threads: one mutex serialises the stderr
     // lines. ETA extrapolates the observed completion rate.
@@ -575,7 +497,12 @@ int run_sweep_mode(const Options& opt) {
     };
   }
   const sim::SweepResults results =
-      sweep.run(opt.jobs, journal.get(), std::move(on_point));
+      sweep.run(opt.jobs, store.get(), on_point);
+  if (store) {
+    std::cerr << "store: " << results.from_store() << " of "
+              << results.size() << " point(s) already in " << opt.store_dir
+              << ", " << results.executed() << " simulated\n";
+  }
   if (opt.spec.sample_windows > 0 && !opt.json) print_stream_stats();
   if (opt.json) {
     if (opt.json_path.empty()) {
@@ -873,61 +800,6 @@ int run_tiered_mode(const Options& opt) {
   return 0;
 }
 
-/// Single run through a virec-simd daemon: the spec travels over the
-/// wire, the result comes back bit-exact, and the standard text report
-/// is printed. Flags that inspect the local System (traces, stats,
-/// JSON reports, checkpoints) have nothing to inspect and are
-/// rejected.
-int run_connect_single(const Options& opt) {
-  if (opt.trace || !opt.trace_out.empty() || opt.sample_interval > 0 ||
-      opt.stats || opt.area || opt.cpi_stack || opt.json) {
-    throw std::invalid_argument(
-        "--trace/--trace-out/--sample-interval/--stats/--area/"
-        "--cpi-stack/--json inspect the local simulation and cannot be "
-        "combined with --connect (run the daemon-side sweep with "
-        "--sweep --json instead)");
-  }
-  if (opt.checkpoint_every > 0 || !opt.checkpoint_out.empty() ||
-      !opt.restore_path.empty()) {
-    throw std::invalid_argument(
-        "--checkpoint-every/--checkpoint-out/--restore snapshot local "
-        "runs and cannot be combined with --connect");
-  }
-  if (opt.spec.sample_windows > 0 || opt.spec.functional_ff) {
-    throw std::invalid_argument(
-        "--sample-windows/--functional-ff report tiered estimates the "
-        "service protocol does not carry; run them locally");
-  }
-  // Validates the workload name before dialling the daemon.
-  const workloads::Workload& workload =
-      workloads::find_workload(opt.spec.workload);
-  const svc::ServiceClient::Outcome outcome =
-      run_via_service(opt, {opt.spec});
-  if (!outcome.errors[0].empty()) {
-    throw std::runtime_error("daemon run failed: " + outcome.errors[0]);
-  }
-  const sim::RunResult& result = outcome.results[0];
-  std::cout << "workload " << workload.name() << "\n"
-            << "scheme " << sim::scheme_name(opt.spec.scheme) << "\n"
-            << "policy " << core::policy_name(opt.spec.policy) << "\n"
-            << "cores " << opt.spec.num_cores << "\n"
-            << "threads_per_core " << opt.spec.threads_per_core << "\n"
-            << "phys_regs " << sim::spec_phys_regs(opt.spec) << "\n"
-            << "cycles " << result.cycles << "\n"
-            << "instructions " << result.instructions << "\n"
-            << "ipc " << result.ipc << "\n"
-            << "context_switches " << result.context_switches << "\n"
-            << "rf_hit_rate " << result.rf_hit_rate << "\n"
-            << "rf_fills " << result.rf_fills << "\n"
-            << "rf_spills " << result.rf_spills << "\n"
-            << "check " << (result.check_ok ? "OK" : "FAIL") << "\n";
-  if (!result.check_ok) {
-    std::cerr << "CHECK FAILED: " << result.check_msg << "\n";
-    return 1;
-  }
-  return 0;
-}
-
 /// --replay FILE: re-run a fuzzer repro under the lockstep oracle.
 int run_replay_mode(const Options& opt) {
   check::Repro repro = check::load_repro(opt.replay_path);
@@ -987,12 +859,6 @@ int main(int argc, char** argv) {
     if (!opt.replay_path.empty()) return run_replay_mode(opt);
     if (opt.sweep) return run_sweep_mode(opt);
 
-    if (!opt.resume_path.empty()) {
-      throw std::invalid_argument(
-          "--resume journals sweep points and needs --sweep "
-          "(to continue a single run from a snapshot, use --restore)");
-    }
-    if (!opt.connect_path.empty()) return run_connect_single(opt);
     if (opt.spec.sample_windows > 0 || opt.spec.functional_ff) {
       return run_tiered_mode(opt);
     }

@@ -1,7 +1,6 @@
 // Shared helpers for the figure/table reproduction harnesses.
 #pragma once
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -13,12 +12,14 @@
 #include <unordered_map>
 #include <vector>
 
+#include "ckpt/spec_codec.hpp"
 #include "common/cycle_account.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "sim/parallel.hpp"
 #include "sim/runner.hpp"
-#include "svc/client.hpp"
+#include "sim/sweep.hpp"
+#include "svc/result_store.hpp"
 
 namespace virec::bench {
 
@@ -106,43 +107,20 @@ inline void apply_stream_env(sim::RunSpec& spec) {
   }
 }
 
-/// Exact identity of an experiment point — every field that changes the
-/// simulation outcome, so two specs share a cache slot only when their
-/// runs would be identical.
-inline std::string spec_key(const sim::RunSpec& s) {
-  u64 fraction_bits;
-  std::memcpy(&fraction_bits, &s.context_fraction, sizeof fraction_bits);
-  std::string key = s.workload;
-  for (const u64 v :
-       {static_cast<u64>(s.scheme), static_cast<u64>(s.num_cores),
-        static_cast<u64>(s.threads_per_core), fraction_bits,
-        static_cast<u64>(s.policy), s.params.iters_per_thread,
-        s.params.elements, s.params.stride, s.params.locality_window,
-        static_cast<u64>(s.params.extra_compute),
-        static_cast<u64>(s.params.max_regs), s.params.seed,
-        static_cast<u64>(s.dcache_bytes), static_cast<u64>(s.dcache_latency),
-        static_cast<u64>(s.phys_regs), static_cast<u64>(s.group_spill),
-        static_cast<u64>(s.switch_prefetch)}) {
-    key += '\0';
-    key += std::to_string(v);
-  }
-  return key;
-}
-
-/// Runs experiment points through sim::run_specs and memoises the
-/// results. The harness enumerates its whole grid once, prefetches it
-/// (all points run concurrently on the worker pool), then keeps its
-/// original formatting logic, which now hits the cache. A point the
-/// grid missed still works — it just runs serially on first use.
+/// Runs experiment points through sim::run_points — the path
+/// `virec-sim --sweep` takes — and memoises the results by
+/// ckpt::spec_hash. The harness enumerates its whole grid once,
+/// prefetches it (all points run concurrently on the worker pool),
+/// then keeps its original formatting logic, which now hits the memo.
+/// A point the grid missed still works — it just runs serially on
+/// first use.
 ///
-/// When the VIREC_SIMD_SOCKET environment variable names a live
-/// virec-simd socket (docs/service.md), points run through the daemon
-/// instead: repeated figure regenerations are then served from its
-/// persistent result store without re-simulating, and concurrent
-/// harnesses share one execution per unique point. Results are
-/// bit-identical either way (the wire carries doubles by bit pattern).
-/// If the socket is unreachable the runner warns once and falls back
-/// to local simulation.
+/// When the VIREC_STORE environment variable names a directory, the
+/// points are looked up in the svc::ResultStore there and each fresh
+/// result is put into it, so a repeated figure regeneration is served
+/// from disk without re-simulating. Output is byte-identical either
+/// way (stored results keep doubles by bit pattern). If the store
+/// cannot be opened the runner warns once and simulates without it.
 class CachedRunner {
  public:
   explicit CachedRunner(u32 jobs = 0) : jobs_(jobs) {}
@@ -151,83 +129,52 @@ class CachedRunner {
   u32 jobs() const { return jobs_; }
 
   /// Run every not-yet-cached spec on the worker pool.
-  void prefetch(const std::vector<sim::RunSpec>& specs) {
-    std::vector<sim::RunSpec> todo;
-    std::vector<std::string> keys;
-    for (const sim::RunSpec& spec : specs) {
-      std::string key = spec_key(spec);
-      if (cache_.count(key) || std::count(keys.begin(), keys.end(), key)) {
-        continue;
-      }
-      todo.push_back(spec);
-      apply_stream_env(todo.back());
-      keys.push_back(std::move(key));
-    }
-    std::vector<sim::RunResult> results;
-    if (svc::ServiceClient* client = service()) {
-      svc::ServiceClient::Outcome outcome = client->run_sweep(todo);
-      for (std::size_t i = 0; i < todo.size(); ++i) {
-        if (!outcome.errors[i].empty()) {
-          throw std::runtime_error("virec-simd point failed: " +
-                                   outcome.errors[i]);
-        }
-      }
-      results = std::move(outcome.results);
-    } else {
-      results = sim::run_specs(todo, jobs_);
-    }
-    for (std::size_t i = 0; i < todo.size(); ++i) {
-      cache_.emplace(std::move(keys[i]), std::move(results[i]));
-    }
-  }
+  void prefetch(const std::vector<sim::RunSpec>& specs) { run(specs, jobs_); }
 
   /// Cached result for @p spec; runs it on demand if absent.
   const sim::RunResult& result(const sim::RunSpec& spec) {
-    std::string key = spec_key(spec);
-    auto it = cache_.find(key);
-    if (it == cache_.end()) {
-      sim::RunResult fresh;
-      if (svc::ServiceClient* client = service()) {
-        if (!client->run_one(spec, &fresh)) {
-          throw std::runtime_error("virec-simd point failed: " +
-                                   client->error());
-        }
-      } else {
-        sim::RunSpec local = spec;
-        apply_stream_env(local);
-        fresh = sim::run_spec(local);
-      }
-      it = cache_.emplace(std::move(key), std::move(fresh)).first;
-    }
-    return it->second;
+    const u64 hash = ckpt::spec_hash(spec);
+    if (!cache_.count(hash)) run({spec}, 1);
+    return cache_.at(hash);
   }
 
   Cycle cycles(const sim::RunSpec& spec) { return result(spec).cycles; }
 
  private:
-  /// Daemon connection per VIREC_SIMD_SOCKET, dialled once on first
-  /// use; null = run locally.
-  svc::ServiceClient* service() {
-    if (!service_checked_) {
-      service_checked_ = true;
-      if (const char* sock = std::getenv("VIREC_SIMD_SOCKET")) {
-        auto client = std::make_unique<svc::ServiceClient>(sock, "bench");
-        if (client->connect()) {
-          client_ = std::move(client);
-        } else {
-          std::cerr << "bench: VIREC_SIMD_SOCKET=" << sock
-                    << " unreachable (" << client->error()
-                    << "); simulating locally\n";
+  void run(const std::vector<sim::RunSpec>& specs, u32 jobs) {
+    std::vector<sim::RunSpec> todo;
+    for (const sim::RunSpec& spec : specs) {
+      if (cache_.count(ckpt::spec_hash(spec))) continue;
+      todo.push_back(spec);
+      apply_stream_env(todo.back());
+    }
+    if (todo.empty()) return;
+    sim::PointResults points = sim::run_points(todo, jobs, store());
+    for (std::size_t i = 0; i < todo.size(); ++i) {
+      cache_.emplace(ckpt::spec_hash(todo[i]), std::move(points.results[i]));
+    }
+  }
+
+  /// Store per VIREC_STORE, opened once on first use; null = none.
+  svc::ResultStore* store() {
+    if (!store_checked_) {
+      store_checked_ = true;
+      if (const char* dir = std::getenv("VIREC_STORE")) {
+        try {
+          store_ = std::make_unique<svc::ResultStore>(dir);
+        } catch (const std::exception& e) {
+          std::cerr << "bench: VIREC_STORE=" << dir << " unusable ("
+                    << e.what() << "); simulating without it\n";
         }
       }
     }
-    return client_.get();
+    return store_.get();
   }
 
   u32 jobs_;
-  bool service_checked_ = false;
-  std::unique_ptr<svc::ServiceClient> client_;
-  std::unordered_map<std::string, sim::RunResult> cache_;
+  bool store_checked_ = false;
+  std::unique_ptr<svc::ResultStore> store_;
+  std::unordered_map<u64, sim::RunResult> cache_;
 };
 
 }  // namespace virec::bench

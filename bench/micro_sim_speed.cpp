@@ -11,7 +11,6 @@
 #include "sim/runner.hpp"
 #include "sim/sweep.hpp"
 #include "svc/result_store.hpp"
-#include "svc/sweep_service.hpp"
 #include "tiered/func_stream.hpp"
 
 namespace virec {
@@ -246,7 +245,7 @@ BENCHMARK(BM_SweepThroughput)
 
 void BM_ResultStoreLookup(benchmark::State& state) {
   // Cost of serving one experiment point from the persistent result
-  // store (docs/service.md): file read + whole-entry CRC + identity
+  // store (docs/checkpointing.md): file read + whole-entry CRC + identity
   // verification + payload decode. Compare against BM_GatherSimulation
   // to read the warm-over-cold advantage: a lookup must be orders of
   // magnitude cheaper than the run it replaces for the cache to pay.
@@ -271,8 +270,8 @@ void BM_ResultStoreLookup(benchmark::State& state) {
 BENCHMARK(BM_ResultStoreLookup);
 
 void BM_WarmSweepThroughput(benchmark::State& state) {
-  // The same 24-point grid as BM_SweepThroughput, but through a
-  // SweepService over a pre-warmed ResultStore: every point is a store
+  // The same 12-point grid as BM_SweepThroughput, but through
+  // Sweep::run over a pre-warmed ResultStore: every point is a store
   // hit, no simulation runs. points/s here vs BM_SweepThroughput's
   // jobs=1 row is the measured warm-over-cold sweep speedup
   // (BENCH_sim_speed.json records the pair per PR).
@@ -288,20 +287,13 @@ void BM_WarmSweepThroughput(benchmark::State& state) {
   sweep.over_schemes({sim::Scheme::kBanked, sim::Scheme::kViReC})
       .over_threads({4, 8})
       .over_context_fractions({1.0, 0.8, 0.4});
-  const std::vector<sim::RunSpec> grid = sweep.specs();
-  {
-    // Warm the store (not timed); a fresh service per iteration below
-    // keeps the in-memory memo cold so disk lookups are measured.
-    svc::SweepService warmer(svc::ServiceConfig{}, &store);
-    warmer.submit("warmup", grid, {}).wait();
-  }
+  sweep.run(1, &store);  // warm the store (not timed)
   u64 points = 0;
   for (auto _ : state) {
-    svc::SweepService service(svc::ServiceConfig{}, &store);
-    svc::SweepTicket ticket = service.submit("bench", grid, {});
-    ticket.wait();
-    points += ticket.counts().points;
-    if (ticket.counts().executed != 0) {
+    const sim::SweepResults results = sweep.run(1, &store);
+    points += results.size();
+    benchmark::DoNotOptimize(results.records().data());
+    if (results.executed() != 0) {
       state.SkipWithError("warm sweep executed points");
     }
   }

@@ -44,59 +44,6 @@ void encode_spec_identity(Encoder& enc, const sim::RunSpec& spec) {
   enc.put_u32(spec.adaptive_warmup);
 }
 
-namespace {
-
-sim::RunSpec decode_spec_identity(Decoder& dec) {
-  sim::RunSpec spec;
-  spec.workload = dec.get_str();
-  spec.scheme = static_cast<sim::Scheme>(dec.get_u32());
-  spec.policy = static_cast<core::PolicyKind>(dec.get_u32());
-  spec.num_cores = dec.get_u32();
-  spec.threads_per_core = dec.get_u32();
-  spec.context_fraction = dec.get_f64();
-  spec.params.iters_per_thread = dec.get_u64();
-  spec.params.elements = dec.get_u64();
-  spec.params.stride = dec.get_u64();
-  spec.params.locality_window = dec.get_u64();
-  spec.params.extra_compute = dec.get_u32();
-  spec.params.max_regs = dec.get_u32();
-  spec.params.seed = dec.get_u64();
-  spec.dcache_bytes = dec.get_u32();
-  spec.dcache_latency = dec.get_u32();
-  spec.phys_regs = dec.get_u32();
-  spec.max_cycles = dec.get_u64();
-  spec.group_spill = dec.get_bool();
-  spec.switch_prefetch = dec.get_bool();
-  spec.functional_ff = dec.get_bool();
-  spec.sample_windows = dec.get_u32();
-  spec.window_insts = dec.get_u64();
-  spec.warmup_insts = dec.get_u64();
-  spec.adaptive_warmup = dec.get_u32();
-  return spec;
-}
-
-}  // namespace
-
-void encode_spec(Encoder& enc, const sim::RunSpec& spec) {
-  enc.put_u32(kSpecCodecVersion);
-  encode_spec_identity(enc, spec);
-  enc.put_bool(spec.check);
-  enc.put_bool(spec.no_skip);
-}
-
-sim::RunSpec decode_spec(Decoder& dec) {
-  const u32 version = dec.get_u32();
-  if (version != kSpecCodecVersion) {
-    throw CkptError("spec codec version mismatch: payload v" +
-                    std::to_string(version) + ", this build speaks v" +
-                    std::to_string(kSpecCodecVersion));
-  }
-  sim::RunSpec spec = decode_spec_identity(dec);
-  spec.check = dec.get_bool();
-  spec.no_skip = dec.get_bool();
-  return spec;
-}
-
 void encode_result(Encoder& enc, const sim::RunResult& result) {
   enc.put_u64(result.cycles);
   enc.put_u64(result.instructions);

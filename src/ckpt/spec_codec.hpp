@@ -1,24 +1,22 @@
 // Canonical binary encoding of experiment points (sim::RunSpec) and
-// their outcomes (sim::RunResult), shared by three consumers that must
+// their outcomes (sim::RunResult), shared by two consumers that must
 // agree byte-for-byte:
 //
 //   * hashing — ckpt::spec_hash is FNV-1a over the *identity* bytes,
-//     so the sweep journal, the svc::ResultStore and the virec-simd
-//     protocol all key an experiment point the same way;
+//     the one key every finished point is stored and deduplicated by
+//     (sim::run_points, bench::CachedRunner's memo, svc::ResultStore);
 //   * the persistent result store — entries embed the identity bytes
 //     and verify them on lookup, so a hash collision or a codec change
-//     degrades to a cache miss, never a wrong result;
-//   * the wire protocol — virec-simd requests/responses carry specs
-//     and results as hex-encoded codec bytes, so a client reassembles
-//     bit-identical doubles (CSV/JSON output matches a local run).
+//     degrades to a cache miss, never a wrong result. Results are
+//     stored with doubles by bit pattern, so a stored point reproduces
+//     a fresh run's CSV/JSON output exactly.
 //
-// Identity vs wire encoding: encode_spec_identity covers every field
-// that changes the simulated outcome. It deliberately excludes `check`
-// (validation-only: a checked run produces the same RunResult) and
-// `no_skip` (event skipping is bit-identical by construction, enforced
-// by tests/test_skip.cpp) — so a checked or stepped client request can
-// be served from a cached unchecked/skipping run. encode_spec is the
-// full wire form: identity plus those run-mode flags.
+// The identity covers every field that changes the simulated outcome.
+// It deliberately excludes `check` (validation-only: a checked run
+// produces the same RunResult) and `no_skip` (event skipping is
+// bit-identical by construction, enforced by tests/test_skip.cpp) — so
+// a checked or stepped request is served from a stored unchecked or
+// skipping run.
 #pragma once
 
 #include "ckpt/serialize.hpp"
@@ -27,24 +25,18 @@
 
 namespace virec::ckpt {
 
-/// Bumped whenever the canonical encoding changes incompatibly. Decoded
-/// payloads with a different version throw CkptError; store entries
-/// with a different version read as misses.
+/// Bumped whenever the canonical encoding changes incompatibly
+/// (`virec-sim --version` reports it). Store entries written under
+/// another identity layout read as misses: lookups compare the stored
+/// identity bytes.
 inline constexpr u32 kSpecCodecVersion = 3;
 
 /// Append the identity bytes of @p spec (outcome-defining fields only;
 /// see file comment) to @p enc. Field order is part of the format.
 void encode_spec_identity(Encoder& enc, const sim::RunSpec& spec);
 
-/// Full wire encoding: codec version, identity bytes, run-mode flags.
-void encode_spec(Encoder& enc, const sim::RunSpec& spec);
-
-/// Inverse of encode_spec. Throws CkptError on a codec-version
-/// mismatch or malformed payload.
-sim::RunSpec decode_spec(Decoder& dec);
-
-/// Wire/store encoding of a completed result (all fields, doubles by
-/// bit pattern).
+/// Store encoding of a completed result (all fields, doubles by bit
+/// pattern).
 void encode_result(Encoder& enc, const sim::RunResult& result);
 sim::RunResult decode_result(Decoder& dec);
 

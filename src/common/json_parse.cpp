@@ -184,7 +184,8 @@ class Parser {
           case 't': out += '\t'; break;
           case 'u': {
             if (pos_ + 4 > text_.size()) fail("bad \\u escape");
-            // The protocol is ASCII; keep the low byte of the unit.
+            // Every document the simulator writes is ASCII; keep the
+            // low byte of the unit.
             const std::string hex = text_.substr(pos_, 4);
             pos_ += 4;
             out += static_cast<char>(std::strtoul(hex.c_str(), nullptr, 16));

@@ -1,13 +1,14 @@
 // Minimal recursive-descent JSON parser — the reading counterpart of
-// common/json.hpp's JsonWriter, used by the virec-simd protocol layer
-// (src/svc/protocol.cpp) to decode request/response lines. Parses a
-// complete document into a small DOM and rejects trailing garbage.
-// Numbers keep their raw token alongside the strtod double, so integer
-// fields above 2^53 (e.g. 64-bit ids) can be re-read exactly with
-// as_u64().
+// common/json.hpp's JsonWriter, used by the tests to golden-parse the
+// --json reports, sweep documents and Perfetto traces the simulator
+// writes. Parses a complete document into a small DOM and rejects
+// trailing garbage. Numbers keep their raw token alongside the strtod
+// double, so integer fields above 2^53 (e.g. 64-bit counters) can be
+// re-read exactly with as_u64().
 //
 // Deliberately small: JSON-standard escapes only (\uXXXX keeps the low
-// byte — the protocol is ASCII), no streaming, no comments.
+// byte — every document the simulator writes is ASCII), no streaming,
+// no comments.
 #pragma once
 
 #include <stdexcept>

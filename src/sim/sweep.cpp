@@ -4,14 +4,14 @@
 #include <chrono>
 #include <cstring>
 #include <functional>
-#include <memory>
 #include <ostream>
 #include <unordered_map>
 
-#include "ckpt/journal.hpp"
+#include "ckpt/spec_codec.hpp"
 #include "common/cycle_account.hpp"
 #include "common/json.hpp"
 #include "sim/parallel.hpp"
+#include "svc/result_store.hpp"
 
 namespace virec::sim {
 
@@ -29,8 +29,80 @@ std::string sweep_key(const std::string& workload, Scheme scheme, u32 threads,
   return key;
 }
 
-SweepResults::SweepResults(std::vector<SweepRecord> records)
-    : records_(std::move(records)) {
+PointResults run_points(const std::vector<RunSpec>& specs, u32 jobs,
+                        svc::ResultStore* store,
+                        const SweepProgressFn& on_point) {
+  PointResults out;
+  out.results.resize(specs.size());
+  // Group input indices by identity hash, in first-seen order: a grid
+  // whose axes collapse to the same point (repeated list values, axes
+  // the scheme ignores) looks up and simulates each unique point once.
+  std::vector<u64> hashes;
+  std::vector<std::vector<std::size_t>> groups;
+  std::unordered_map<u64, std::size_t> group_of;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const u64 hash = ckpt::spec_hash(specs[i]);
+    const auto [it, fresh] = group_of.emplace(hash, groups.size());
+    if (fresh) {
+      hashes.push_back(hash);
+      groups.emplace_back();
+    }
+    groups[it->second].push_back(i);
+  }
+  std::vector<std::size_t> pending;  // groups to simulate
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    const std::size_t rep = groups[g].front();
+    if (store != nullptr &&
+        store->lookup(hashes[g], specs[rep], &out.results[rep])) {
+      out.from_store += groups[g].size();
+    } else {
+      pending.push_back(g);
+    }
+  }
+  out.executed = pending.size();
+  const std::size_t total = specs.size();
+  if (on_point && out.from_store > 0) on_point(out.from_store, total, 0.0);
+  // Shared across worker threads: input points completed so far.
+  std::atomic<std::size_t> done{out.from_store};
+  ParallelExecutor pool(jobs);
+  for (const std::size_t g : pending) {
+    const std::size_t rep = groups[g].front();
+    pool.submit_task(
+        [&, g, rep] {
+          const auto t0 = std::chrono::steady_clock::now();
+          RunResult result = run_spec(specs[rep]);
+          const double secs = std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - t0)
+                                  .count();
+          // Stored as soon as it lands, so a killed run keeps it.
+          if (store != nullptr) {
+            store->put(hashes[g], specs[rep], result, secs);
+          }
+          if (on_point) {
+            const std::size_t copies = groups[g].size();
+            on_point(done.fetch_add(copies) + copies, total, secs);
+          }
+          return result;
+        },
+        spec_label(specs[rep]));
+  }
+  std::vector<RunResult> fresh = pool.join();
+  for (std::size_t j = 0; j < pending.size(); ++j) {
+    out.results[groups[pending[j]].front()] = std::move(fresh[j]);
+  }
+  for (const std::vector<std::size_t>& members : groups) {
+    for (std::size_t m = 1; m < members.size(); ++m) {
+      out.results[members[m]] = out.results[members[0]];
+    }
+  }
+  return out;
+}
+
+SweepResults::SweepResults(std::vector<SweepRecord> records,
+                           std::size_t from_store, std::size_t executed)
+    : records_(std::move(records)),
+      from_store_(from_store),
+      executed_(executed) {
   index_.reserve(records_.size());
   for (std::size_t i = 0; i < records_.size(); ++i) {
     const RunSpec& s = records_[i].spec;
@@ -207,97 +279,17 @@ std::vector<RunSpec> Sweep::specs() const {
   return out;
 }
 
-SweepResults Sweep::run(u32 jobs, ckpt::SweepJournal* journal,
-                        SweepProgressFn on_point) const {
+SweepResults Sweep::run(u32 jobs, svc::ResultStore* store,
+                        const SweepProgressFn& on_point) const {
   std::vector<RunSpec> grid = specs();
-  std::vector<RunResult> results(grid.size());
-  // Group grid indices by identity hash: a grid whose axes collapse to
-  // the same point (repeated list values, axes the scheme ignores)
-  // simulates each unique point once and copies the result to every
-  // duplicate index. CSV/JSON output is unchanged — every grid row is
-  // still emitted, duplicates just share one execution.
-  std::vector<u64> hashes(grid.size());
-  std::unordered_map<u64, std::vector<std::size_t>> groups;
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    hashes[i] = ckpt::spec_hash(grid[i]);
-    groups[hashes[i]].push_back(i);
-  }
-  auto scatter = [&](std::size_t rep) {
-    const std::vector<std::size_t>& members = groups[hashes[rep]];
-    for (std::size_t m = 1; m < members.size(); ++m) {
-      results[members[m]] = results[members[0]];
-    }
-  };
-  if (journal == nullptr && !on_point) {
-    std::vector<RunSpec> unique;
-    std::vector<std::size_t> reps;
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      if (groups[hashes[i]].front() != i) continue;
-      unique.push_back(grid[i]);
-      reps.push_back(i);
-    }
-    std::vector<RunResult> fresh = run_specs(unique, jobs);
-    for (std::size_t j = 0; j < reps.size(); ++j) {
-      results[reps[j]] = std::move(fresh[j]);
-      scatter(reps[j]);
-    }
-  } else {
-    // Resume: skip points the journal already records, run the rest,
-    // and journal each fresh completion as it lands (crash-safe
-    // progress). Results are reassembled in grid order either way.
-    std::vector<std::size_t> pending;
-    std::size_t pending_points = 0;  // including duplicate indices
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      if (groups[hashes[i]].front() != i) continue;
-      if (journal != nullptr && journal->lookup(hashes[i], &results[i])) {
-        scatter(i);
-      } else {
-        pending.push_back(i);
-        pending_points += groups[hashes[i]].size();
-      }
-    }
-    const std::size_t total = grid.size();
-    // Shared across worker threads: points completed so far. Journal
-    // hits and deduplicated copies count as done immediately (one
-    // up-front heartbeat).
-    auto done =
-        std::make_shared<std::atomic<std::size_t>>(total - pending_points);
-    if (on_point && done->load() > 0) on_point(done->load(), total, 0.0);
-    ParallelExecutor pool(jobs);
-    for (const std::size_t idx : pending) {
-      const RunSpec& spec = grid[idx];
-      const std::size_t copies = groups[hashes[idx]].size();
-      pool.submit_task(
-          [spec, journal, on_point, done, total, copies,
-           hash = hashes[idx]] {
-            const auto t0 = std::chrono::steady_clock::now();
-            RunResult result = run_spec(spec);
-            if (journal != nullptr) {
-              journal->record(hash, result);
-            }
-            if (on_point) {
-              const double secs =
-                  std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-              on_point(done->fetch_add(copies) + copies, total, secs);
-            }
-            return result;
-          },
-          spec_label(spec));
-    }
-    std::vector<RunResult> fresh = pool.join();
-    for (std::size_t j = 0; j < pending.size(); ++j) {
-      results[pending[j]] = std::move(fresh[j]);
-      scatter(pending[j]);
-    }
-  }
+  PointResults points = run_points(grid, jobs, store, on_point);
   std::vector<SweepRecord> records;
   records.reserve(grid.size());
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    records.push_back(SweepRecord{std::move(grid[i]), std::move(results[i])});
+    records.push_back(
+        SweepRecord{std::move(grid[i]), std::move(points.results[i])});
   }
-  return SweepResults(std::move(records));
+  return SweepResults(std::move(records), points.from_store, points.executed);
 }
 
 }  // namespace virec::sim

@@ -10,6 +10,10 @@
 //        .over_context_fractions({1.0, 0.8, 0.4});
 //   sim::SweepResults results = sweep.run();
 //   results.write_csv(std::cout);
+//
+// run_points is the one execution path for experiment points: sweeps,
+// `virec-sim --sweep` and the figure harnesses' bench::CachedRunner
+// all go through it, with or without an svc::ResultStore.
 #pragma once
 
 #include <functional>
@@ -21,8 +25,8 @@
 
 #include "sim/runner.hpp"
 
-namespace virec::ckpt {
-class SweepJournal;
+namespace virec::svc {
+class ResultStore;
 }
 
 namespace virec::sim {
@@ -41,9 +45,39 @@ struct SweepRecord {
 std::string sweep_key(const std::string& workload, Scheme scheme, u32 threads,
                       double fraction);
 
+/// Progress callback of run_points and Sweep::run: (points done so
+/// far, total points, wall seconds the completing point took; 0 for
+/// store hits, reported once up front). It may be called concurrently
+/// from worker threads: make it thread-safe.
+using SweepProgressFn = std::function<void(
+    std::size_t done, std::size_t total, double point_wall_secs)>;
+
+/// What run_points produced: one result per input spec, in input
+/// order, and how the results were obtained.
+struct PointResults {
+  std::vector<RunResult> results;
+  std::size_t from_store = 0;  ///< input specs served from the store
+  std::size_t executed = 0;    ///< unique points simulated
+};
+
+/// Run every spec on @p jobs worker threads (0 = hardware concurrency,
+/// 1 = serial on the calling thread). Specs with the same
+/// ckpt::spec_hash are one point: it is looked up or simulated once
+/// and its result copied to every duplicate. With a @p store, each
+/// unique point is looked up there first, and each simulated result
+/// is put there as soon as it finishes — so a run killed partway and
+/// repeated against the same store simulates only the missing points,
+/// with results bit-identical to an uninterrupted run. Throws if any
+/// point fails (its workload check included); failed points are never
+/// stored.
+PointResults run_points(const std::vector<RunSpec>& specs, u32 jobs = 1,
+                        svc::ResultStore* store = nullptr,
+                        const SweepProgressFn& on_point = {});
+
 class SweepResults {
  public:
-  explicit SweepResults(std::vector<SweepRecord> records);
+  SweepResults(std::vector<SweepRecord> records, std::size_t from_store,
+               std::size_t executed);
 
   const std::vector<SweepRecord>& records() const { return records_; }
   std::size_t size() const { return records_.size(); }
@@ -74,8 +108,15 @@ class SweepResults {
   /// pipeline (same fields, no string re-parsing).
   void write_json(std::ostream& os) const;
 
+  /// Grid rows served from the result store, and unique points
+  /// simulated, by the Sweep::run that produced these records.
+  std::size_t from_store() const { return from_store_; }
+  std::size_t executed() const { return executed_; }
+
  private:
   std::vector<SweepRecord> records_;
+  std::size_t from_store_;
+  std::size_t executed_;
   // sweep_key -> index into records_, built once by the constructor.
   std::unordered_map<std::string, std::size_t> index_;
 };
@@ -98,25 +139,12 @@ class Sweep {
   /// Materialise the grid (exposed for tests).
   std::vector<RunSpec> specs() const;
 
-  /// Run every point on @p jobs worker threads (0 = hardware
-  /// concurrency, 1 = serial on the calling thread); throws if any
-  /// workload check fails. Results are deterministic and ordered by
-  /// grid position regardless of the job count.
-  ///
-  /// With a @p journal, points already recorded in it are skipped and
-  /// their journalled results used instead, and every fresh completion
-  /// is appended to it — so an interrupted sweep resumed against the
-  /// same journal reproduces the uninterrupted output byte for byte.
-  ///
-  /// @p on_point, when set, is invoked after each point completes —
-  /// (points done so far, total points, wall seconds the completing
-  /// point took; 0 for journal hits, reported once up front). It may
-  /// be called concurrently from worker threads: make it thread-safe.
-  using SweepProgressFn =
-      std::function<void(std::size_t done, std::size_t total,
-                         double point_wall_secs)>;
-  SweepResults run(u32 jobs = 1, ckpt::SweepJournal* journal = nullptr,
-                   SweepProgressFn on_point = {}) const;
+  /// Run every grid point through run_points (see there for @p jobs,
+  /// @p store and @p on_point); throws if any workload check fails.
+  /// Results are deterministic and ordered by grid position whatever
+  /// the job count and whatever the store already holds.
+  SweepResults run(u32 jobs = 1, svc::ResultStore* store = nullptr,
+                   const SweepProgressFn& on_point = {}) const;
 
  private:
   RunSpec base_;

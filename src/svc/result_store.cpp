@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -142,9 +141,9 @@ void ResultStore::put(u64 hash, const sim::RunSpec& spec,
   enc.put_u32(entry_crc);
 
   // Unique temp name (pid + address of this call's encoder) so
-  // concurrent writers — including separate daemon processes sharing
-  // one store — never scribble on each other's partial file; rename is
-  // atomic and last-writer-wins on identical content.
+  // concurrent writers — sweep worker threads, or separate processes
+  // sharing one store — never scribble on each other's partial file;
+  // rename is atomic and last-writer-wins on identical content.
   const std::string path = entry_path(hash);
   char tmp_tag[64];
   std::snprintf(tmp_tag, sizeof tmp_tag, ".tmp.%ld.%p",
@@ -180,88 +179,6 @@ std::size_t ResultStore::size() const {
     if (is_entry_file(e)) ++n;
   }
   return n;
-}
-
-ResultStore::VerifyReport ResultStore::verify(bool repair) {
-  VerifyReport report;
-  std::error_code ec;
-  for (const auto& e : fs::directory_iterator(dir_, ec)) {
-    if (!is_entry_file(e)) continue;
-    ++report.total;
-    const std::vector<u8> bytes = read_file(e.path().string());
-    bool ok = false;
-    bool foreign = false;
-    std::size_t body_size = 0;
-    try {
-      if (!check_entry_crc(bytes, &body_size)) {
-        throw ckpt::CkptError("store entry: bad entry crc");
-      }
-      ckpt::Decoder dec(bytes.data(), body_size, "store entry");
-      if (dec.get_u32() == kStoreMagic) {
-        if (dec.get_u32() != kStoreFormatVersion) {
-          foreign = true;
-        } else {
-          dec.get_u64();   // hash (name may have been tampered; payload
-                           // integrity is what verify guards)
-          dec.get_str();   // provenance
-          dec.get_f64();   // wall_secs
-          const u32 identity_len = dec.get_u32();
-          dec.skip(identity_len);
-          const u32 payload_crc = dec.get_u32();
-          const u32 payload_len = dec.get_u32();
-          std::vector<u8> payload(payload_len);
-          dec.raw(payload.data(), payload_len);
-          dec.finish();
-          ok = ckpt::crc32(payload.data(), payload.size()) == payload_crc;
-        }
-      }
-    } catch (const ckpt::CkptError&) {
-      ok = false;
-    }
-    if (foreign) {
-      ++report.foreign;
-    } else if (ok) {
-      ++report.ok;
-    } else {
-      ++report.corrupt;
-      if (repair) {
-        std::error_code rm;
-        fs::remove(e.path(), rm);
-        if (!rm) report.removed.push_back(e.path().string());
-      }
-    }
-  }
-  return report;
-}
-
-std::size_t ResultStore::gc(std::size_t keep) {
-  struct File {
-    fs::path path;
-    fs::file_time_type mtime;
-  };
-  std::vector<File> files;
-  std::error_code ec;
-  for (const auto& e : fs::directory_iterator(dir_, ec)) {
-    if (!is_entry_file(e)) continue;
-    std::error_code mec;
-    files.push_back({e.path(), fs::last_write_time(e.path(), mec)});
-  }
-  if (files.size() <= keep) return 0;
-  // Newest first; equal mtimes (common on coarse-granularity
-  // filesystems, where a whole burst of writes lands on one timestamp)
-  // tie-break on the filename — the spec hash — so which entries
-  // survive is deterministic rather than directory-iteration order.
-  std::sort(files.begin(), files.end(), [](const File& a, const File& b) {
-    if (a.mtime != b.mtime) return a.mtime > b.mtime;
-    return a.path.filename() < b.path.filename();
-  });
-  std::size_t removed = 0;
-  for (std::size_t i = keep; i < files.size(); ++i) {
-    std::error_code rm;
-    fs::remove(files[i].path, rm);
-    if (!rm) ++removed;
-  }
-  return removed;
 }
 
 }  // namespace virec::svc

@@ -1,35 +1,35 @@
-// Layer 1 of the simulation service (docs/service.md): a persistent,
-// content-addressed cache of completed experiment points. One file per
-// point under the store directory, named by the point's canonical
-// identity hash (ckpt::spec_hash), in a versioned, CRC-checked binary
-// format built on ckpt::Encoder/Decoder.
+// The one persistent home of finished experiment points
+// (docs/checkpointing.md, "Result store"): a content-addressed cache
+// that sim::run_points reads before simulating and fills as each point
+// finishes — `virec-sim --sweep --store DIR`, and the figure harnesses
+// via VIREC_STORE. One file per point under the store directory, named
+// by the point's canonical identity hash (ckpt::spec_hash), in a
+// versioned, CRC-checked binary format built on ckpt::Encoder/Decoder.
 //
-// Safety properties (enforced by tests/test_svc.cpp):
+// Safety properties (enforced by tests/test_svc.cpp and
+// tests/test_sweep.cpp):
 //   * writes are atomic (unique temp file + rename), so a killed
 //     writer never leaves a half-written entry under a live name and
-//     concurrent writers of the same point converge on one valid file;
+//     concurrent writers of the same point — threads or processes —
+//     converge on one valid file;
 //   * lookups verify a whole-entry CRC, the magic, format version,
 //     the stored identity bytes (guarding against hash collisions and
 //     codec drift) and the payload CRC — a flip of any byte in the
-//     file reads as a miss, so corruption causes a clean re-run, never
-//     a wrong or crashed result;
+//     file reads as a miss, so corruption causes a clean re-run (which
+//     rewrites the entry), never a wrong or crashed result;
 //   * entries embed the producing build's provenance string, so every
 //     cached result is attributable to the binary that computed it.
-//
-// Maintenance: verify() scans every entry (optionally deleting bad
-// ones); gc() bounds the store to the newest N entries by mtime.
 #pragma once
 
 #include <cstddef>
 #include <string>
-#include <vector>
 
 #include "ckpt/spec_codec.hpp"
 
 namespace virec::svc {
 
 /// Bumped whenever the entry layout changes incompatibly; old entries
-/// then read as misses (and verify() reports them as foreign).
+/// then read as misses.
 inline constexpr u32 kStoreFormatVersion = 1;
 inline constexpr u32 kStoreMagic = 0x53455256u;  // "VRES"
 
@@ -66,26 +66,9 @@ class ResultStore {
   /// Number of entry files currently on disk (directory scan).
   std::size_t size() const;
 
-  struct VerifyReport {
-    std::size_t total = 0;     ///< entry files scanned
-    std::size_t ok = 0;        ///< well-formed, current-version entries
-    std::size_t corrupt = 0;   ///< CRC/bounds/magic failures
-    std::size_t foreign = 0;   ///< other format versions (not errors)
-    std::vector<std::string> removed;  ///< files deleted (repair mode)
-  };
-
-  /// Scan every entry; with @p repair, delete corrupt ones (foreign
-  /// versions are kept: an older/newer build may still want them).
-  VerifyReport verify(bool repair);
-
-  /// Keep only the newest @p keep entries (by file mtime); returns the
-  /// number removed.
-  std::size_t gc(std::size_t keep);
-
   const std::string& dir() const { return dir_; }
 
-  /// Path of the entry file for @p hash (exposed for tests and the CI
-  /// corruption smoke).
+  /// Path of the entry file for @p hash (exposed for tests).
   std::string entry_path(u64 hash) const;
 
  private:

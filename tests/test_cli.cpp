@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -57,21 +58,6 @@ TEST(Cli, VersionPrintsProvenance) {
   EXPECT_NE(r.output.find("compiler="), std::string::npos) << r.output;
   EXPECT_TRUE(has_line_prefix(r.output, "report_schema ")) << r.output;
   EXPECT_TRUE(has_line_prefix(r.output, "spec_codec ")) << r.output;
-}
-
-TEST(Cli, ConnectRequiresReachableDaemon) {
-  // No daemon at this socket: a clean connection error, not a hang or a
-  // silent local fallback.
-  const CliResult r = run_cli(
-      "--connect " + ::testing::TempDir() + "no-such-daemon.sock --iters 8");
-  EXPECT_EQ(r.exit_code, 2);
-  EXPECT_NE(r.output.find("error:"), std::string::npos) << r.output;
-}
-
-TEST(Cli, ConnectRejectsLocalOnlyFlags) {
-  const CliResult r = run_cli("--connect x.sock --trace --iters 8");
-  EXPECT_EQ(r.exit_code, 2);
-  EXPECT_NE(r.output.find("--connect"), std::string::npos) << r.output;
 }
 
 TEST(Cli, ListShowsEveryKernel) {
@@ -243,8 +229,9 @@ TEST(Cli, CheckpointFlagsRejectedInSweepMode) {
   EXPECT_NE(r.output.find("--sweep"), std::string::npos) << r.output;
 }
 
-TEST(Cli, ResumeRequiresSweepMode) {
-  const CliResult r = run_cli("--iters 16 --resume journal.vjl");
+TEST(Cli, StoreRequiresSweepMode) {
+  const CliResult r =
+      run_cli("--iters 16 --store " + ::testing::TempDir() + "cli_store");
   EXPECT_EQ(r.exit_code, 2);
   EXPECT_NE(r.output.find("--sweep"), std::string::npos) << r.output;
 }
@@ -258,33 +245,42 @@ TEST(Cli, MaxCyclesWatchdogNamesStuckCore) {
 }
 
 TEST(Cli, SweepResumeReproducesCleanCsv) {
-  // Kill-and-resume, CLI flavour: run half the grid against a journal,
-  // then the full grid against the same journal; the resumed CSV must
-  // equal the clean uninterrupted run's byte for byte.
-  const std::string journal = ::testing::TempDir() + "virec_cli_resume.vjl";
-  std::remove(journal.c_str());
+  // Kill-and-resume, CLI flavour: run half the grid against a store,
+  // then the full grid against the same store; the resumed CSV must
+  // equal the clean run's byte for byte, and a warm rerun simulates
+  // nothing.
+  const std::string store = ::testing::TempDir() + "virec_cli_store";
+  std::filesystem::remove_all(store);
   const std::string tail =
       " --threads 4 --iters 16 --elements 4096 --jobs 2";
-  const CliResult clean =
-      run_cli("--sweep --workload gather,reduce --scheme banked,virec" + tail);
+  const std::string grid = "--sweep --workload gather,reduce "
+                           "--scheme banked,virec" + tail;
+  const CliResult clean = run_cli(grid);
   ASSERT_EQ(clean.exit_code, 0) << clean.output;
   const CliResult half = run_cli(
       "--sweep --workload gather --scheme banked,virec" + tail +
-      " --resume " + journal);
+      " --store " + store);
   ASSERT_EQ(half.exit_code, 0) << half.output;
-  const CliResult resumed = run_cli(
-      "--sweep --workload gather,reduce --scheme banked,virec" + tail +
-      " --resume " + journal);
+  // stderr (captured alongside stdout) carries the store line; the CSV
+  // part must match the clean run exactly.
+  auto csv_of = [](const CliResult& r) {
+    return r.output.substr(r.output.find("workload,"));
+  };
+  const CliResult resumed = run_cli(grid + " --store " + store);
   ASSERT_EQ(resumed.exit_code, 0) << resumed.output;
-  // stderr (captured alongside stdout) carries the resume banner; the
-  // CSV part must match the clean run exactly.
-  EXPECT_NE(resumed.output.find("2 of 4 point(s) already journalled"),
+  EXPECT_NE(resumed.output.find("store: 2 of 4 point(s) already in " +
+                                store + ", 2 simulated"),
             std::string::npos)
       << resumed.output;
-  const std::string csv =
-      resumed.output.substr(resumed.output.find("workload,"));
-  EXPECT_EQ(csv, clean.output);
-  std::remove(journal.c_str());
+  EXPECT_EQ(csv_of(resumed), clean.output);
+  const CliResult warm = run_cli(grid + " --store " + store);
+  ASSERT_EQ(warm.exit_code, 0) << warm.output;
+  EXPECT_NE(warm.output.find("store: 4 of 4 point(s) already in " + store +
+                             ", 0 simulated"),
+            std::string::npos)
+      << warm.output;
+  EXPECT_EQ(csv_of(warm), clean.output);
+  std::filesystem::remove_all(store);
 }
 
 // ---------------------------------------------------------------------

@@ -5,16 +5,33 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
-#include "ckpt/journal.hpp"
+#include "bench/bench_util.hpp"
+#include "ckpt/spec_codec.hpp"
 #include "sim/sweep.hpp"
+#include "svc/result_store.hpp"
 
 namespace virec::sim {
 namespace {
+
+std::string fresh_dir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + name;
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+/// CSV and JSON of @p results, concatenated: the documents a resumed
+/// sweep must reproduce byte for byte.
+std::string documents(const SweepResults& results) {
+  std::ostringstream os;
+  results.write_csv(os);
+  results.write_json(os);
+  return os.str();
+}
 
 Sweep tiny_sweep() {
   Sweep sweep;
@@ -162,48 +179,37 @@ TEST(Sweep, FailingPointPropagatesFromParallelRun) {
 }
 
 TEST(Sweep, ResumedRunIsByteIdenticalToUninterrupted) {
-  // Simulate a killed sweep: journal only half the grid, then resume
-  // against the same journal. The resumed CSV and JSON must reproduce
-  // an uninterrupted run byte for byte.
+  // Simulate a killed sweep: store only half the grid, then resume
+  // against the same store. The resumed CSV and JSON must reproduce an
+  // uninterrupted run byte for byte.
   Sweep sweep = tiny_sweep();
   sweep.over_schemes({Scheme::kBanked, Scheme::kViReC})
       .over_policies({core::PolicyKind::kPLRU, core::PolicyKind::kLRC})
       .over_threads({2, 4});
-  const std::string path = ::testing::TempDir() + "sweep_resume.vjl";
-  std::remove(path.c_str());
+  svc::ResultStore store(fresh_dir("sweep_resume"));
 
   const SweepResults clean = sweep.run(2);
+  EXPECT_EQ(clean.from_store(), 0u);
+  EXPECT_EQ(clean.executed(), sweep.size());
 
-  {
-    // "First run, killed partway": journal the first half of the grid.
-    ckpt::SweepJournal journal(path);
-    const std::vector<RunSpec> grid = sweep.specs();
-    for (std::size_t i = 0; i < grid.size() / 2; ++i) {
-      journal.record(ckpt::spec_hash(grid[i]), run_spec(grid[i]));
-    }
+  // "First run, killed partway": store the first half of the grid.
+  const std::vector<RunSpec> grid = sweep.specs();
+  for (std::size_t i = 0; i < grid.size() / 2; ++i) {
+    store.put(ckpt::spec_hash(grid[i]), grid[i], run_spec(grid[i]));
   }
 
-  ckpt::SweepJournal journal(path);
-  EXPECT_EQ(journal.load(), sweep.size() / 2);
-  const SweepResults resumed = sweep.run(2, &journal);
+  const SweepResults resumed = sweep.run(2, &store);
+  EXPECT_EQ(resumed.from_store(), sweep.size() / 2);
+  EXPECT_EQ(resumed.executed(), sweep.size() - sweep.size() / 2);
+  EXPECT_EQ(documents(clean), documents(resumed));
 
-  std::ostringstream csv_clean, csv_resumed, json_clean, json_resumed;
-  clean.write_csv(csv_clean);
-  resumed.write_csv(csv_resumed);
-  clean.write_json(json_clean);
-  resumed.write_json(json_resumed);
-  EXPECT_EQ(csv_clean.str(), csv_resumed.str());
-  EXPECT_EQ(json_clean.str(), json_resumed.str());
-
-  // The resume appended the other half, so a second resume runs nothing
+  // The resume stored the other half, so a second resume runs nothing
   // new and still reproduces the same documents.
-  ckpt::SweepJournal full(path);
-  EXPECT_EQ(full.load(), sweep.size());
-  const SweepResults replay = sweep.run(1, &full);
-  std::ostringstream csv_replay;
-  replay.write_csv(csv_replay);
-  EXPECT_EQ(csv_clean.str(), csv_replay.str());
-  std::remove(path.c_str());
+  EXPECT_EQ(store.size(), sweep.size());
+  const SweepResults replay = sweep.run(1, &store);
+  EXPECT_EQ(replay.from_store(), sweep.size());
+  EXPECT_EQ(replay.executed(), 0u);
+  EXPECT_EQ(documents(clean), documents(replay));
 }
 
 TEST(Sweep, DuplicateGridPointsSimulateOnce) {
@@ -215,6 +221,7 @@ TEST(Sweep, DuplicateGridPointsSimulateOnce) {
 
   const SweepResults results = sweep.run(2);
   ASSERT_EQ(results.size(), 4u);
+  EXPECT_EQ(results.executed(), 2u);
   std::ostringstream csv_os;
   results.write_csv(csv_os);
   const std::string csv = csv_os.str();
@@ -224,54 +231,65 @@ TEST(Sweep, DuplicateGridPointsSimulateOnce) {
   EXPECT_EQ(results.records()[0].result.cycles,
             results.records()[3].result.cycles);
 
-  // With a journal, only the unique points are recorded — and the
+  // With a store, only the unique points are stored — and the
   // progress callback still reports every grid index as done.
-  const std::string path = ::testing::TempDir() + "sweep_dup.vjl";
-  std::remove(path.c_str());
+  svc::ResultStore store(fresh_dir("sweep_dup"));
   std::atomic<std::size_t> last_done{0};
-  {
-    ckpt::SweepJournal journal(path);
-    sweep.run(1, &journal,
-              [&last_done](std::size_t done, std::size_t, double) {
-                last_done = done;
-              });
-  }
+  sweep.run(1, &store, [&last_done](std::size_t done, std::size_t, double) {
+    last_done = done;
+  });
   EXPECT_EQ(last_done.load(), 4u);
-  ckpt::SweepJournal reread(path);
-  EXPECT_EQ(reread.load(), 2u);  // one entry per unique point
+  EXPECT_EQ(store.size(), 2u);  // one entry per unique point
 
-  // Resuming from that journal runs nothing and reproduces the same CSV.
-  const SweepResults resumed = sweep.run(1, &reread);
+  // Resuming from that store runs nothing and reproduces the same CSV;
+  // the one up-front heartbeat counts every grid index.
+  last_done = 0;
+  const SweepResults resumed =
+      sweep.run(1, &store, [&last_done](std::size_t done, std::size_t,
+                                        double) { last_done = done; });
+  EXPECT_EQ(last_done.load(), 4u);
+  EXPECT_EQ(resumed.from_store(), 4u);
+  EXPECT_EQ(resumed.executed(), 0u);
   std::ostringstream csv_resumed;
   resumed.write_csv(csv_resumed);
   EXPECT_EQ(csv, csv_resumed.str());
-  std::remove(path.c_str());
 }
 
 TEST(Sweep, ConcurrentWritersInterleaveSafely) {
-  // Several processes appending to one journal (the documented
-  // multi-daemon / multi-sweep sharing mode): every record must survive
-  // intact. Forked writers stress the flock + single-write(2) protocol
-  // with interleaved appends; synthetic results keep it fast.
-  const std::string path = ::testing::TempDir() + "sweep_flock.vjl";
-  std::remove(path.c_str());
+  // Several processes putting into one store (sweeps sharing a store
+  // directory): every entry must survive intact. Writer w puts points
+  // of its own (seeds w * kPoints + p) and points every writer puts
+  // (seeds kWriters * kPoints + p), so racing processes rename the
+  // same entries into place. Synthetic results keep it fast.
+  const std::string dir = fresh_dir("sweep_concurrent");
   constexpr u64 kWriters = 4;
-  constexpr u64 kRecords = 64;
+  constexpr u64 kPoints = 24;
+  auto point = [](u64 seed) {
+    RunSpec spec;
+    spec.workload = "reduce";
+    spec.params.seed = seed;
+    return spec;
+  };
+  auto result_of = [](u64 seed) {
+    RunResult result;
+    result.cycles = seed;
+    result.instructions = seed + 1;
+    result.check_ok = true;
+    return result;
+  };
 
   std::vector<pid_t> pids;
   for (u64 w = 0; w < kWriters; ++w) {
     const pid_t pid = fork();
     ASSERT_GE(pid, 0);
     if (pid == 0) {
-      // Child: append kRecords entries, racing its siblings.
-      ckpt::SweepJournal journal(path);
-      for (u64 r = 0; r < kRecords; ++r) {
-        RunResult result;
-        result.cycles = w * 1000 + r;
-        result.instructions = r + 1;
-        result.ipc = static_cast<double>(w);
-        result.check_ok = true;
-        journal.record((w << 32) | r, result);
+      // Child: put its own and the shared points, racing its siblings.
+      svc::ResultStore store(dir);
+      for (u64 p = 0; p < kPoints; ++p) {
+        for (const u64 seed : {w * kPoints + p, kWriters * kPoints + p}) {
+          const RunSpec spec = point(seed);
+          store.put(ckpt::spec_hash(spec), spec, result_of(seed));
+        }
       }
       _exit(0);
     }
@@ -283,39 +301,88 @@ TEST(Sweep, ConcurrentWritersInterleaveSafely) {
     EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
   }
 
-  // No torn or lost lines: all writers' records load back exactly.
-  ckpt::SweepJournal reread(path);
-  EXPECT_EQ(reread.load(), kWriters * kRecords);
-  EXPECT_FALSE(reread.provenance().empty());  // header written once
-  for (u64 w = 0; w < kWriters; ++w) {
-    for (u64 r = 0; r < kRecords; ++r) {
-      RunResult out;
-      ASSERT_TRUE(reread.lookup((w << 32) | r, &out)) << w << "/" << r;
-      EXPECT_EQ(out.cycles, w * 1000 + r);
-    }
+  // No torn or lost entries: every point reads back exactly...
+  svc::ResultStore store(dir);
+  EXPECT_EQ(store.size(), (kWriters + 1) * kPoints);
+  for (u64 seed = 0; seed < (kWriters + 1) * kPoints; ++seed) {
+    const RunSpec spec = point(seed);
+    RunResult out;
+    ASSERT_TRUE(store.lookup(ckpt::spec_hash(spec), spec, &out)) << seed;
+    EXPECT_EQ(out.cycles, seed);
   }
-  std::remove(path.c_str());
+  // ...and no writer left a temp file behind.
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    EXPECT_EQ(e.path().filename().string().find(".tmp."), std::string::npos)
+        << e.path();
+  }
 }
 
-TEST(Sweep, JournalIgnoresForeignAndCorruptLines) {
-  const std::string path = ::testing::TempDir() + "sweep_corrupt.vjl";
-  {
-    std::ofstream out(path);
-    out << "garbage line that is not a journal record\n";
-    out << "VJ1 0123456789abcdef 10 20\n";  // truncated record
-  }
-  ckpt::SweepJournal journal(path);
-  EXPECT_EQ(journal.load(), 0u);  // both lines rejected, none crash
-  // A fresh record still round-trips through the same file.
+TEST(Sweep, CorruptStoreEntryRerunsAndIsRewritten) {
+  // A damaged entry reads as a miss: the sweep re-runs that point,
+  // reproduces the clean documents and rewrites the entry.
   Sweep sweep = tiny_sweep();
-  const RunSpec spec = sweep.specs().front();
-  journal.record(ckpt::spec_hash(spec), run_spec(spec));
-  ckpt::SweepJournal reread(path);
-  EXPECT_EQ(reread.load(), 1u);
+  sweep.over_schemes({Scheme::kBanked, Scheme::kViReC}).over_threads({2, 4});
+  svc::ResultStore store(fresh_dir("sweep_corrupt"));
+  const SweepResults clean = sweep.run(2, &store);
+
+  const RunSpec victim = sweep.specs()[1];
+  const u64 hash = ckpt::spec_hash(victim);
+  const std::string path = store.entry_path(hash);
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(40);
+    char b = 0;
+    f.read(&b, 1);
+    f.seekp(40);
+    b = static_cast<char>(b ^ 0x5a);
+    f.write(&b, 1);
+  }
   RunResult out;
-  EXPECT_TRUE(reread.lookup(ckpt::spec_hash(spec), &out));
-  EXPECT_EQ(out.cycles, run_spec(spec).cycles);
-  std::remove(path.c_str());
+  ASSERT_FALSE(store.lookup(hash, victim, &out));
+
+  const SweepResults healed = sweep.run(2, &store);
+  EXPECT_EQ(healed.executed(), 1u);
+  EXPECT_EQ(healed.from_store(), sweep.size() - 1);
+  EXPECT_EQ(documents(clean), documents(healed));
+  ASSERT_TRUE(store.lookup(hash, victim, &out));
+  EXPECT_EQ(out.cycles, healed.records()[1].result.cycles);
+}
+
+TEST(CachedRunner, KeysByFullPointIdentity) {
+  // The harness memo keys by the full point identity (ckpt::spec_hash):
+  // two specs that differ only in the watchdog bound are two points, so
+  // the second must run, and trip its watchdog, instead of being served
+  // the first one's result.
+  bench::CachedRunner runner(1);
+  RunSpec spec = tiny_sweep().specs().front();
+  EXPECT_TRUE(runner.result(spec).check_ok);
+  spec.max_cycles = 100;
+  EXPECT_THROW(runner.result(spec), std::runtime_error);
+}
+
+TEST(CachedRunner, VirecStoreServesAndFillsTheResultStore) {
+  // With VIREC_STORE set, harness points go through the result store:
+  // one entry per unique point, read back by a fresh runner.
+  const std::string dir = fresh_dir("cached_runner_store");
+  ASSERT_EQ(setenv("VIREC_STORE", dir.c_str(), 1), 0);
+  Sweep sweep = tiny_sweep();
+  sweep.over_threads({2, 4, 2});
+  const std::vector<RunSpec> grid = sweep.specs();
+  bench::CachedRunner cold(2);
+  cold.prefetch(grid);
+  svc::ResultStore store(dir);
+  EXPECT_EQ(store.size(), 2u);
+  // A planted entry proves the fresh runner reads the store instead of
+  // simulating.
+  RunResult planted = cold.result(grid[0]);
+  planted.cycles = 12345;
+  store.put(ckpt::spec_hash(grid[0]), grid[0], planted);
+  bench::CachedRunner warm(2);
+  warm.prefetch(grid);
+  unsetenv("VIREC_STORE");
+  EXPECT_EQ(warm.cycles(grid[0]), 12345u);
+  EXPECT_EQ(warm.cycles(grid[2]), 12345u);  // same point as grid[0]
+  EXPECT_EQ(warm.cycles(grid[1]), cold.cycles(grid[1]));
 }
 
 }  // namespace
