@@ -100,40 +100,16 @@ void ReplacementPolicy::on_context_switch(int from_tid, int to_tid) {
   }
 }
 
-u64 ReplacementPolicy::priority(const RfEntry& entry) const {
-  // Perfect timestamps are inverted so "older" => larger priority.
-  const u64 inv_use = ~entry.last_use;
-  const u64 inv_seq = ~entry.insert_seq;
-  switch (kind_) {
-    case PolicyKind::kPLRU:
-      return age_of(entry);
-    case PolicyKind::kLRU:
-      return inv_use;
-    case PolicyKind::kFIFO:
-      return inv_seq;
-    case PolicyKind::kRandom:
-      return 0;  // handled in pick_victim
-    case PolicyKind::kMrtPLRU:
-      return (u64{t_of(entry)} << 3) | age_of(entry);
-    case PolicyKind::kMrtLRU:
-      return (u64{t_of(entry)} << 58) | (inv_use & ((u64{1} << 58) - 1));
-    case PolicyKind::kLRC:
-      return (u64{t_of(entry)} << 4) | (u64{entry.c_bit} << 3) |
-             age_of(entry);
-  }
-  return 0;
-}
+namespace {
 
-int ReplacementPolicy::pick_victim(const std::vector<RfEntry>& entries,
-                                   const std::vector<u8>& locked) {
-  if (kind_ == PolicyKind::kRandom) {
-    std::vector<u32> candidates;
-    for (u32 i = 0; i < entries.size(); ++i) {
-      if (entries[i].valid && !locked[i]) candidates.push_back(i);
-    }
-    if (candidates.empty()) return -1;
-    return static_cast<int>(candidates[rng_.next_below(candidates.size())]);
-  }
+/// Highest-priority valid, unlocked entry; ties go to the lowest index.
+/// @p ceiling is the largest value @p priority can return: an entry
+/// that reaches it ends the scan, since later entries can at best tie
+/// and a tie keeps the earlier index.
+template <typename Priority>
+int scan_victim(const std::vector<RfEntry>& entries,
+                const std::vector<u8>& locked, u64 ceiling,
+                Priority priority) {
   int best = -1;
   u64 best_priority = 0;
   for (u32 i = 0; i < entries.size(); ++i) {
@@ -142,9 +118,58 @@ int ReplacementPolicy::pick_victim(const std::vector<RfEntry>& entries,
     if (best < 0 || p > best_priority) {
       best = static_cast<int>(i);
       best_priority = p;
+      if (p == ceiling) break;
     }
   }
   return best;
+}
+
+}  // namespace
+
+int ReplacementPolicy::pick_victim(const std::vector<RfEntry>& entries,
+                                   const std::vector<u8>& locked) {
+  // One scan per policy, so the kind switch runs once per call instead
+  // of once per entry. Saturated pseudo-LRU fields are common, so those
+  // scans usually stop early. LRU, FIFO and MRT-LRU rank by perfect
+  // timestamps (inverted: older is larger) and scan to the end.
+  constexpr u64 kNoCeiling = ~u64{0};
+  switch (kind_) {
+    case PolicyKind::kPLRU:
+      return scan_victim(entries, locked, kMaxAge,
+                         [this](const RfEntry& e) { return age_of(e); });
+    case PolicyKind::kLRU:
+      return scan_victim(entries, locked, kNoCeiling,
+                         [](const RfEntry& e) { return ~e.last_use; });
+    case PolicyKind::kFIFO:
+      return scan_victim(entries, locked, kNoCeiling,
+                         [](const RfEntry& e) { return ~e.insert_seq; });
+    case PolicyKind::kMrtPLRU:
+      return scan_victim(entries, locked, (u64{kMaxTBits} << 3) | kMaxAge,
+                         [this](const RfEntry& e) {
+                           return (u64{t_of(e)} << 3) | age_of(e);
+                         });
+    case PolicyKind::kMrtLRU:
+      return scan_victim(
+          entries, locked, kNoCeiling, [this](const RfEntry& e) {
+            return (u64{t_of(e)} << 58) |
+                   (~e.last_use & ((u64{1} << 58) - 1));
+          });
+    case PolicyKind::kLRC:
+      return scan_victim(entries, locked,
+                         (u64{kMaxTBits} << 4) | (u64{1} << 3) | kMaxAge,
+                         [this](const RfEntry& e) {
+                           return (u64{t_of(e)} << 4) |
+                                  (u64{e.c_bit} << 3) | age_of(e);
+                         });
+    case PolicyKind::kRandom:
+      break;
+  }
+  std::vector<u32> candidates;
+  for (u32 i = 0; i < entries.size(); ++i) {
+    if (entries[i].valid && !locked[i]) candidates.push_back(i);
+  }
+  if (candidates.empty()) return -1;
+  return static_cast<int>(candidates[rng_.next_below(candidates.size())]);
 }
 
 }  // namespace virec::core

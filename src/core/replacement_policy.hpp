@@ -178,9 +178,6 @@ class ReplacementPolicy {
     u8 base = 0;
   };
 
-  /// Retention priority; higher values are evicted first.
-  u64 priority(const RfEntry& entry) const;
-
   PolicyKind kind_;
   Xorshift128 rng_;
   u64 tick_ = 0;

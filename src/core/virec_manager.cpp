@@ -38,11 +38,13 @@ ViReCManager::ViReCManager(const ViReCConfig& config, const cpu::CoreEnv& env)
       "rf_spills", "dirty registers written back on eviction");
   c_rf_evictions_ = stats_.counter(
       "rf_evictions", "physical registers reclaimed by the eviction policy");
-  stats_.describe("context_switches", "context switches handled");
-  stats_.describe("group_spills",
-                  "spill-group writebacks batched at context switch");
-  stats_.describe("switch_prefetch_fills",
-                  "registers prefetched into the RF at context switch");
+  c_context_switches_ =
+      stats_.counter("context_switches", "context switches handled");
+  c_group_spills_ = stats_.counter(
+      "group_spills", "spill-group writebacks batched at context switch");
+  c_switch_prefetch_fills_ = stats_.counter(
+      "switch_prefetch_fills",
+      "registers prefetched into the RF at context switch");
   hist_rollback_depth_ = stats_.histogram(
       "rollback_depth", "rollback-queue occupancy sampled at each decode");
   dist_decode_stall_ = stats_.distribution(
@@ -204,7 +206,7 @@ Cycle ViReCManager::on_context_switch(int from_tid, int to_tid,
   }
   rollback_.flush_to(tags_);
   tags_.on_context_switch(from_tid, to_tid);
-  stats_.inc("context_switches");
+  ++*c_context_switches_;
 
   if (from_tid >= 0) {
     const auto from = static_cast<std::size_t>(from_tid);
@@ -226,7 +228,7 @@ Cycle ViReCManager::on_context_switch(int from_tid, int to_tid,
         backing_write(from_tid, entry.arch, phys_values_[i]);
         t = bsi_.spill(from_tid, entry.arch, t);
         tags_.clear_dirty(i);
-        stats_.inc("group_spills");
+        ++*c_group_spills_;
       }
     }
   }
@@ -250,7 +252,7 @@ Cycle ViReCManager::on_context_switch(int from_tid, int to_tid,
       if (idx < 0) break;
       phys_values_[static_cast<u32>(idx)] = backing_read(to_tid, arch);
       t = bsi_.fill(to_tid, arch, t);
-      stats_.inc("switch_prefetch_fills");
+      ++*c_switch_prefetch_fills_;
     }
   }
   return ready;

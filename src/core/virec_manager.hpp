@@ -126,6 +126,9 @@ class ViReCManager final : public cpu::ContextManager {
   double* c_rf_misses_ = nullptr;
   double* c_rf_spills_ = nullptr;
   double* c_rf_evictions_ = nullptr;
+  double* c_context_switches_ = nullptr;
+  double* c_group_spills_ = nullptr;
+  double* c_switch_prefetch_fills_ = nullptr;
   cpu::TraceSink* tracer_ = nullptr;
 };
 

@@ -19,6 +19,7 @@
 // paper's contribution and the NSF prior-work baseline).
 #pragma once
 
+#include <array>
 #include <memory>
 
 #include "common/stats.hpp"
@@ -187,9 +188,17 @@ class ContextManager : public isa::RegisterFileIO {
   const CoreEnv& env() const { return env_; }
 
  protected:
+  /// One thread's x0..x30 values.
+  using RegValues = std::array<u64, isa::kNumAllocatableRegs>;
+
   /// Functional access to the reserved backing region in memory.
   u64 backing_read(int tid, isa::RegId reg) const;
   void backing_write(int tid, isa::RegId reg, u64 value);
+  /// Move @p tid's whole context with one block copy: the backing slots
+  /// of x0..x30 are contiguous 8-byte little-endian words, the layout
+  /// of RegValues on the (asserted little-endian) host.
+  void backing_read_all(int tid, RegValues& values) const;
+  void backing_write_all(int tid, const RegValues& values);
 
   mem::Cache& dcache() { return env_.ms->dcache(env_.core_id); }
 

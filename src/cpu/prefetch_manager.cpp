@@ -37,22 +37,48 @@ PrefetchManager::PrefetchManager(const CoreEnv& env, PrefetchMode mode)
       "prefetch_mispredicts", "prefetched registers never used before evict");
 }
 
+namespace {
+
+/// The 64 B backing lines (8 registers each) that @p mask touches.
+u32 line_mask_of(u32 mask) {
+  u32 lines = 0;
+  for (u32 line = 0; line < 4; ++line) {
+    if (mask & (0xffu << (8 * line))) lines |= 1u << line;
+  }
+  return lines;
+}
+
+}  // namespace
+
+void PrefetchManager::write_back(int tid, RegMask mask) {
+  const auto& vals = values_[static_cast<std::size_t>(tid)];
+  if (mask == kAllRegsMask) {
+    backing_write_all(tid, vals);
+    return;
+  }
+  for (u8 r = 0; r < isa::kNumAllocatableRegs; ++r) {
+    if (mask & (1u << r)) backing_write(tid, r, vals[r]);
+  }
+}
+
+void PrefetchManager::load_started(int tid) {
+  backing_read_all(tid, values_[static_cast<std::size_t>(tid)]);
+  started_[static_cast<std::size_t>(tid)] = true;
+}
+
 Cycle PrefetchManager::transfer(int tid, RegMask mask, bool is_write,
                                 Cycle now) {
   // The double-buffer datapath moves whole cache lines (8 registers per
   // 64 B line); only the lines covering the transfer set are touched.
-  Cycle t = now;
-  u32 line_mask = 0;
-  for (u8 r = 0; r < isa::kNumAllocatableRegs; ++r) {
-    if (!(mask & (1u << r))) continue;
-    line_mask |= 1u << (r / 8);
-    if (is_write) {
-      backing_write(tid, r, values_[static_cast<std::size_t>(tid)][r]);
-      ++*c_reg_spills_;
-    } else {
-      ++*c_reg_fills_;
-    }
+  const auto moved = static_cast<double>(std::popcount(mask));
+  if (is_write) {
+    write_back(tid, mask);
+    *c_reg_spills_ += moved;
+  } else {
+    *c_reg_fills_ += moved;
   }
+  Cycle t = now;
+  const u32 line_mask = line_mask_of(mask);
   const Addr base = env_.ms->context_base(env_.core_id, static_cast<u32>(tid));
   for (u32 line = 0; line < 4; ++line) {
     if (!(line_mask & (1u << line))) continue;
@@ -73,11 +99,7 @@ PrefetchManager::RegMask PrefetchManager::predicted_set(int tid) const {
 }
 
 Cycle PrefetchManager::on_thread_start(int tid, Cycle now) {
-  auto& vals = values_[static_cast<std::size_t>(tid)];
-  for (u8 r = 0; r < isa::kNumAllocatableRegs; ++r) {
-    vals[r] = backing_read(tid, r);
-  }
-  started_[static_cast<std::size_t>(tid)] = true;
+  load_started(tid);
   if (prefetched_tid_ < 0) {
     // Very first thread: demand-load its context.
     prefetched_tid_ = tid;
@@ -169,22 +191,14 @@ Cycle PrefetchManager::on_context_switch(int from_tid, int to_tid,
 
 void PrefetchManager::on_thread_halt(int tid, Cycle now) {
   (void)now;
-  for (u8 r = 0; r < isa::kNumAllocatableRegs; ++r) {
-    backing_write(tid, r, values_[static_cast<std::size_t>(tid)][r]);
-  }
+  write_back(tid, kAllRegsMask);
   started_[static_cast<std::size_t>(tid)] = false;
 }
 
 void PrefetchManager::warm_transfer(int tid, RegMask mask, bool is_write,
                                     Cycle warm_now) {
-  u32 line_mask = 0;
-  for (u8 r = 0; r < isa::kNumAllocatableRegs; ++r) {
-    if (!(mask & (1u << r))) continue;
-    line_mask |= 1u << (r / 8);
-    if (is_write) {
-      backing_write(tid, r, values_[static_cast<std::size_t>(tid)][r]);
-    }
-  }
+  if (is_write) write_back(tid, mask);
+  const u32 line_mask = line_mask_of(mask);
   const Addr base = env_.ms->context_base(env_.core_id, static_cast<u32>(tid));
   for (u32 line = 0; line < 4; ++line) {
     if (!(line_mask & (1u << line))) continue;
@@ -199,11 +213,7 @@ void PrefetchManager::warm_thread_start(int tid, Cycle warm_now) {
   // read_reg/write_reg always use values_, so the functional tier must
   // perform the backing -> values_ copy on_thread_start would have
   // done before the thread's first instruction.
-  auto& vals = values_[static_cast<std::size_t>(tid)];
-  for (u8 r = 0; r < isa::kNumAllocatableRegs; ++r) {
-    vals[r] = backing_read(tid, r);
-  }
-  started_[static_cast<std::size_t>(tid)] = true;
+  load_started(tid);
   if (prefetched_tid_ < 0) {
     prefetched_tid_ = tid;
     resident_[static_cast<std::size_t>(tid)] = predicted_set(tid);
@@ -260,9 +270,7 @@ void PrefetchManager::warm_context_switch(int from_tid, int to_tid,
 }
 
 void PrefetchManager::warm_thread_halt(int tid, Cycle /*warm_now*/) {
-  for (u8 r = 0; r < isa::kNumAllocatableRegs; ++r) {
-    backing_write(tid, r, values_[static_cast<std::size_t>(tid)][r]);
-  }
+  write_back(tid, kAllRegsMask);
   started_[static_cast<std::size_t>(tid)] = false;
 }
 

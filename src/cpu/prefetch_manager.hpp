@@ -61,10 +61,15 @@ class PrefetchManager final : public ContextManager {
   void warm_transfer(int tid, RegMask mask, bool is_write, Cycle warm_now);
   /// The register set to prefetch for @p tid's next episode.
   RegMask predicted_set(int tid) const;
+  /// Store the registers in @p mask of @p tid's values to the backing
+  /// store (one block copy for the whole context).
+  void write_back(int tid, RegMask mask);
+  /// Make @p tid's registers live from the backing store (thread start).
+  void load_started(int tid);
 
   PrefetchMode mode_;
   // Functional values (authoritative once a thread has started).
-  std::vector<std::array<u64, isa::kNumAllocatableRegs>> values_;
+  std::vector<RegValues> values_;
   // Per-thread on-chip residency (only two threads are resident at a
   // time: the running one and the prefetched one).
   std::vector<RegMask> resident_;

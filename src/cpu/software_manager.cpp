@@ -15,10 +15,9 @@ SoftwareManager::SoftwareManager(const CoreEnv& env)
 Cycle SoftwareManager::save_context(int tid, Cycle now) {
   // A software trampoline saves registers with stp pairs: one dcache
   // access per two registers.
+  backing_write_all(tid, rf_);
   Cycle t = now;
-  for (u8 r = 0; r < isa::kNumAllocatableRegs; ++r) {
-    backing_write(tid, r, rf_[r]);
-    if (r % 2 != 0) continue;
+  for (u8 r = 0; r < isa::kNumAllocatableRegs; r += 2) {
     const Addr addr = env_.ms->reg_addr(env_.core_id, static_cast<u32>(tid), r);
     t = dcache().access(addr, /*is_write=*/true, t).done;
   }
@@ -33,10 +32,9 @@ Cycle SoftwareManager::save_context(int tid, Cycle now) {
 
 Cycle SoftwareManager::load_context(int tid, Cycle now) {
   // ldp pairs: one dcache access per two registers.
+  backing_read_all(tid, rf_);
   Cycle t = now;
-  for (u8 r = 0; r < isa::kNumAllocatableRegs; ++r) {
-    rf_[r] = backing_read(tid, r);
-    if (r % 2 != 0) continue;
+  for (u8 r = 0; r < isa::kNumAllocatableRegs; r += 2) {
     const Addr addr = env_.ms->reg_addr(env_.core_id, static_cast<u32>(tid), r);
     t = dcache().access(addr, /*is_write=*/false, t).done;
   }
@@ -94,45 +92,33 @@ void SoftwareManager::warm_decode(int tid, const isa::Inst& /*inst*/,
   // so this is warmth only: perform the save/load residency swap
   // functionally, mirroring the dcache footprint of the trampoline.
   if (resident_tid_ == tid) return;
-  if (resident_tid_ >= 0) {
-    const int old = resident_tid_;
-    for (u8 r = 0; r < isa::kNumAllocatableRegs; ++r) {
-      backing_write(old, r, rf_[r]);
-      if (r % 2 != 0) continue;
-      dcache().warm_access(
-          env_.ms->reg_addr(env_.core_id, static_cast<u32>(old), r),
-          /*is_write=*/true, warm_now);
-    }
-    dcache().warm_access(
-        env_.ms->sysreg_addr(env_.core_id, static_cast<u32>(old)),
-        /*is_write=*/true, warm_now);
-  }
-  for (u8 r = 0; r < isa::kNumAllocatableRegs; ++r) {
-    rf_[r] = backing_read(tid, r);
-    if (r % 2 != 0) continue;
-    dcache().warm_access(
-        env_.ms->reg_addr(env_.core_id, static_cast<u32>(tid), r),
-        /*is_write=*/false, warm_now);
-  }
-  dcache().warm_access(env_.ms->sysreg_addr(env_.core_id,
-                                            static_cast<u32>(tid)),
-                       /*is_write=*/false, warm_now);
+  if (resident_tid_ >= 0) warm_save(resident_tid_, warm_now);
+  backing_read_all(tid, rf_);
+  warm_footprint(tid, /*is_write=*/false, warm_now);
   resident_tid_ = tid;
 }
 
 void SoftwareManager::warm_thread_halt(int tid, Cycle warm_now) {
   if (resident_tid_ != tid) return;
-  for (u8 r = 0; r < isa::kNumAllocatableRegs; ++r) {
-    backing_write(tid, r, rf_[r]);
-    if (r % 2 != 0) continue;
-    dcache().warm_access(
-        env_.ms->reg_addr(env_.core_id, static_cast<u32>(tid), r),
-        /*is_write=*/true, warm_now);
-  }
-  dcache().warm_access(env_.ms->sysreg_addr(env_.core_id,
-                                            static_cast<u32>(tid)),
-                       /*is_write=*/true, warm_now);
+  warm_save(tid, warm_now);
   resident_tid_ = -1;
+}
+
+void SoftwareManager::warm_save(int tid, Cycle warm_now) {
+  backing_write_all(tid, rf_);
+  warm_footprint(tid, /*is_write=*/true, warm_now);
+}
+
+void SoftwareManager::warm_footprint(int tid, bool is_write, Cycle warm_now) {
+  // The dcache lines save_context/load_context touch, in their order.
+  for (u8 r = 0; r < isa::kNumAllocatableRegs; r += 2) {
+    dcache().warm_access(
+        env_.ms->reg_addr(env_.core_id, static_cast<u32>(tid), r), is_write,
+        warm_now);
+  }
+  dcache().warm_access(
+      env_.ms->sysreg_addr(env_.core_id, static_cast<u32>(tid)), is_write,
+      warm_now);
 }
 
 u32 SoftwareManager::physical_regs() const { return isa::kNumArchRegs; }

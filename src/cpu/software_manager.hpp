@@ -38,9 +38,13 @@ class SoftwareManager final : public ContextManager {
   Cycle save_context(int tid, Cycle now);
   /// Load @p tid's context from memory into the RF.
   Cycle load_context(int tid, Cycle now);
+  /// Functional save_context: store the RF and warm its dcache lines.
+  void warm_save(int tid, Cycle warm_now);
+  /// Warm the dcache lines a context save or load touches.
+  void warm_footprint(int tid, bool is_write, Cycle warm_now);
 
   int resident_tid_ = -1;
-  std::array<u64, isa::kNumAllocatableRegs> rf_{};
+  RegValues rf_{};
   // Hot-path counter handles (owned by stats_).
   double* c_rf_accesses_ = nullptr;
   double* c_context_saves_ = nullptr;

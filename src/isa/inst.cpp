@@ -2,31 +2,6 @@
 
 namespace virec::isa {
 
-bool is_load(Op op) {
-  switch (op) {
-    case Op::kLdr:
-    case Op::kLdrw:
-    case Op::kLdrsw:
-    case Op::kLdrh:
-    case Op::kLdrb:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool is_store(Op op) {
-  switch (op) {
-    case Op::kStr:
-    case Op::kStrw:
-    case Op::kStrh:
-    case Op::kStrb:
-      return true;
-    default:
-      return false;
-  }
-}
-
 bool is_branch(Op op) {
   switch (op) {
     case Op::kB:
@@ -62,159 +37,6 @@ bool is_fp(Op op) {
     default:
       return false;
   }
-}
-
-u32 mem_size(Op op) {
-  switch (op) {
-    case Op::kLdr:
-    case Op::kStr:
-      return 8;
-    case Op::kLdrw:
-    case Op::kLdrsw:
-    case Op::kStrw:
-      return 4;
-    case Op::kLdrh:
-    case Op::kStrh:
-      return 2;
-    case Op::kLdrb:
-    case Op::kStrb:
-      return 1;
-    default:
-      return 0;
-  }
-}
-
-u32 op_latency(Op op) {
-  switch (op) {
-    case Op::kMul:
-    case Op::kMadd:
-      return 3;
-    case Op::kUdiv:
-    case Op::kSdiv:
-      return 12;
-    case Op::kFadd:
-    case Op::kFsub:
-    case Op::kFmul:
-    case Op::kScvtf:
-    case Op::kFcvtzs:
-      return 4;
-    case Op::kFmadd:
-      return 5;
-    case Op::kFdiv:
-      return 15;
-    default:
-      return 1;
-  }
-}
-
-RegList src_regs(const Inst& inst) {
-  RegList out;
-  switch (inst.op) {
-    case Op::kNop:
-    case Op::kHalt:
-    case Op::kB:
-    case Op::kBcond:
-    case Op::kBl:
-    case Op::kMovImm:
-      break;
-    case Op::kRet:
-      out.push(inst.rn == kNoReg ? RegId{30} : inst.rn);
-      break;
-    case Op::kCbz:
-    case Op::kCbnz:
-      out.push(inst.rn);
-      break;
-    case Op::kMov:
-    case Op::kMvn:
-      out.push(inst.rm);
-      break;
-    case Op::kMovk:
-      out.push(inst.rd);  // read-modify-write of the destination
-      break;
-    case Op::kCmp:
-      out.push(inst.rn);
-      out.push(inst.rm);
-      break;
-    case Op::kCmpImm:
-      out.push(inst.rn);
-      break;
-    case Op::kMadd:
-    case Op::kFmadd:
-      out.push(inst.rn);
-      out.push(inst.rm);
-      out.push(inst.ra);
-      break;
-    case Op::kScvtf:
-    case Op::kFcvtzs:
-      out.push(inst.rn);
-      break;
-    default:
-      if (is_load(inst.op)) {
-        out.push(inst.rn);
-        if (inst.mem_mode == MemMode::kRegOffset) out.push(inst.rm);
-      } else if (is_store(inst.op)) {
-        out.push(inst.rd);  // value to store
-        out.push(inst.rn);
-        if (inst.mem_mode == MemMode::kRegOffset) out.push(inst.rm);
-      } else if (inst.op == Op::kAddImm || inst.op == Op::kSubImm ||
-                 inst.op == Op::kAndImm || inst.op == Op::kOrrImm ||
-                 inst.op == Op::kEorImm || inst.op == Op::kLslImm ||
-                 inst.op == Op::kLsrImm || inst.op == Op::kAsrImm) {
-        out.push(inst.rn);
-      } else {
-        // Two-source register ALU ops.
-        out.push(inst.rn);
-        out.push(inst.rm);
-      }
-      break;
-  }
-  return out;
-}
-
-RegList dst_regs(const Inst& inst) {
-  RegList out;
-  switch (inst.op) {
-    case Op::kNop:
-    case Op::kHalt:
-    case Op::kB:
-    case Op::kBcond:
-    case Op::kCbz:
-    case Op::kCbnz:
-    case Op::kRet:
-    case Op::kCmp:
-    case Op::kCmpImm:
-      break;
-    case Op::kBl:
-      out.push(RegId{30});
-      break;
-    default:
-      if (is_store(inst.op)) {
-        // Stores have no value destination; fall through to writeback.
-      } else {
-        out.push(inst.rd);
-      }
-      break;
-  }
-  if (is_mem(inst.op) && (inst.mem_mode == MemMode::kPreIndex ||
-                          inst.mem_mode == MemMode::kPostIndex)) {
-    out.push(inst.rn);  // base register writeback
-  }
-  return out;
-}
-
-RegList all_regs(const Inst& inst) {
-  const RegList s = src_regs(inst);
-  const RegList d = dst_regs(inst);
-  RegList out;
-  auto push_unique = [&out](RegId reg) {
-    for (u32 j = 0; j < out.count; ++j) {
-      if (out.regs[j] == reg) return;
-    }
-    out.push(reg);
-  };
-  for (u32 i = 0; i < s.count; ++i) push_unique(s.regs[i]);
-  for (u32 i = 0; i < d.count; ++i) push_unique(d.regs[i]);
-  return out;
 }
 
 const char* op_name(Op op) {

@@ -112,9 +112,16 @@ struct Inst {
   i64 target = -1; // branch target (absolute instruction index)
 };
 
-/// Instruction classification queries.
-bool is_load(Op op);
-bool is_store(Op op);
+/// Instruction classification queries. The ones every decoded or
+/// replayed instruction asks are inline; the rest live in inst.cpp.
+inline bool is_load(Op op) {
+  return op == Op::kLdr || op == Op::kLdrw || op == Op::kLdrsw ||
+         op == Op::kLdrh || op == Op::kLdrb;
+}
+inline bool is_store(Op op) {
+  return op == Op::kStr || op == Op::kStrw || op == Op::kStrh ||
+         op == Op::kStrb;
+}
 inline bool is_mem(Op op) { return is_load(op) || is_store(op); }
 bool is_branch(Op op);
 bool is_cond_branch(Op op);
@@ -124,11 +131,50 @@ bool is_fp(Op op);
 inline bool is_halt(Op op) { return op == Op::kHalt; }
 
 /// Access size in bytes for memory ops (0 for non-memory).
-u32 mem_size(Op op);
+inline u32 mem_size(Op op) {
+  switch (op) {
+    case Op::kLdr:
+    case Op::kStr:
+      return 8;
+    case Op::kLdrw:
+    case Op::kLdrsw:
+    case Op::kStrw:
+      return 4;
+    case Op::kLdrh:
+    case Op::kStrh:
+      return 2;
+    case Op::kLdrb:
+    case Op::kStrb:
+      return 1;
+    default:
+      return 0;
+  }
+}
 
 /// Fixed execute latency in cycles for non-memory ops (memory ops take
 /// the dcache-determined latency instead).
-u32 op_latency(Op op);
+inline u32 op_latency(Op op) {
+  switch (op) {
+    case Op::kMul:
+    case Op::kMadd:
+      return 3;
+    case Op::kUdiv:
+    case Op::kSdiv:
+      return 12;
+    case Op::kFadd:
+    case Op::kFsub:
+    case Op::kFmul:
+    case Op::kScvtf:
+    case Op::kFcvtzs:
+      return 4;
+    case Op::kFmadd:
+      return 5;
+    case Op::kFdiv:
+      return 15;
+    default:
+      return 1;
+  }
+}
 
 /// Small fixed-capacity register list used for source/destination
 /// queries; at most 4 registers ever participate in one instruction.
@@ -141,12 +187,120 @@ struct RegList {
 };
 
 /// Architectural registers read by @p inst (excluding xzr).
-RegList src_regs(const Inst& inst);
+inline RegList src_regs(const Inst& inst) {
+  RegList out;
+  switch (inst.op) {
+    case Op::kNop:
+    case Op::kHalt:
+    case Op::kB:
+    case Op::kBcond:
+    case Op::kBl:
+    case Op::kMovImm:
+      break;
+    case Op::kRet:
+      out.push(inst.rn == kNoReg ? RegId{30} : inst.rn);
+      break;
+    case Op::kCbz:
+    case Op::kCbnz:
+    case Op::kCmpImm:
+    case Op::kScvtf:
+    case Op::kFcvtzs:
+    case Op::kAddImm:
+    case Op::kSubImm:
+    case Op::kAndImm:
+    case Op::kOrrImm:
+    case Op::kEorImm:
+    case Op::kLslImm:
+    case Op::kLsrImm:
+    case Op::kAsrImm:
+      out.push(inst.rn);
+      break;
+    case Op::kMov:
+    case Op::kMvn:
+      out.push(inst.rm);
+      break;
+    case Op::kMovk:
+      out.push(inst.rd);  // read-modify-write of the destination
+      break;
+    case Op::kMadd:
+    case Op::kFmadd:
+      out.push(inst.rn);
+      out.push(inst.rm);
+      out.push(inst.ra);
+      break;
+    case Op::kLdr:
+    case Op::kLdrw:
+    case Op::kLdrsw:
+    case Op::kLdrh:
+    case Op::kLdrb:
+      out.push(inst.rn);
+      if (inst.mem_mode == MemMode::kRegOffset) out.push(inst.rm);
+      break;
+    case Op::kStr:
+    case Op::kStrw:
+    case Op::kStrh:
+    case Op::kStrb:
+      out.push(inst.rd);  // value to store
+      out.push(inst.rn);
+      if (inst.mem_mode == MemMode::kRegOffset) out.push(inst.rm);
+      break;
+    default:
+      // Two-source register ops (ALU, FP arithmetic, cmp).
+      out.push(inst.rn);
+      out.push(inst.rm);
+      break;
+  }
+  return out;
+}
+
 /// Architectural registers written by @p inst (excluding xzr). Includes
 /// the base register for pre/post-index addressing.
-RegList dst_regs(const Inst& inst);
+inline RegList dst_regs(const Inst& inst) {
+  RegList out;
+  switch (inst.op) {
+    case Op::kNop:
+    case Op::kHalt:
+    case Op::kB:
+    case Op::kBcond:
+    case Op::kCbz:
+    case Op::kCbnz:
+    case Op::kRet:
+    case Op::kCmp:
+    case Op::kCmpImm:
+    case Op::kStr:
+    case Op::kStrw:
+    case Op::kStrh:
+    case Op::kStrb:
+      break;
+    case Op::kBl:
+      out.push(RegId{30});
+      break;
+    default:
+      out.push(inst.rd);
+      break;
+  }
+  if (is_mem(inst.op) && (inst.mem_mode == MemMode::kPreIndex ||
+                          inst.mem_mode == MemMode::kPostIndex)) {
+    out.push(inst.rn);  // base register writeback
+  }
+  return out;
+}
+
 /// Union of src and dst registers, deduplicated.
-RegList all_regs(const Inst& inst);
+inline RegList all_regs(const Inst& inst) {
+  const RegList s = src_regs(inst);
+  const RegList d = dst_regs(inst);
+  RegList out;
+  auto push_unique = [&out](RegId reg) {
+    for (u32 j = 0; j < out.count; ++j) {
+      if (out.regs[j] == reg) return;
+    }
+    out.push(reg);
+  };
+  for (u32 i = 0; i < s.count; ++i) push_unique(s.regs[i]);
+  for (u32 i = 0; i < d.count; ++i) push_unique(d.regs[i]);
+  return out;
+}
 
 const char* op_name(Op op);
 const char* cond_name(Cond cond);

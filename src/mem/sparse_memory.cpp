@@ -48,7 +48,7 @@ SparseMemory::Page& SparseMemory::touch_page(Addr addr) {
   return page;
 }
 
-u64 SparseMemory::read(Addr addr, u32 size) const {
+u64 SparseMemory::read_slow(Addr addr, u32 size) const {
   const u64 off = addr % kPageSize;
   if (off + size <= kPageSize) {
     // Whole access inside one page: resolve it once.
@@ -90,7 +90,7 @@ void SparseMemory::journal_discard() {
   journal_.clear();
 }
 
-void SparseMemory::write(Addr addr, u32 size, u64 value) {
+void SparseMemory::write_slow(Addr addr, u32 size, u64 value) {
   if (journaling_) journal_.push_back({addr, size, read(addr, size)});
   const u64 off = addr % kPageSize;
   if (off + size <= kPageSize) {
@@ -120,10 +120,15 @@ void SparseMemory::write_f64(Addr addr, double v) {
 
 void SparseMemory::write_block(Addr addr, const void* src, std::size_t bytes) {
   if (journaling_) {
-    // Rare under a journal (bulk writes happen at init time); fall back
-    // to journaled byte writes so rollback stays exact.
+    // Journaled writes of up to 8 bytes each, so rollback stays exact
+    // and a register context costs one journal entry per register.
     const u8* q = static_cast<const u8*>(src);
-    for (std::size_t i = 0; i < bytes; ++i) write(addr + i, 1, q[i]);
+    for (std::size_t done = 0; done < bytes; done += 8) {
+      const u32 n = static_cast<u32>(std::min<std::size_t>(8, bytes - done));
+      u64 value = 0;
+      std::memcpy(&value, q + done, n);
+      write_slow(addr + done, n, value);
+    }
     return;
   }
   const u8* p = static_cast<const u8*>(src);

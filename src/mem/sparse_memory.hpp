@@ -6,6 +6,7 @@
 // mem/cache.hpp, mem/dram.hpp and mem/crossbar.hpp.
 #pragma once
 
+#include <bit>
 #include <cstring>
 #include <unordered_map>
 #include <vector>
@@ -14,6 +15,12 @@
 #include "common/types.hpp"
 
 namespace virec::mem {
+
+// The inline read/write paths and the block context moves of the
+// context managers copy host integers straight into simulated memory,
+// which stores little-endian values.
+static_assert(std::endian::native == std::endian::little,
+              "SparseMemory requires a little-endian host");
 
 class SparseMemory final : public ckpt::Serializable {
  public:
@@ -39,11 +46,29 @@ class SparseMemory final : public ckpt::Serializable {
   void restore_state(ckpt::Decoder& dec) override;
 
   /// Read @p size (1/2/4/8) bytes at @p addr, little-endian, zero if
-  /// the page was never written.
-  u64 read(Addr addr, u32 size) const;
+  /// the page was never written. Inline when the access lies inside
+  /// the cached page: one memcpy of the host's little-endian bytes.
+  u64 read(Addr addr, u32 size) const {
+    const u64 off = addr % kPageSize;
+    if (addr / kPageSize != cached_page_no_ || off + size > kPageSize) {
+      return read_slow(addr, size);
+    }
+    u64 value = 0;
+    std::memcpy(&value, cached_page_->data() + off, size);
+    return value;
+  }
 
-  /// Write the low @p size bytes of @p value at @p addr.
-  void write(Addr addr, u32 size, u64 value);
+  /// Write the low @p size bytes of @p value at @p addr. Inline when the
+  /// access lies inside the cached page and no journal is recording.
+  void write(Addr addr, u32 size, u64 value) {
+    const u64 off = addr % kPageSize;
+    if (journaling_ || addr / kPageSize != cached_page_no_ ||
+        off + size > kPageSize) {
+      write_slow(addr, size, value);
+      return;
+    }
+    std::memcpy(cached_page_->data() + off, &value, size);
+  }
 
   u64 read_u64(Addr addr) const { return read(addr, 8); }
   void write_u64(Addr addr, u64 v) { write(addr, 8, v); }
@@ -87,6 +112,9 @@ class SparseMemory final : public ckpt::Serializable {
   }
   const Page* find_page(Addr addr) const;
   Page& touch_page(Addr addr);
+  /// Page misses, page-crossing accesses and journaled writes.
+  u64 read_slow(Addr addr, u32 size) const;
+  void write_slow(Addr addr, u32 size, u64 value);
 
   struct JournalEntry {
     Addr addr;

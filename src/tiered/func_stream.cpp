@@ -44,16 +44,15 @@ void put_varint(std::vector<u8>& out, u64 v) {
 // instead of round-tripping through the vector each byte.
 u64 get_varint(const u8*& p, const u8* end) {
   u64 v = 0;
-  u32 shift = 0;
-  for (;;) {
+  for (u32 shift = 0; shift < 64; shift += 7) {
     if (p >= end) {
       throw std::runtime_error("FuncStream: truncated record payload");
     }
     const u8 b = *p++;
     v |= static_cast<u64>(b & 0x7f) << shift;
     if ((b & 0x80) == 0) return v;
-    shift += 7;
   }
+  throw std::runtime_error("FuncStream: varint longer than 64 bits");
 }
 
 /// Plain per-thread register files seeded like the offloaded contexts
@@ -135,6 +134,13 @@ std::string stream_file_name(const std::string& dir, u64 key) {
   std::snprintf(hex, sizeof hex, "%016llx",
                 static_cast<unsigned long long>(key));
   return dir + "/" + hex + ".vfs";
+}
+
+/// True when @p stream can drive a system of @p num_threads threads:
+/// the thread counts agree and the first scheduled thread exists.
+bool stream_fits(const FuncStream& stream, u32 num_threads) {
+  return stream.num_threads == num_threads && stream.start_tid >= 0 &&
+         stream.start_tid < static_cast<i64>(num_threads);
 }
 
 constexpr u32 kStreamMagic = 0x31534656;  // "VFS1", little-endian
@@ -262,29 +268,45 @@ std::shared_ptr<const FuncStream> build_func_stream(System& system,
 // --- FuncStreamReplayer ---
 
 struct FuncStreamReplayer::Decoded {
+  const PcInfo* info = nullptr;
   u64 next_pc = 0;
   u8 nzcv = 0;
   bool nzcv_changed = false;
   bool taken = false;
-  bool halted = false;
   bool has_sched = false;
   int sched_next = -1;
-  bool mem_op = false;
-  bool store_op = false;
   Addr addr = 0;
   u64 store_value = 0;
   std::array<u64, 4> dst_vals{};
-  isa::RegList dsts{};  ///< destination list, decoded once per record
 };
 
 FuncStreamReplayer::FuncStreamReplayer(
-    std::shared_ptr<const FuncStream> stream, const kasm::Program& program)
-    : stream_(std::move(stream)),
-      program_(&program),
-      cur_tid_(stream_->start_tid),
-      pcs_(stream_->num_threads, 0),
-      halted_(stream_->num_threads, 0),
-      live_(stream_->num_threads) {}
+    std::shared_ptr<const FuncStream> stream, const kasm::Program& program,
+    u32 num_threads)
+    : stream_(std::move(stream)), program_(&program) {
+  // Checked before anything is sized by the stream's own fields.
+  if (!stream_fits(*stream_, num_threads) || program.empty()) {
+    throw std::runtime_error(
+        "FuncStream: stream of " + std::to_string(stream_->num_threads) +
+        " threads starting at thread " + std::to_string(stream_->start_tid) +
+        " does not fit " + std::to_string(num_threads) + " threads running " +
+        std::to_string(program.size()) + " instructions");
+  }
+  cur_tid_ = stream_->start_tid;
+  pcs_.assign(num_threads, 0);
+  halted_.assign(num_threads, 0);
+  live_ = num_threads;
+  pc_info_.resize(program.size());
+  for (u64 pc = 0; pc < program.size(); ++pc) {
+    const isa::Inst& inst = program.at(pc);
+    PcInfo& info = pc_info_[pc];
+    info.mem_op = isa::is_mem(inst.op);
+    info.store_op = isa::is_store(inst.op);
+    info.halt = isa::is_halt(inst.op);
+    info.size = isa::mem_size(inst.op);
+    info.dsts = isa::dst_regs(inst);
+  }
+}
 
 int FuncStreamReplayer::pick_next(int after, int exclude) const {
   return model_pick_next(halted_, stream_->num_threads, after, exclude);
@@ -302,13 +324,21 @@ FuncStreamReplayer::Decoded FuncStreamReplayer::decode_next(
   if (p >= end) {
     throw std::runtime_error("FuncStream: cursor past end of records");
   }
+  // Every stored PC passed the successor check below (or is 0), so the
+  // table lookup is in range.
   pc = pcs_[static_cast<std::size_t>(cur_tid_)];
   inst = &program_->at(pc);
   Decoded d;
+  d.info = &pc_info_[pc];
+  const PcInfo& info = *d.info;
   const u8 flags = *p++;
   d.taken = (flags & kFlagTaken) != 0;
-  d.halted = isa::is_halt(inst->op);
   d.next_pc = (flags & kFlagExplicitPc) ? get_varint(p, end) : pc + 1;
+  if (d.next_pc >= pc_info_.size()) {
+    throw std::runtime_error("FuncStream: successor PC " +
+                             std::to_string(d.next_pc) +
+                             " outside the program");
+  }
   d.nzcv_changed = (flags & kFlagNzcv) != 0;
   if (d.nzcv_changed) {
     if (p >= end) {
@@ -316,17 +346,28 @@ FuncStreamReplayer::Decoded FuncStreamReplayer::decode_next(
     }
     d.nzcv = *p++;
   }
-  d.mem_op = isa::is_mem(inst->op);
-  d.store_op = isa::is_store(inst->op);
-  if (d.mem_op) d.addr = get_varint(p, end);
-  if (d.store_op) d.store_value = get_varint(p, end);
-  d.dsts = isa::dst_regs(*inst);
-  for (u32 i = 0; i < d.dsts.count; ++i) {
+  if (info.mem_op) d.addr = get_varint(p, end);
+  if (info.store_op) d.store_value = get_varint(p, end);
+  for (u32 i = 0; i < info.dsts.count; ++i) {
     d.dst_vals[i] = get_varint(p, end);
   }
   d.has_sched = (flags & kFlagSched) != 0;
   if (d.has_sched) {
-    d.sched_next = static_cast<int>(get_varint(p, end)) - 1;
+    // The golden pass records -1 (pool exhausted) only at a halt, and
+    // otherwise names another live thread.
+    const u64 next = get_varint(p, end);
+    const bool fits =
+        next == 0 ? info.halt
+                  : next <= stream_->num_threads &&
+                        static_cast<int>(next - 1) != cur_tid_ &&
+                        !halted_[static_cast<std::size_t>(next - 1)];
+    if (!fits) {
+      throw std::runtime_error(
+          "FuncStream: scheduler target " +
+          (next == 0 ? std::string("-1") : std::to_string(next - 1)) +
+          " is not another live thread");
+    }
+    d.sched_next = static_cast<int>(next) - 1;
   }
   byte_ = static_cast<std::size_t>(p - bytes.data());
   return d;
@@ -353,8 +394,9 @@ Cycle FuncStreamReplayer::advance(u64 target, cpu::CgmtCore& core,
     icache.warm_access(mem::MemorySystem::code_addr(pc), /*is_write=*/false,
                        warm_clock);
     rcm.warm_decode(tid, *inst, warm_clock);
-    if (d.mem_op) {
-      dcache.warm_access(d.addr, d.store_op, warm_clock,
+    const PcInfo& info = *d.info;
+    if (info.mem_op) {
+      dcache.warm_access(d.addr, info.store_op, warm_clock,
                          ms.in_reg_region(d.addr));
     }
     u8& nzcv = core.nzcv_ref(tid);
@@ -365,14 +407,12 @@ Cycle FuncStreamReplayer::advance(u64 target, cpu::CgmtCore& core,
     // write-back, destination registers (through the scheme's canonical
     // write path, so residency/dirty state evolves like live
     // execution), then flags.
-    if (d.store_op) {
-      ms.memory().write(d.addr, isa::mem_size(inst->op), d.store_value);
-    }
-    for (u32 i = 0; i < d.dsts.count; ++i) {
-      rcm.write_reg(tid, d.dsts.regs[i], d.dst_vals[i]);
+    if (info.store_op) ms.memory().write(d.addr, info.size, d.store_value);
+    for (u32 i = 0; i < info.dsts.count; ++i) {
+      rcm.write_reg(tid, info.dsts.regs[i], d.dst_vals[i]);
     }
     if (d.nzcv_changed) nzcv = d.nzcv;
-    const isa::ExecResult res{d.next_pc, d.taken, d.halted};
+    const isa::ExecResult res{d.next_pc, d.taken, info.halt};
     if (check != nullptr) {
       check->post_commit(/*core=*/0, tid, *inst, pc, warm_clock, rcm, nzcv,
                          res);
@@ -381,7 +421,7 @@ Cycle FuncStreamReplayer::advance(u64 target, cpu::CgmtCore& core,
     pcs_[static_cast<std::size_t>(tid)] = d.next_pc;
     warm_clock += cpi_scale;
     ++pos_;
-    if (d.halted) {
+    if (info.halt) {
       rcm.warm_thread_halt(tid, warm_clock);
       core.halt_thread_functional(tid);
       halted_[static_cast<std::size_t>(tid)] = 1;
@@ -409,7 +449,7 @@ void FuncStreamReplayer::seek(u64 target) {
     const int tid = cur_tid_;
     pcs_[static_cast<std::size_t>(tid)] = d.next_pc;
     ++pos_;
-    if (d.halted) {
+    if (d.info->halt) {
       halted_[static_cast<std::size_t>(tid)] = 1;
       --live_;
       cur_tid_ = d.sched_next;
@@ -522,6 +562,9 @@ std::shared_ptr<const FuncStream> StreamCache::acquire(
   try {
     if (!dir.empty()) {
       stream = load_func_stream(stream_file_name(dir, key), key);
+      if (stream != nullptr && !stream_fits(*stream, system.total_threads())) {
+        stream = nullptr;  // planted or foreign file: rebuild over it
+      }
       from_disk = stream != nullptr;
     }
     if (stream == nullptr) {

@@ -71,8 +71,11 @@ std::shared_ptr<const FuncStream> build_func_stream(System& system,
 /// so the stream stays the sole driver of architectural state.
 class FuncStreamReplayer {
  public:
+  /// Throws std::runtime_error unless @p stream records @p num_threads
+  /// threads, starts at one of them and @p program is not empty: a
+  /// stream restored from a checkpoint is checked like a disk stream.
   FuncStreamReplayer(std::shared_ptr<const FuncStream> stream,
-                     const kasm::Program& program);
+                     const kasm::Program& program, u32 num_threads);
 
   u64 pos() const { return pos_; }
   bool done() const { return pos_ >= stream_->n_total; }
@@ -98,8 +101,19 @@ class FuncStreamReplayer {
   void seek(u64 target);
 
  private:
+  /// What every record at one PC shares, derived from the program once
+  /// per replayer instead of once per record.
+  struct PcInfo {
+    bool mem_op = false;
+    bool store_op = false;
+    bool halt = false;
+    u32 size = 0;        ///< access size in bytes (memory ops)
+    isa::RegList dsts;   ///< registers the record carries values for
+  };
   struct Decoded;
-  /// Decode the record at the cursor (updating byte_ only).
+  /// Decode the record at the cursor (updating byte_ only). Throws
+  /// std::runtime_error on a truncated record, a successor PC outside
+  /// the program or a scheduler target that is not a live thread.
   Decoded decode_next(const isa::Inst*& inst, u64& pc);
   /// Post-record bookkeeping shared by advance/seek: PC, halt flag and
   /// scheduler updates. Returns the outgoing tid's successor (-1 when
@@ -108,9 +122,10 @@ class FuncStreamReplayer {
 
   std::shared_ptr<const FuncStream> stream_;
   const kasm::Program* program_;
+  std::vector<PcInfo> pc_info_;  ///< indexed by PC
   u64 pos_ = 0;
   std::size_t byte_ = 0;
-  int cur_tid_;
+  int cur_tid_ = -1;
   std::vector<u64> pcs_;
   std::vector<u8> halted_;
   u32 live_ = 0;
@@ -134,7 +149,8 @@ class StreamCache {
   /// until the first finishes). @p dir, when non-empty, is probed for
   /// a persisted stream before building and receives newly built
   /// streams ("<hex key>.vfs", written atomically; unreadable or
-  /// corrupt files degrade to a rebuild, never an error).
+  /// corrupt files, and streams that do not fit @p system, degrade to
+  /// a rebuild, never an error).
   std::shared_ptr<const FuncStream> acquire(u64 key, const std::string& dir,
                                             System& system);
 

@@ -394,7 +394,8 @@ TieredResult TieredRunner::run() {
     const double t0 = now_secs();
     stream_ = StreamCache::instance().acquire(config_.stream_key,
                                               config_.stream_dir, sys_);
-    replayer_ = std::make_unique<FuncStreamReplayer>(stream_, sys_.program());
+    replayer_ = std::make_unique<FuncStreamReplayer>(
+        stream_, sys_.program(), sys_.total_threads());
     wall_functional_ += now_secs() - t0;
   }
   n_total_ = stream_->n_total;
@@ -526,11 +527,15 @@ void TieredRunner::restore(const std::string& path) {
       stream->num_threads = dec.get_u32();
       stream->start_tid = static_cast<int>(dec.get_i64());
       stream->n_total = dec.get_u64();
-      stream->records.resize(dec.get_u64());
+      const u64 record_bytes = dec.get_u64();
+      if (record_bytes > dec.remaining()) {
+        throw ckpt::CkptError("tiered: stream records overrun the section");
+      }
+      stream->records.resize(record_bytes);
       dec.raw(stream->records.data(), stream->records.size());
       stream_ = stream;
-      replayer_ =
-          std::make_unique<FuncStreamReplayer>(stream_, sys_.program());
+      replayer_ = std::make_unique<FuncStreamReplayer>(
+          stream_, sys_.program(), sys_.total_threads());
       replayer_->seek(dec.get_u64());
     }
     dec.finish();

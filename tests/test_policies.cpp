@@ -5,6 +5,7 @@
 
 #include <array>
 
+#include "common/rng.hpp"
 #include "core/replacement_policy.hpp"
 
 namespace virec::core {
@@ -297,6 +298,108 @@ TEST(TBits, LazyMatchesEagerReference) {
       if (!entries[i].valid) continue;
       ASSERT_EQ(lrc.t_of(entries[i]), eager[i])
           << "entry " << i << " after op " << op;
+    }
+  }
+}
+
+// Reference victim selection: the generic scan pick_victim replaced —
+// every valid, unlocked entry ranked by one priority switch, highest
+// wins, ties to the lowest index — with Random drawing uniformly from
+// the candidates through a mirror of the policy's RNG.
+u64 reference_priority(const ReplacementPolicy& policy, const RfEntry& entry) {
+  const u64 inv_use = ~entry.last_use;
+  const u64 inv_seq = ~entry.insert_seq;
+  switch (policy.kind()) {
+    case PolicyKind::kPLRU:
+      return policy.age_of(entry);
+    case PolicyKind::kLRU:
+      return inv_use;
+    case PolicyKind::kFIFO:
+      return inv_seq;
+    case PolicyKind::kRandom:
+      return 0;
+    case PolicyKind::kMrtPLRU:
+      return (u64{policy.t_of(entry)} << 3) | policy.age_of(entry);
+    case PolicyKind::kMrtLRU:
+      return (u64{policy.t_of(entry)} << 58) |
+             (inv_use & ((u64{1} << 58) - 1));
+    case PolicyKind::kLRC:
+      return (u64{policy.t_of(entry)} << 4) | (u64{entry.c_bit} << 3) |
+             policy.age_of(entry);
+  }
+  return 0;
+}
+
+int reference_victim(const ReplacementPolicy& policy,
+                     const std::vector<RfEntry>& entries,
+                     const std::vector<u8>& locked, Xorshift128& rng) {
+  if (policy.kind() == PolicyKind::kRandom) {
+    std::vector<u32> candidates;
+    for (u32 i = 0; i < entries.size(); ++i) {
+      if (entries[i].valid && !locked[i]) candidates.push_back(i);
+    }
+    if (candidates.empty()) return -1;
+    return static_cast<int>(candidates[rng.next_below(candidates.size())]);
+  }
+  int best = -1;
+  u64 best_priority = 0;
+  for (u32 i = 0; i < entries.size(); ++i) {
+    if (!entries[i].valid || locked[i]) continue;
+    const u64 p = reference_priority(policy, entries[i]);
+    if (best < 0 || p > best_priority) {
+      best = static_cast<int>(i);
+      best_priority = p;
+    }
+  }
+  return best;
+}
+
+TEST(AllPolicies, VictimMatchesGenericScanOnRandomStates) {
+  // Random tag-store states: valid bits, tids, C bits, lazy ages and T
+  // marks, switch events, locks, and deliberate ties (small timestamp
+  // and sequence ranges, saturated ages and T values).
+  constexpr u64 kSeed = 0x5eedf00d;
+  for (PolicyKind kind : all_policies()) {
+    SCOPED_TRACE(policy_name(kind));
+    ReplacementPolicy policy(kind, kSeed);
+    Xorshift128 mirror(kSeed);
+    Xorshift128 rng(0xd1ff ^ static_cast<u64>(kind));
+    for (int trial = 0; trial < 3000; ++trial) {
+      const u32 n = 1 + static_cast<u32>(rng.next_below(64));
+      auto entries = make_entries(n);
+      std::vector<u8> locked(n, 0);
+      for (int s = static_cast<int>(rng.next_below(12)); s > 0; --s) {
+        policy.on_context_switch(static_cast<int>(rng.next_below(9)) - 1,
+                                 static_cast<int>(rng.next_below(9)) - 1);
+      }
+      for (u32 i = 0; i < n; ++i) {
+        if (rng.next_below(8) == 0) continue;  // stays invalid
+        policy.on_insert(entries, i, static_cast<u8>(rng.next_below(8)),
+                         static_cast<isa::RegId>(rng.next_below(31)));
+        RfEntry& e = entries[i];
+        e.c_bit = rng.next_below(2) != 0;
+        e.age = static_cast<u8>(rng.next_below(8));
+        e.age_mark = policy.age_tick_now() - rng.next_below(
+                                                 policy.age_tick_now() + 1);
+        if (rng.next_below(2) != 0) {
+          policy.set_t(e, static_cast<u8>(rng.next_below(8)));
+        }
+        e.t_mark -= rng.next_below(e.t_mark + 1);
+        e.last_use = rng.next_below(2 * n);
+        e.insert_seq = rng.next_below(2 * n);
+        locked[i] = rng.next_below(6) == 0;
+      }
+      for (int a = static_cast<int>(rng.next_below(2 * n)); a > 0; --a) {
+        const u32 idx = static_cast<u32>(rng.next_below(n));
+        if (entries[idx].valid) policy.on_access(entries, idx);
+      }
+      for (int s = static_cast<int>(rng.next_below(4)); s > 0; --s) {
+        policy.on_context_switch(static_cast<int>(rng.next_below(9)) - 1,
+                                 static_cast<int>(rng.next_below(9)) - 1);
+      }
+      const int want = reference_victim(policy, entries, locked, mirror);
+      ASSERT_EQ(policy.pick_victim(entries, locked), want)
+          << "trial " << trial << ", " << n << " entries";
     }
   }
 }

@@ -101,5 +101,40 @@ TEST(SparseMemory, PageCountGrowsPerPage) {
   EXPECT_EQ(memory.page_count(), 2u);
 }
 
+TEST(SparseMemory, JournalRollbackCoversEveryWritePath) {
+  // Writes to the cached page would take the inline fast path; under a
+  // journal they must be recorded like page misses, page-crossing
+  // writes and block writes, so rollback restores every byte.
+  constexpr Addr kPage = SparseMemory::kPageSize;
+  SparseMemory memory;
+  std::vector<u8> before(3 * kPage);
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    before[i] = static_cast<u8>(i * 13 + 1);
+  }
+  memory.write_block(kPage, before.data(), before.size());
+  memory.read_u64(kPage);  // leave the first page cached
+
+  memory.journal_begin();
+  memory.write_u64(kPage + 8, 0x1111111111111111ull);
+  memory.write(2 * kPage - 2, 4, 0x22222222u);  // crosses a page
+  const std::vector<u8> block(13, 0x33);        // odd length, crosses
+  memory.write_block(3 * kPage - 5, block.data(), block.size());
+  memory.write_u64(9 * kPage, 0x44);            // fresh page
+  EXPECT_EQ(memory.read_u64(kPage + 8), 0x1111111111111111ull);
+  memory.journal_rollback();
+
+  std::vector<u8> after(before.size());
+  memory.read_block(kPage, after.data(), after.size());
+  EXPECT_EQ(after, before);
+  EXPECT_EQ(memory.read_u64(9 * kPage), 0u);
+  EXPECT_FALSE(memory.journal_active());
+
+  // Discard keeps the journaled writes.
+  memory.journal_begin();
+  memory.write_u64(kPage, 0x55);
+  memory.journal_discard();
+  EXPECT_EQ(memory.read_u64(kPage), 0x55u);
+}
+
 }  // namespace
 }  // namespace virec::mem

@@ -10,9 +10,11 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ckpt/spec_codec.hpp"
+#include "kasm/assembler.hpp"
 #include "sim/runner.hpp"
 #include "sim/sweep.hpp"
 #include "tiered/func_stream.hpp"
@@ -252,6 +254,107 @@ TEST(StreamReuse, CodecRoundTrip) {
 
   EXPECT_EQ(load_func_stream((dir / "absent.vfs").string(), 0), nullptr);
   fs::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------
+// Hostile streams: a .vfs file or a checkpoint can carry stream bytes
+// that pass their CRC yet do not fit the system. A planted disk stream
+// is rebuilt over; a replayer refuses a stream that does not fit, and a
+// record with a PC outside the program, a scheduler target that is not
+// another live thread or an overlong varint throws instead of indexing
+// out of range.
+
+TEST(StreamReuse, PlantedMisfitStreamIsRebuilt) {
+  const fs::path dir = scratch_dir("planted");
+  RunSpec spec = sampled_spec("gather", Scheme::kViReC, core::PolicyKind::kLRC);
+  StreamCache::instance().reset_for_test();
+  const TieredResult clean = run_spec_tiered(spec);
+
+  spec.stream_dir = dir.string();
+  const u64 key = ckpt::functional_stream_hash(spec);
+  char name[32];
+  std::snprintf(name, sizeof name, "%016llx.vfs",
+                static_cast<unsigned long long>(key));
+  const std::string path = (dir / name).string();
+  System system(build_config(spec), workloads::find_workload(spec.workload),
+                spec.params);
+  const auto honest = build_func_stream(system, key);
+  const std::pair<int, u32> plants[] = {{1000, honest->num_threads},
+                                        {0, 64}};
+  for (const auto& [start_tid, threads] : plants) {
+    SCOPED_TRACE("start_tid " + std::to_string(start_tid) + ", " +
+                 std::to_string(threads) + " threads");
+    FuncStream planted = *honest;
+    planted.start_tid = start_tid;
+    planted.num_threads = threads;
+    ASSERT_TRUE(save_func_stream(path, planted));
+    ASSERT_NE(load_func_stream(path, key), nullptr)
+        << "the plant must pass the CRC and identity checks";
+    StreamCache::instance().reset_for_test();
+    const TieredResult rebuilt = run_spec_tiered(spec);
+    const StreamCache::Stats stats = StreamCache::instance().stats();
+    EXPECT_EQ(stats.built, 1u);
+    EXPECT_EQ(stats.loaded, 0u);
+    expect_tiered_identical(clean, rebuilt);
+    // The rebuild replaced the plant with a stream that fits.
+    const auto healed = load_func_stream(path, key);
+    ASSERT_NE(healed, nullptr);
+    EXPECT_EQ(healed->records, honest->records);
+  }
+  StreamCache::instance().reset_for_test();
+  fs::remove_all(dir);
+}
+
+TEST(StreamReuse, ReplayerRejectsHostileStreams) {
+  // Two threads each run "nop; halt". Record bytes: flags (1 explicit
+  // successor PC, 4 scheduler event), then the successor PC and the
+  // scheduler target + 1 as varints (0 = no thread left).
+  const kasm::Program program = kasm::assemble("nop\nhalt\n");
+  const auto stream = [](std::vector<u8> records, int start_tid = 0,
+                         u32 threads = 2) {
+    auto s = std::make_shared<FuncStream>();
+    s->num_threads = threads;
+    s->start_tid = start_tid;
+    s->n_total = 4;
+    s->records = std::move(records);
+    return s;
+  };
+  const std::vector<u8> honest = {0, 1 | 4, 1, 2, 0, 1 | 4, 1, 0};
+  FuncStreamReplayer good(stream(honest), program, 2);
+  good.seek(4);
+  EXPECT_TRUE(good.done());
+
+  // Streams that do not fit the system or the program.
+  EXPECT_THROW(FuncStreamReplayer(stream(honest), program, 3),
+               std::runtime_error);
+  EXPECT_THROW(FuncStreamReplayer(stream(honest, 2), program, 2),
+               std::runtime_error);
+  EXPECT_THROW(FuncStreamReplayer(stream(honest, -1), program, 2),
+               std::runtime_error);
+  EXPECT_THROW(FuncStreamReplayer(stream(honest), kasm::Program(), 2),
+               std::runtime_error);
+
+  const std::pair<std::vector<u8>, const char*> bad_records[] = {
+      {{1, 7}, "successor PC 7"},
+      {{4, 0}, "target -1"},  // "no thread left" without a halt
+      {{4, 1}, "target 0"},   // rotates to itself
+      {{4, 9}, "target 8"},   // a thread that does not exist
+      {{4, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 1},
+       "target 9223372036854775807"},  // 2^63: no signed wrap-around
+      {{0, 1 | 4, 1, 2, 4, 1}, "target 0"},  // to halted thread 0
+      {{1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 1},
+       "longer than 64 bits"},
+  };
+  for (const auto& [records, why] : bad_records) {
+    FuncStreamReplayer replayer(stream(records), program, 2);
+    try {
+      replayer.seek(4);
+      ADD_FAILURE() << "accepted a stream that should fail with: " << why;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------
