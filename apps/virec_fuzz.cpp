@@ -11,8 +11,6 @@
 //   virec-fuzz --inject-tag-bug        # negative self-test (exit 0 if
 //                                      # the corruption is caught)
 #include <atomic>
-#include <cerrno>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <mutex>
@@ -23,6 +21,7 @@
 #include "check/harness.hpp"
 #include "check/progen.hpp"
 #include "check/repro.hpp"
+#include "common/parse_number.hpp"
 #include "core/replacement_policy.hpp"
 #include "sim/system_config.hpp"
 
@@ -65,16 +64,6 @@ void print_usage() {
       "                   exists to bisect the skip layer itself)\n";
 }
 
-u64 parse_u64(const std::string& flag, const std::string& v) {
-  errno = 0;
-  char* end = nullptr;
-  const u64 out = std::strtoull(v.c_str(), &end, 0);
-  if (v.empty() || end != v.c_str() + v.size() || errno == ERANGE) {
-    throw std::invalid_argument(flag + ": invalid number '" + v + "'");
-  }
-  return out;
-}
-
 bool parse(int argc, char** argv, Options& opt) {
   std::vector<std::string> args(argv + 1, argv + argc);
   for (std::size_t i = 0; i < args.size(); ++i) {
@@ -85,15 +74,14 @@ bool parse(int argc, char** argv, Options& opt) {
       }
       return args[++i];
     };
-    auto u64_value = [&]() { return parse_u64(arg, value()); };
     if (arg == "--help" || arg == "-h") opt.help = true;
-    else if (arg == "--programs") opt.programs = u64_value();
-    else if (arg == "--seed") opt.seed = u64_value();
-    else if (arg == "--body") opt.body_len = static_cast<u32>(u64_value());
-    else if (arg == "--iters") opt.loop_iters = static_cast<u32>(u64_value());
-    else if (arg == "--threads") opt.threads = static_cast<u32>(u64_value());
-    else if (arg == "--regs") opt.phys_regs = static_cast<u32>(u64_value());
-    else if (arg == "--jobs") opt.jobs = static_cast<u32>(u64_value());
+    else if (arg == "--programs") opt.programs = parse_u64(arg, value());
+    else if (arg == "--seed") opt.seed = parse_u64(arg, value());
+    else if (arg == "--body") opt.body_len = parse_u32(arg, value());
+    else if (arg == "--iters") opt.loop_iters = parse_u32(arg, value());
+    else if (arg == "--threads") opt.threads = parse_u32(arg, value());
+    else if (arg == "--regs") opt.phys_regs = parse_u32(arg, value());
+    else if (arg == "--jobs") opt.jobs = parse_u32(arg, value());
     else if (arg == "--out") opt.out = value();
     else if (arg == "--inject-tag-bug") opt.inject_tag_bug = true;
     else if (arg == "--no-skip") opt.no_skip = true;

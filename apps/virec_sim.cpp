@@ -11,9 +11,7 @@
 // every component, in a stable machine-greppable "key value" format —
 // or, with --json, one JSON document carrying the config echo, the
 // results and every typed stat (see docs/observability.md).
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -28,6 +26,7 @@
 #include "check/repro.hpp"
 #include "ckpt/spec_codec.hpp"
 #include "common/json.hpp"
+#include "common/parse_number.hpp"
 #include "common/table.hpp"
 #include "common/version.hpp"
 #include "cpu/perfetto_trace.hpp"
@@ -45,7 +44,8 @@ using namespace virec;
 namespace {
 
 struct Options {
-  sim::RunSpec spec;
+  sim::SpecFlags flags;  // knob flags as given
+  sim::RunSpec spec;     // the single run, or the sweep's base point
   bool list = false;
   bool stats = false;
   bool trace = false;
@@ -61,12 +61,6 @@ struct Options {
   std::string json_path;   // empty = stdout
   std::string trace_out;   // Perfetto trace file; empty = off
   u64 sample_interval = 0;
-  // Tiered simulation (docs/performance.md): the values live in spec;
-  // the *_set flags catch window/warmup options given without
-  // --sample-windows.
-  bool window_insts_set = false;
-  bool warmup_insts_set = false;
-  bool adaptive_warmup_set = false;
   bool sweep = false;
   u32 jobs = 0;            // 0 = hardware concurrency
   u64 checkpoint_every = 0;   // periodic snapshot interval (cycles)
@@ -74,35 +68,15 @@ struct Options {
   std::string restore_path;   // snapshot to resume a single run from
   std::string store_dir;      // result store a sweep reads and fills
   std::string replay_path;    // fuzzer repro file to replay and exit
-  // Grid axes: in --sweep mode these accept comma-separated lists, so
-  // they are captured raw and parsed once the mode is known.
-  std::string workload_arg, scheme_arg, policy_arg;
-  std::string threads_arg, ctx_arg, cores_arg;
 };
 
 void print_usage() {
   std::cout <<
       "virec-sim — near-memory multithreading simulator (ViReC reproduction)\n"
       "\n"
-      "usage: virec-sim [options]\n"
-      "  --workload NAME     kernel to run (default gather; see --list)\n"
-      "  --scheme NAME       banked | software | prefetch-full |\n"
-      "                      prefetch-exact | virec | nsf (default virec)\n"
-      "  --policy NAME       plru | lru | fifo | random | mrt-plru |\n"
-      "                      mrt-lru | lrc (default lrc)\n"
-      "  --threads N         hardware threads per core (default 8)\n"
-      "  --cores N           near-memory processors (default 1)\n"
-      "  --ctx F             context fraction stored on chip (default 0.8)\n"
-      "  --regs N            explicit physical register count\n"
-      "  --iters N           inner iterations per thread (default 256)\n"
-      "  --elements N        data set elements (default 65536)\n"
-      "  --stride N          stride kernel: element stride (default 8)\n"
-      "  --window N          gather_local: locality window (default 512)\n"
-      "  --dcache-bytes N    override dcache capacity\n"
-      "  --dcache-latency N  override dcache hit latency\n"
-      "  --group-spill       enable the group-spill extension\n"
-      "  --switch-prefetch   enable the switch-prefetch extension\n"
-      "  --seed N            workload RNG seed (default 42)\n"
+      "usage: virec-sim [options]\n";
+  sim::SpecFlags::print_help(std::cout);
+  std::cout <<
       "  --trace             print a pipeline trace (see --trace-core)\n"
       "  --trace-core N      core to trace with --trace (default 0)\n"
       "  --trace-out FILE    write a Perfetto/Chrome trace-event JSON\n"
@@ -128,45 +102,6 @@ void print_usage() {
       "                      a description; used by CI\n"
       "  --stats             dump every component counter\n"
       "  --area              print the area/delay report for this config\n"
-      "  --max-cycles N      watchdog: abort (naming the stuck core/\n"
-      "                      thread) after N cycles\n"
-      "  --sample-windows N  SMARTS-style sampled measurement: fast-\n"
-      "                      forward functionally between N systematic\n"
-      "                      measurement windows and report an estimated\n"
-      "                      IPC with a confidence interval\n"
-      "                      (docs/performance.md)\n"
-      "  --window-insts K    measured instructions per window (default\n"
-      "                      10000; needs --sample-windows)\n"
-      "  --warmup-insts W    detailed warm-up instructions before each\n"
-      "                      window (default 2000; needs\n"
-      "                      --sample-windows)\n"
-      "  --functional-ff     run the whole program through the\n"
-      "                      functional tier (no cycle estimate; useful\n"
-      "                      with --check to validate the functional\n"
-      "                      tier against the oracle)\n"
-      "  --adaptive-warmup F with --sample-windows: let each window\n"
-      "                      extend its warm-up by up to F-1 further\n"
-      "                      chunks of W instructions while the dcache\n"
-      "                      miss rate is still converging (default 1 =\n"
-      "                      fixed warm-up; docs/performance.md)\n"
-      "  --stream-store DIR  persist recorded functional streams in DIR\n"
-      "                      (<identity>.vfs) and reuse them across\n"
-      "                      processes; sampled sweep points sharing a\n"
-      "                      functional identity already share one\n"
-      "                      stream in-process (stream_* stats go to\n"
-      "                      stderr after sampled runs/sweeps)\n"
-      "  --no-stream-reuse   build a private functional stream per\n"
-      "                      sampled point instead of sharing per\n"
-      "                      identity (estimates are bit-identical\n"
-      "                      either way; this is a debugging knob)\n"
-      "  --no-skip           disable event-driven cycle skipping and\n"
-      "                      step every cycle. Results are bit-identical\n"
-      "                      either way (docs/performance.md); use this\n"
-      "                      only to bisect the simulator itself\n"
-      "  --check             run the lockstep reference oracle and hard\n"
-      "                      invariants alongside the simulation; abort\n"
-      "                      with a divergence report on any mismatch\n"
-      "                      (docs/correctness.md)\n"
       "  --replay FILE       replay a virec-fuzz repro file under the\n"
       "                      oracle and exit (0 = clean, 1 = diverged)\n"
       "  --checkpoint-every N  write a snapshot every N cycles (needs\n"
@@ -178,66 +113,13 @@ void print_usage() {
       "                      and put each fresh result there (a killed\n"
       "                      sweep rerun with it simulates only the\n"
       "                      missing points; needs --sweep)\n"
-      "  --sweep             run the full cross product of the grid axes\n"
-      "                      (--workload/--scheme/--policy/--threads/\n"
-      "                      --ctx/--cores accept comma-separated lists)\n"
-      "                      and print a CSV table (or JSON with --json)\n"
+      "  --sweep             run the full cross product of the comma\n"
+      "                      lists given to the [,...] flags and print a\n"
+      "                      CSV table (or JSON with --json)\n"
       "  --jobs N            worker threads for --sweep (0 = all\n"
       "                      hardware threads, the default; 1 = serial)\n"
       "  --list              list workloads and exit\n"
       "  --version           print build provenance and exit\n";
-}
-
-/// Strict numeric parsing: the whole value must be consumed, so
-/// "--threads 8x" is an error instead of silently parsing as 8.
-u64 parse_u64(const std::string& flag, const std::string& v) {
-  errno = 0;
-  char* end = nullptr;
-  const u64 out = std::strtoull(v.c_str(), &end, 0);
-  if (v.empty() || end != v.c_str() + v.size() || errno == ERANGE) {
-    throw std::invalid_argument(flag + ": invalid number '" + v + "'");
-  }
-  return out;
-}
-
-double parse_double(const std::string& flag, const std::string& v) {
-  errno = 0;
-  char* end = nullptr;
-  const double out = std::strtod(v.c_str(), &end);
-  if (v.empty() || end != v.c_str() + v.size() || errno == ERANGE) {
-    throw std::invalid_argument(flag + ": invalid number '" + v + "'");
-  }
-  return out;
-}
-
-std::vector<std::string> split_csv(const std::string& flag,
-                                   const std::string& v) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= v.size()) {
-    const std::size_t comma = v.find(',', start);
-    const std::string item = v.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (item.empty()) {
-      throw std::invalid_argument(flag + ": empty list item in '" + v + "'");
-    }
-    out.push_back(item);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  if (out.empty()) {
-    throw std::invalid_argument(flag + " needs a value");
-  }
-  return out;
-}
-
-/// Non-sweep mode: the axis flags must be single values, not lists.
-std::string single_value(const std::string& flag, const std::string& v) {
-  if (v.find(',') != std::string::npos) {
-    throw std::invalid_argument(flag + ": list '" + v +
-                                "' is only valid with --sweep");
-  }
-  return v;
 }
 
 bool parse(int argc, char** argv, Options& opt) {
@@ -250,7 +132,7 @@ bool parse(int argc, char** argv, Options& opt) {
       }
       return args[++i];
     };
-    auto u64_value = [&]() { return parse_u64(arg, value()); };
+    if (opt.flags.parse(arg, value)) continue;
     if (arg == "--help" || arg == "-h") opt.help = true;
     else if (arg == "--version") opt.version = true;
     else if (arg == "--list") opt.list = true;
@@ -258,63 +140,24 @@ bool parse(int argc, char** argv, Options& opt) {
     else if (arg == "--trace") opt.trace = true;
     else if (arg == "--area") opt.area = true;
     else if (arg == "--sweep") opt.sweep = true;
-    else if (arg == "--jobs") opt.jobs = static_cast<u32>(u64_value());
-    else if (arg == "--group-spill") opt.spec.group_spill = true;
-    else if (arg == "--switch-prefetch") opt.spec.switch_prefetch = true;
-    else if (arg == "--workload") opt.workload_arg = value();
-    else if (arg == "--scheme") opt.scheme_arg = value();
-    else if (arg == "--policy") opt.policy_arg = value();
-    else if (arg == "--threads") opt.threads_arg = value();
-    else if (arg == "--cores") opt.cores_arg = value();
-    else if (arg == "--ctx") opt.ctx_arg = value();
-    else if (arg == "--regs")
-      opt.spec.phys_regs = static_cast<u32>(u64_value());
-    else if (arg == "--iters") opt.spec.params.iters_per_thread = u64_value();
-    else if (arg == "--elements") opt.spec.params.elements = u64_value();
-    else if (arg == "--stride") opt.spec.params.stride = u64_value();
-    else if (arg == "--window")
-      opt.spec.params.locality_window = u64_value();
-    else if (arg == "--dcache-bytes")
-      opt.spec.dcache_bytes = static_cast<u32>(u64_value());
-    else if (arg == "--dcache-latency")
-      opt.spec.dcache_latency = static_cast<u32>(u64_value());
-    else if (arg == "--seed") opt.spec.params.seed = u64_value();
-    else if (arg == "--max-cycles") opt.spec.max_cycles = u64_value();
-    else if (arg == "--no-skip") opt.spec.no_skip = true;
-    else if (arg == "--sample-windows")
-      opt.spec.sample_windows = static_cast<u32>(u64_value());
-    else if (arg == "--window-insts") {
-      opt.spec.window_insts = u64_value();
-      opt.window_insts_set = true;
-    }
-    else if (arg == "--warmup-insts") {
-      opt.spec.warmup_insts = u64_value();
-      opt.warmup_insts_set = true;
-    }
-    else if (arg == "--functional-ff") opt.spec.functional_ff = true;
-    else if (arg == "--adaptive-warmup") {
-      opt.spec.adaptive_warmup = static_cast<u32>(u64_value());
-      opt.adaptive_warmup_set = true;
-    }
-    else if (arg == "--stream-store") opt.spec.stream_dir = value();
-    else if (arg == "--no-stream-reuse") opt.spec.stream_reuse = false;
-    else if (arg == "--checkpoint-every") opt.checkpoint_every = u64_value();
+    else if (arg == "--jobs") opt.jobs = parse_u32(arg, value());
+    else if (arg == "--checkpoint-every")
+      opt.checkpoint_every = parse_u64(arg, value());
     else if (arg == "--checkpoint-out") opt.checkpoint_out = value();
     else if (arg == "--restore") opt.restore_path = value();
     else if (arg == "--store") opt.store_dir = value();
-    else if (arg == "--check") opt.spec.check = true;
     else if (arg == "--replay") opt.replay_path = value();
-    else if (arg == "--trace-core")
-      opt.trace_core = static_cast<u32>(u64_value());
+    else if (arg == "--trace-core") opt.trace_core = parse_u32(arg, value());
     else if (arg == "--trace-out") opt.trace_out = value();
-    else if (arg == "--sample-interval") opt.sample_interval = u64_value();
+    else if (arg == "--sample-interval")
+      opt.sample_interval = parse_u64(arg, value());
     else if (arg == "--cpi-stack") opt.cpi_stack = true;
     else if (arg == "--lint-stats") opt.lint_stats = true;
     else if (arg == "--progress") opt.progress = true;
     else if (arg.rfind("--progress=", 0) == 0) {
       opt.progress = true;
       opt.progress_secs = parse_double("--progress", arg.substr(11));
-      if (opt.progress_secs <= 0) {
+      if (!(opt.progress_secs > 0)) {
         throw std::invalid_argument("--progress: interval must be > 0");
       }
     }
@@ -330,113 +173,26 @@ bool parse(int argc, char** argv, Options& opt) {
       return false;
     }
   }
-  if (!opt.sweep) {
+  if (opt.sweep) {
+    opt.spec = opt.flags.base();
+  } else {
     if (!opt.store_dir.empty()) {
       throw std::invalid_argument(
           "--store keeps sweep points and needs --sweep "
           "(to continue a single run from a snapshot, use --restore)");
     }
-    // Single-run mode: the axis flags behave exactly as before.
-    if (!opt.workload_arg.empty()) {
-      opt.spec.workload = single_value("--workload", opt.workload_arg);
-    }
-    if (!opt.scheme_arg.empty()) {
-      opt.spec.scheme =
-          sim::parse_scheme(single_value("--scheme", opt.scheme_arg));
-    }
-    if (!opt.policy_arg.empty()) {
-      opt.spec.policy =
-          core::parse_policy(single_value("--policy", opt.policy_arg));
-    }
-    if (!opt.threads_arg.empty()) {
-      opt.spec.threads_per_core = static_cast<u32>(
-          parse_u64("--threads", single_value("--threads", opt.threads_arg)));
-    }
-    if (!opt.cores_arg.empty()) {
-      opt.spec.num_cores = static_cast<u32>(
-          parse_u64("--cores", single_value("--cores", opt.cores_arg)));
-    }
-    if (!opt.ctx_arg.empty()) {
-      opt.spec.context_fraction =
-          parse_double("--ctx", single_value("--ctx", opt.ctx_arg));
-    }
-  }
-  // Sampling-flag consistency (docs/performance.md); these hold in
-  // both single-run and sweep mode.
-  if ((opt.window_insts_set || opt.warmup_insts_set) &&
-      opt.spec.sample_windows == 0) {
-    throw std::invalid_argument(
-        "--window-insts/--warmup-insts need --sample-windows");
-  }
-  if (opt.window_insts_set && opt.spec.window_insts == 0) {
-    throw std::invalid_argument("--window-insts: must be > 0");
-  }
-  if ((opt.adaptive_warmup_set || !opt.spec.stream_dir.empty() ||
-       !opt.spec.stream_reuse) &&
-      opt.spec.sample_windows == 0) {
-    throw std::invalid_argument(
-        "--adaptive-warmup/--stream-store/--no-stream-reuse tune sampled "
-        "measurement and need --sample-windows");
-  }
-  if (opt.adaptive_warmup_set && opt.spec.adaptive_warmup == 0) {
-    throw std::invalid_argument("--adaptive-warmup: must be >= 1");
-  }
-  if (opt.spec.sample_windows > 0 && opt.spec.functional_ff) {
-    throw std::invalid_argument(
-        "--functional-ff runs the whole program functionally and cannot "
-        "be combined with --sample-windows");
-  }
-  if (opt.spec.sample_windows > 0 && opt.spec.check) {
-    throw std::invalid_argument(
-        "--check validates the full detailed model, which sampling "
-        "deliberately skips most of; use --functional-ff --check to "
-        "validate the functional tier");
+    opt.spec = opt.flags.single();
   }
   return true;
 }
 
-/// Build the sweep grid from the comma-separated axis flags. Axes the
-/// user did not give stay at the base spec's single value.
+/// The sweep grid: the base spec varied over every axis flag's list.
 sim::Sweep build_sweep(const Options& opt) {
   sim::Sweep sweep;
   sweep.base() = opt.spec;
-  if (!opt.workload_arg.empty()) {
-    sweep.over_workloads(split_csv("--workload", opt.workload_arg));
-  }
-  if (!opt.scheme_arg.empty()) {
-    std::vector<sim::Scheme> schemes;
-    for (const std::string& s : split_csv("--scheme", opt.scheme_arg)) {
-      schemes.push_back(sim::parse_scheme(s));
-    }
-    sweep.over_schemes(std::move(schemes));
-  }
-  if (!opt.policy_arg.empty()) {
-    std::vector<core::PolicyKind> policies;
-    for (const std::string& p : split_csv("--policy", opt.policy_arg)) {
-      policies.push_back(core::parse_policy(p));
-    }
-    sweep.over_policies(std::move(policies));
-  }
-  if (!opt.threads_arg.empty()) {
-    std::vector<u32> threads;
-    for (const std::string& t : split_csv("--threads", opt.threads_arg)) {
-      threads.push_back(static_cast<u32>(parse_u64("--threads", t)));
-    }
-    sweep.over_threads(std::move(threads));
-  }
-  if (!opt.cores_arg.empty()) {
-    std::vector<u32> cores;
-    for (const std::string& c : split_csv("--cores", opt.cores_arg)) {
-      cores.push_back(static_cast<u32>(parse_u64("--cores", c)));
-    }
-    sweep.over_cores(std::move(cores));
-  }
-  if (!opt.ctx_arg.empty()) {
-    std::vector<double> fractions;
-    for (const std::string& f : split_csv("--ctx", opt.ctx_arg)) {
-      fractions.push_back(parse_double("--ctx", f));
-    }
-    sweep.over_context_fractions(std::move(fractions));
+  for (int a = 0; a < sim::kNumSweepAxes; ++a) {
+    const auto axis = static_cast<sim::SweepAxis>(a);
+    sweep.over(axis, opt.flags.axis(axis));
   }
   return sweep;
 }
@@ -587,10 +343,6 @@ int run_tiered_mode(const Options& opt) {
         "detailed runs and cannot be combined with --sample-windows/"
         "--functional-ff");
   }
-  if (opt.spec.num_cores != 1) {
-    throw std::invalid_argument(
-        "--sample-windows/--functional-ff require --cores 1");
-  }
   if (opt.cpi_stack && opt.spec.functional_ff) {
     throw std::invalid_argument(
         "--cpi-stack needs measurement windows; --functional-ff runs "
@@ -613,17 +365,7 @@ int run_tiered_mode(const Options& opt) {
   if (opt.json) system.set_detailed_stats(true);
   if (opt.spec.check) system.enable_check();
 
-  sim::TieredConfig tiered;
-  tiered.sample_windows = opt.spec.sample_windows;
-  tiered.window_insts = opt.spec.window_insts;
-  tiered.warmup_insts = opt.spec.warmup_insts;
-  tiered.functional_ff = opt.spec.functional_ff;
-  tiered.adaptive_warmup = opt.spec.adaptive_warmup;
-  tiered.stream_key =
-      opt.spec.stream_reuse ? ckpt::functional_stream_hash(opt.spec) : 0;
-  tiered.stream_dir = opt.spec.stream_dir;
-  tiered.validate();
-  sim::TieredRunner runner(system, tiered);
+  sim::TieredRunner runner(system, opt.spec);
   if (opt.progress) {
     runner.set_progress(
         [](const sim::TieredProgress& p) {
@@ -670,7 +412,6 @@ int run_tiered_mode(const Options& opt) {
       w.kv("sample_windows", opt.spec.sample_windows);
       w.kv("window_insts", opt.spec.window_insts);
       w.kv("warmup_insts", opt.spec.warmup_insts);
-      w.kv("adaptive_warmup", opt.spec.adaptive_warmup);
       w.kv("functional_ff", opt.spec.functional_ff);
       w.end_object();
       w.key("tiered");
@@ -739,7 +480,6 @@ int run_tiered_mode(const Options& opt) {
       std::cout << "sample_windows " << opt.spec.sample_windows << "\n"
                 << "window_insts " << opt.spec.window_insts << "\n"
                 << "warmup_insts " << opt.spec.warmup_insts << "\n"
-                << "adaptive_warmup " << opt.spec.adaptive_warmup << "\n"
                 << "cpi_mean " << result.cpi_mean << "\n"
                 << "cpi_ci_half " << result.cpi_ci_half << "\n"
                 << "est_cycles " << result.est_cycles << "\n"
@@ -831,7 +571,9 @@ int run_replay_mode(const Options& opt) {
 
 int main(int argc, char** argv) {
   Options opt;
-  opt.spec.params.iters_per_thread = 256;
+  sim::RunSpec defaults;
+  defaults.params.iters_per_thread = 256;
+  opt.flags = sim::SpecFlags(defaults);
   try {
     if (!parse(argc, argv, opt)) {
       print_usage();

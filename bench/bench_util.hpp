@@ -1,7 +1,6 @@
 // Shared helpers for the figure/table reproduction harnesses.
 #pragma once
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -14,6 +13,7 @@
 
 #include "ckpt/spec_codec.hpp"
 #include "common/cycle_account.hpp"
+#include "common/parse_number.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "sim/parallel.hpp"
@@ -73,24 +73,14 @@ inline double switch_cpi(const sim::RunResult& r) {
 /// BENCH_JOBS environment variable, else 0 (= every hardware thread).
 /// Strict parsing — "--jobs 4x" is an error, not 4.
 inline u32 parse_jobs(int argc, char** argv) {
-  auto parse = [](const char* src, const std::string& v) -> u32 {
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long out = std::strtoull(v.c_str(), &end, 0);
-    if (v.empty() || end != v.c_str() + v.size() || errno == ERANGE) {
-      throw std::invalid_argument(std::string(src) + ": invalid job count '" +
-                                  v + "'");
-    }
-    return static_cast<u32>(out);
-  };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--jobs") == 0) {
       if (i + 1 >= argc) throw std::invalid_argument("--jobs needs a value");
-      return parse("--jobs", argv[i + 1]);
+      return parse_u32("--jobs", argv[i + 1]);
     }
   }
   if (const char* env = std::getenv("BENCH_JOBS")) {
-    return parse("BENCH_JOBS", env);
+    return parse_u32("BENCH_JOBS", env);
   }
   return 0;
 }

@@ -6,7 +6,6 @@
 //
 //   sampled_validation [--quick] [--csv PATH]
 //                      [--max-err PCT] [--min-speedup X]
-//                      [--adaptive-warmup F]
 //
 // --quick shrinks the grid to the CI smoke subset. --max-err /
 // --min-speedup (0 = disabled) turn the run into a gate: the process
@@ -14,10 +13,6 @@
 // with a known, documented estimator bias (bulk-miss schemes whose
 // steady state the short warm-up cannot reach — see "known
 // limitations" in docs/performance.md) are reported but never gated.
-//
-// --adaptive-warmup F > 1 lets each window extend its warm-up while
-// the dcache miss rate is still converging — this is what shrinks the
-// bulk-miss (software / prefetch-full) optimism.
 //
 // Sampled points of the gather grid share one functional identity, so
 // the recorded functional stream is built once and replayed by every
@@ -39,6 +34,7 @@
 #include <vector>
 
 #include "bench/bench_util.hpp"
+#include "common/parse_number.hpp"
 #include "common/table.hpp"
 #include "tiered/func_stream.hpp"
 
@@ -66,21 +62,6 @@ double wall_run_tiered(const sim::RunSpec& spec, sim::TieredResult* out) {
   const std::chrono::duration<double> dt =
       std::chrono::steady_clock::now() - t0;
   return dt.count();
-}
-
-double parse_double(const char* flag, const std::string& v) {
-  std::size_t pos = 0;
-  double out = 0.0;
-  try {
-    out = std::stod(v, &pos);
-  } catch (const std::exception&) {
-    pos = std::string::npos;
-  }
-  if (pos != v.size()) {
-    throw std::invalid_argument(std::string(flag) + ": invalid value '" + v +
-                                "'");
-  }
-  return out;
 }
 
 sim::RunSpec gather_spec(sim::Scheme scheme, u64 iters) {
@@ -111,7 +92,6 @@ int main(int argc, char** argv) try {
   std::string csv_path;
   double max_err_pct = 0.0;    // 0 = no error gate
   double min_speedup = 0.0;    // 0 = no speedup gate
-  u32 adaptive_warmup = 1;     // 1 = fixed warm-up (bit-faithful default)
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&](const char* flag) -> std::string {
@@ -128,12 +108,6 @@ int main(int argc, char** argv) try {
       max_err_pct = parse_double("--max-err", value("--max-err"));
     } else if (arg == "--min-speedup") {
       min_speedup = parse_double("--min-speedup", value("--min-speedup"));
-    } else if (arg == "--adaptive-warmup") {
-      adaptive_warmup = static_cast<u32>(
-          parse_double("--adaptive-warmup", value("--adaptive-warmup")));
-      if (adaptive_warmup == 0) {
-        throw std::invalid_argument("--adaptive-warmup must be >= 1");
-      }
     } else {
       throw std::invalid_argument("unknown argument '" + arg + "'");
     }
@@ -217,7 +191,6 @@ int main(int argc, char** argv) try {
     sampled_spec.sample_windows = 10;
     sampled_spec.window_insts = 10'000;
     sampled_spec.warmup_insts = 2'000;
-    sampled_spec.adaptive_warmup = adaptive_warmup;
     bench::apply_stream_env(sampled_spec);
     const sim::StreamCache::Stats before =
         sim::StreamCache::instance().stats();

@@ -5,41 +5,12 @@
 #include "check/check.hpp"
 #include "check/progen.hpp"
 #include "core/virec_manager.hpp"
-#include "cpu/banked_manager.hpp"
 #include "cpu/cgmt_core.hpp"
-#include "cpu/prefetch_manager.hpp"
-#include "cpu/software_manager.hpp"
 #include "mem/memory_system.hpp"
 
 namespace virec::check {
 
 namespace {
-
-std::unique_ptr<cpu::ContextManager> make_manager(const HarnessSpec& spec,
-                                                  const cpu::CoreEnv& env) {
-  switch (spec.scheme) {
-    case sim::Scheme::kBanked:
-      return std::make_unique<cpu::BankedManager>(env);
-    case sim::Scheme::kSoftware:
-      return std::make_unique<cpu::SoftwareManager>(env);
-    case sim::Scheme::kPrefetchFull:
-      return std::make_unique<cpu::PrefetchManager>(env,
-                                                    cpu::PrefetchMode::kFull);
-    case sim::Scheme::kPrefetchExact:
-      return std::make_unique<cpu::PrefetchManager>(
-          env, cpu::PrefetchMode::kExact);
-    case sim::Scheme::kViReC: {
-      core::ViReCConfig vc;
-      vc.num_phys_regs = spec.phys_regs;
-      vc.policy = spec.policy;
-      return std::make_unique<core::ViReCManager>(vc, env);
-    }
-    case sim::Scheme::kNSF:
-      return std::make_unique<core::ViReCManager>(
-          core::make_nsf_config(spec.phys_regs), env);
-  }
-  throw std::logic_error("unknown scheme");
-}
 
 // One checked single-core system, assembled by hand (the harness sits
 // below sim::System in the layering so the fuzzer stays lightweight).
@@ -51,10 +22,12 @@ struct Rig {
 
   Rig(const kasm::Program& program, const HarnessSpec& spec)
       : ms(mem::MemSystemConfig{}),
-        manager(make_manager(spec,
-                             cpu::CoreEnv{.core_id = 0,
-                                          .num_threads = spec.threads,
-                                          .ms = &ms})),
+        manager(sim::make_context_manager(
+            spec.scheme,
+            core::ViReCConfig{.num_phys_regs = spec.phys_regs,
+                              .policy = spec.policy},
+            cpu::CoreEnv{.core_id = 0, .num_threads = spec.threads,
+                         .ms = &ms})),
         core(core_config(spec),
              cpu::CoreEnv{.core_id = 0, .num_threads = spec.threads,
                           .ms = &ms},

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/parse_number.hpp"
 #include "isa/disasm.hpp"
 #include "kasm/assembler.hpp"
 
@@ -47,15 +48,15 @@ Repro parse_repro(const std::string& text) {
       } else if (key == "policy") {
         repro.spec.policy = core::parse_policy(value);
       } else if (key == "phys-regs") {
-        repro.spec.phys_regs = static_cast<u32>(std::stoul(value));
+        repro.spec.phys_regs = parse_u32("repro " + key, value);
       } else if (key == "threads") {
-        repro.spec.threads = static_cast<u32>(std::stoul(value));
+        repro.spec.threads = parse_u32("repro " + key, value);
       } else if (key == "max-cycles") {
-        repro.spec.max_cycles = std::stoull(value);
+        repro.spec.max_cycles = parse_u64("repro " + key, value);
       } else if (key == "seed") {
-        repro.spec.seed = std::stoull(value);
+        repro.spec.seed = parse_u64("repro " + key, value);
       } else if (key == "no-skip") {
-        repro.spec.no_skip = std::stoull(value) != 0;
+        repro.spec.no_skip = parse_u64("repro " + key, value) != 0;
       } else {
         throw std::invalid_argument("unknown repro header key: " + key);
       }

@@ -1,5 +1,8 @@
 #include "ckpt/spec_codec.hpp"
 
+#include <string>
+#include <type_traits>
+
 namespace virec::ckpt {
 
 u64 fnv1a(u64 h, const void* data, std::size_t size) {
@@ -11,37 +14,33 @@ u64 fnv1a(u64 h, const void* data, std::size_t size) {
   return h;
 }
 
+namespace {
+
+template <typename T>
+void put_knob(Encoder& enc, const T& value) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    enc.put_str(value);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    enc.put_bool(value);
+  } else if constexpr (std::is_enum_v<T>) {
+    enc.put_u32(static_cast<u32>(value));
+  } else if constexpr (std::is_same_v<T, u32>) {
+    enc.put_u32(value);
+  } else if constexpr (std::is_same_v<T, u64>) {
+    enc.put_u64(value);
+  } else if constexpr (std::is_same_v<T, double>) {
+    enc.put_f64(value);
+  } else {
+    static_assert(sizeof(T) == 0, "knob type without an identity encoding");
+  }
+}
+
+}  // namespace
+
 void encode_spec_identity(Encoder& enc, const sim::RunSpec& spec) {
-  enc.put_str(spec.workload);
-  enc.put_u32(static_cast<u32>(spec.scheme));
-  enc.put_u32(static_cast<u32>(spec.policy));
-  enc.put_u32(spec.num_cores);
-  enc.put_u32(spec.threads_per_core);
-  enc.put_f64(spec.context_fraction);
-  enc.put_u64(spec.params.iters_per_thread);
-  enc.put_u64(spec.params.elements);
-  enc.put_u64(spec.params.stride);
-  enc.put_u64(spec.params.locality_window);
-  enc.put_u32(spec.params.extra_compute);
-  enc.put_u32(spec.params.max_regs);
-  enc.put_u64(spec.params.seed);
-  enc.put_u32(spec.dcache_bytes);
-  enc.put_u32(spec.dcache_latency);
-  enc.put_u32(spec.phys_regs);
-  enc.put_u64(spec.max_cycles);
-  enc.put_bool(spec.group_spill);
-  enc.put_bool(spec.switch_prefetch);
-  // Tiered sampling changes the reported result (estimated vs measured
-  // cycles), so the sampling plan is part of the identity.
-  enc.put_bool(spec.functional_ff);
-  enc.put_u32(spec.sample_windows);
-  enc.put_u64(spec.window_insts);
-  enc.put_u64(spec.warmup_insts);
-  // v2: adaptive warm-up changes the sampled estimate, so it is
-  // identity. stream_reuse / stream_dir are NOT: reuse is bit-identical
-  // by construction (tests/test_stream_reuse). v3 dropped the
-  // set-sampled warming factor.
-  enc.put_u32(spec.adaptive_warmup);
+  sim::for_each_knob([&](const sim::Knob& knob, auto field) {
+    if ((knob.roles & sim::kIdentity) != 0) put_knob(enc, field(spec));
+  });
 }
 
 void encode_result(Encoder& enc, const sim::RunResult& result) {
@@ -88,25 +87,12 @@ u64 spec_hash(const sim::RunSpec& spec) {
 }
 
 u64 functional_stream_hash(const sim::RunSpec& spec) {
-  if (spec.num_cores != 1) return 0;
   Encoder enc;
   enc.put_u32(kFuncStreamVersion);
-  enc.put_str(spec.workload);
-  enc.put_u64(spec.params.iters_per_thread);
-  enc.put_u64(spec.params.elements);
-  enc.put_u64(spec.params.stride);
-  enc.put_u64(spec.params.locality_window);
-  enc.put_u32(spec.params.extra_compute);
-  enc.put_u32(spec.params.max_regs);
-  enc.put_u64(spec.params.seed);
-  enc.put_u32(spec.num_cores);
-  enc.put_u32(spec.threads_per_core);
-  // The dcache byte size shapes the schedule model's set geometry
-  // (switch-on-miss decisions), so it splits streams; latency, scheme,
-  // policy and phys_regs do not reach the functional tier.
-  enc.put_u32(spec.dcache_bytes);
-  const u64 h = fnv1a(kFnvOffsetBasis, enc.bytes().data(), enc.size());
-  return h == 0 ? 1 : h;
+  sim::for_each_knob([&](const sim::Knob& knob, auto field) {
+    if ((knob.roles & sim::kFunctional) != 0) put_knob(enc, field(spec));
+  });
+  return fnv1a(kFnvOffsetBasis, enc.bytes().data(), enc.size());
 }
 
 }  // namespace virec::ckpt

@@ -11,17 +11,19 @@
 //     stored with doubles by bit pattern, so a stored point reproduces
 //     a fresh run's CSV/JSON output exactly.
 //
-// The identity covers every field that changes the simulated outcome.
-// It deliberately excludes `check` (validation-only: a checked run
-// produces the same RunResult) and `no_skip` (event skipping is
-// bit-identical by construction, enforced by tests/test_skip.cpp) — so
-// a checked or stepped request is served from a stored unchecked or
+// The identity covers every field that changes the simulated outcome:
+// the rows the knob table (sim/run_spec.hpp) marks kIdentity. It
+// deliberately excludes `check` (validation-only: a checked run
+// produces the same RunResult), `no_skip` (event skipping is
+// bit-identical by construction, enforced by tests/test_skip.cpp) and
+// `stream_dir` (a persisted stream replays bit-identically) — so a
+// checked or stepped request is served from a stored unchecked or
 // skipping run.
 #pragma once
 
 #include "ckpt/serialize.hpp"
+#include "sim/run_spec.hpp"
 #include "sim/system.hpp"
-#include "sim/runner.hpp"
 
 namespace virec::ckpt {
 
@@ -29,10 +31,12 @@ namespace virec::ckpt {
 /// (`virec-sim --version` reports it). Store entries written under
 /// another identity layout read as misses: lookups compare the stored
 /// identity bytes.
-inline constexpr u32 kSpecCodecVersion = 3;
+inline constexpr u32 kSpecCodecVersion = 4;
 
 /// Append the identity bytes of @p spec (outcome-defining fields only;
-/// see file comment) to @p enc. Field order is part of the format.
+/// see file comment) to @p enc, generated from the knob table: every
+/// kIdentity row in table order, enums as u32. Field order is part of
+/// the format.
 void encode_spec_identity(Encoder& enc, const sim::RunSpec& spec);
 
 /// Store encoding of a completed result (all fields, doubles by bit
@@ -57,14 +61,13 @@ u64 fnv1a(u64 h, const void* data, std::size_t size);
 inline constexpr u32 kFuncStreamVersion = 1;
 
 /// Functional identity of an experiment point: hash over exactly the
-/// fields that shape the functional tier's instruction stream and
-/// warm-event sequence — workload + parameters, topology
-/// (num_cores/threads_per_core) and the dcache geometry that drives
-/// switch-on-miss scheduling. Deliberately EXCLUDES the replacement
-/// policy, scheme, phys_regs/context_fraction, dcache latency and the
-/// sample plan: points differing only in those replay the same stream
-/// (the whole point of stream reuse). Returns 0 for specs the stream
-/// cache must not serve (multi-core).
+/// knob-table rows marked kFunctional, in table order — the fields that
+/// shape the functional tier's instruction stream and warm-event
+/// sequence (workload + parameters, topology, and the dcache size whose
+/// set geometry drives switch-on-miss scheduling). It deliberately
+/// excludes the replacement policy, scheme, phys_regs/context_fraction,
+/// dcache latency and the sample plan: points differing only in those
+/// replay the same stream (the whole point of stream reuse).
 u64 functional_stream_hash(const sim::RunSpec& spec);
 
 }  // namespace virec::ckpt

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "ckpt/spec_codec.hpp"
-
 namespace virec::sim {
 
 u32 spec_phys_regs(const RunSpec& spec) {
@@ -15,6 +13,7 @@ u32 spec_phys_regs(const RunSpec& spec) {
 }
 
 SystemConfig build_config(const RunSpec& spec) {
+  validate(spec);
   SystemConfig config = SystemConfig::nmp_default();
   config.num_cores = spec.num_cores;
   config.threads_per_core = spec.threads_per_core;
@@ -33,31 +32,10 @@ SystemConfig build_config(const RunSpec& spec) {
 }
 
 TieredResult run_spec_tiered(const RunSpec& spec) {
-  if (spec.sample_windows == 0 && !spec.functional_ff) {
-    throw std::invalid_argument(
-        "run_spec_tiered: spec has neither sample_windows nor functional_ff");
-  }
-  if (spec.sample_windows > 0 && spec.check) {
-    throw std::invalid_argument(
-        "sampled runs cannot be combined with check: checked runs validate "
-        "the full detailed model, which sampling deliberately skips "
-        "(functional_ff + check validates the functional tier)");
-  }
   const workloads::Workload& workload = workloads::find_workload(spec.workload);
   System system(build_config(spec), workload, spec.params);
   if (spec.check) system.enable_check();
-  TieredConfig tiered;
-  tiered.sample_windows = spec.sample_windows;
-  tiered.window_insts = spec.window_insts;
-  tiered.warmup_insts = spec.warmup_insts;
-  tiered.functional_ff = spec.functional_ff;
-  tiered.adaptive_warmup = spec.adaptive_warmup;
-  // Reuse off forces a private stream (key 0): same replay engine,
-  // same records, just no sharing — estimates are bit-identical.
-  tiered.stream_key =
-      spec.stream_reuse ? ckpt::functional_stream_hash(spec) : 0;
-  tiered.stream_dir = spec.stream_dir;
-  TieredRunner runner(system, tiered);
+  TieredRunner runner(system, spec);
   TieredResult result = runner.run();
   if (!result.full.check_ok) {
     throw std::runtime_error("workload check failed (" + spec.workload +

@@ -32,6 +32,8 @@ std::string sweep_key(const std::string& workload, Scheme scheme, u32 threads,
 PointResults run_points(const std::vector<RunSpec>& specs, u32 jobs,
                         svc::ResultStore* store,
                         const SweepProgressFn& on_point) {
+  // A bad point fails the whole call before any point runs.
+  for (const RunSpec& spec : specs) validate(spec);
   PointResults out;
   out.results.resize(specs.size());
   // Group input indices by identity hash, in first-seen order: a grid
@@ -205,76 +207,66 @@ void SweepResults::write_json(std::ostream& os) const {
   os << "\n";
 }
 
-Sweep& Sweep::over_workloads(std::vector<std::string> workloads) {
-  workloads_ = std::move(workloads);
+namespace {
+
+template <typename T>
+std::vector<SpecSetter> setters(const std::vector<T>& values,
+                                T RunSpec::*member) {
+  std::vector<SpecSetter> out;
+  for (const T& v : values) {
+    out.push_back([member, v](RunSpec& spec) { spec.*member = v; });
+  }
+  return out;
+}
+
+}  // namespace
+
+Sweep& Sweep::over(SweepAxis axis, std::vector<SpecSetter> values) {
+  axes_.at(static_cast<std::size_t>(axis)) = std::move(values);
   return *this;
 }
-Sweep& Sweep::over_schemes(std::vector<Scheme> schemes) {
-  schemes_ = std::move(schemes);
-  return *this;
+Sweep& Sweep::over_workloads(const std::vector<std::string>& workloads) {
+  return over(kAxisWorkload, setters(workloads, &RunSpec::workload));
 }
-Sweep& Sweep::over_policies(std::vector<core::PolicyKind> policies) {
-  policies_ = std::move(policies);
-  return *this;
+Sweep& Sweep::over_schemes(const std::vector<Scheme>& schemes) {
+  return over(kAxisScheme, setters(schemes, &RunSpec::scheme));
 }
-Sweep& Sweep::over_threads(std::vector<u32> threads) {
-  threads_ = std::move(threads);
-  return *this;
+Sweep& Sweep::over_policies(const std::vector<core::PolicyKind>& policies) {
+  return over(kAxisPolicy, setters(policies, &RunSpec::policy));
 }
-Sweep& Sweep::over_context_fractions(std::vector<double> fractions) {
-  fractions_ = std::move(fractions);
-  return *this;
+Sweep& Sweep::over_threads(const std::vector<u32>& threads) {
+  return over(kAxisThreads, setters(threads, &RunSpec::threads_per_core));
 }
-Sweep& Sweep::over_cores(std::vector<u32> cores) {
-  cores_ = std::move(cores);
-  return *this;
+Sweep& Sweep::over_context_fractions(const std::vector<double>& fractions) {
+  return over(kAxisCtx, setters(fractions, &RunSpec::context_fraction));
+}
+Sweep& Sweep::over_cores(const std::vector<u32>& cores) {
+  return over(kAxisCores, setters(cores, &RunSpec::num_cores));
 }
 
 std::size_t Sweep::size() const {
-  auto dim = [](std::size_t n) { return n == 0 ? 1 : n; };
-  return dim(workloads_.size()) * dim(schemes_.size()) *
-         dim(policies_.size()) * dim(threads_.size()) *
-         dim(fractions_.size()) * dim(cores_.size());
+  std::size_t n = 1;
+  for (const std::vector<SpecSetter>& axis : axes_) {
+    n *= axis.empty() ? 1 : axis.size();
+  }
+  return n;
 }
 
 std::vector<RunSpec> Sweep::specs() const {
-  // Missing axes fall back to the base spec's value.
-  const std::vector<std::string> workloads =
-      workloads_.empty() ? std::vector<std::string>{base_.workload}
-                         : workloads_;
-  const std::vector<Scheme> schemes =
-      schemes_.empty() ? std::vector<Scheme>{base_.scheme} : schemes_;
-  const std::vector<core::PolicyKind> policies =
-      policies_.empty() ? std::vector<core::PolicyKind>{base_.policy}
-                        : policies_;
-  const std::vector<u32> threads =
-      threads_.empty() ? std::vector<u32>{base_.threads_per_core} : threads_;
-  const std::vector<double> fractions =
-      fractions_.empty() ? std::vector<double>{base_.context_fraction}
-                         : fractions_;
-  const std::vector<u32> cores =
-      cores_.empty() ? std::vector<u32>{base_.num_cores} : cores_;
-
-  std::vector<RunSpec> out;
-  for (const std::string& w : workloads) {
-    for (Scheme s : schemes) {
-      for (core::PolicyKind p : policies) {
-        for (u32 t : threads) {
-          for (double f : fractions) {
-            for (u32 c : cores) {
-              RunSpec spec = base_;
-              spec.workload = w;
-              spec.scheme = s;
-              spec.policy = p;
-              spec.threads_per_core = t;
-              spec.context_fraction = f;
-              spec.num_cores = c;
-              out.push_back(spec);
-            }
-          }
-        }
+  // Expand one axis at a time, each inside the previous ones, so the
+  // first axis varies slowest.
+  std::vector<RunSpec> out{base_};
+  for (const std::vector<SpecSetter>& axis : axes_) {
+    if (axis.empty()) continue;
+    std::vector<RunSpec> next;
+    next.reserve(out.size() * axis.size());
+    for (const RunSpec& spec : out) {
+      for (const SpecSetter& set : axis) {
+        next.push_back(spec);
+        set(next.back());
       }
     }
+    out = std::move(next);
   }
   return out;
 }

@@ -16,6 +16,7 @@
 // all go through it, with or without an svc::ResultStore.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <iosfwd>
 #include <optional>
@@ -67,9 +68,10 @@ struct PointResults {
 /// unique point is looked up there first, and each simulated result
 /// is put there as soon as it finishes — so a run killed partway and
 /// repeated against the same store simulates only the missing points,
-/// with results bit-identical to an uninterrupted run. Throws if any
-/// point fails (its workload check included); failed points are never
-/// stored.
+/// with results bit-identical to an uninterrupted run. Throws
+/// std::invalid_argument before running anything if validate()
+/// rejects a spec, and throws if any point fails (its workload check
+/// included); failed points are never stored.
 PointResults run_points(const std::vector<RunSpec>& specs, u32 jobs = 1,
                         svc::ResultStore* store = nullptr,
                         const SweepProgressFn& on_point = {});
@@ -126,12 +128,17 @@ class Sweep {
   /// The spec every grid point starts from.
   RunSpec& base() { return base_; }
 
-  Sweep& over_workloads(std::vector<std::string> workloads);
-  Sweep& over_schemes(std::vector<Scheme> schemes);
-  Sweep& over_policies(std::vector<core::PolicyKind> policies);
-  Sweep& over_threads(std::vector<u32> threads);
-  Sweep& over_context_fractions(std::vector<double> fractions);
-  Sweep& over_cores(std::vector<u32> cores);
+  /// Vary @p axis over @p values (an empty list drops the axis: its
+  /// field keeps the base value). The grid nests the axes in SweepAxis
+  /// order, whatever order they were given in.
+  Sweep& over(SweepAxis axis, std::vector<SpecSetter> values);
+
+  Sweep& over_workloads(const std::vector<std::string>& workloads);
+  Sweep& over_schemes(const std::vector<Scheme>& schemes);
+  Sweep& over_policies(const std::vector<core::PolicyKind>& policies);
+  Sweep& over_threads(const std::vector<u32>& threads);
+  Sweep& over_context_fractions(const std::vector<double>& fractions);
+  Sweep& over_cores(const std::vector<u32>& cores);
 
   /// Number of grid points.
   std::size_t size() const;
@@ -148,12 +155,7 @@ class Sweep {
 
  private:
   RunSpec base_;
-  std::vector<std::string> workloads_;
-  std::vector<Scheme> schemes_;
-  std::vector<core::PolicyKind> policies_;
-  std::vector<u32> threads_;
-  std::vector<double> fractions_;
-  std::vector<u32> cores_;
+  std::array<std::vector<SpecSetter>, kNumSweepAxes> axes_;
 };
 
 }  // namespace virec::sim

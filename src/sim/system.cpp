@@ -29,7 +29,8 @@ System::System(const SystemConfig& config, const workloads::Workload& workload,
     cpu::CoreEnv env{.core_id = c,
                      .num_threads = config_.threads_per_core,
                      .ms = ms_.get()};
-    managers_.push_back(make_manager(env));
+    managers_.push_back(
+        make_context_manager(config_.scheme, config_.virec, env));
     cores_.push_back(std::make_unique<cpu::CgmtCore>(config_.core, env,
                                                      *managers_.back(),
                                                      program_));
@@ -69,31 +70,6 @@ void System::enable_check() {
     ms_->dcache(c).set_check(check_.get());
   }
   if (ms_->has_l2()) ms_->l2().set_check(check_.get());
-}
-
-std::unique_ptr<cpu::ContextManager> System::make_manager(
-    const cpu::CoreEnv& env) {
-  switch (config_.scheme) {
-    case Scheme::kBanked:
-      return std::make_unique<cpu::BankedManager>(env);
-    case Scheme::kSoftware:
-      return std::make_unique<cpu::SoftwareManager>(env);
-    case Scheme::kPrefetchFull:
-      return std::make_unique<cpu::PrefetchManager>(
-          env, cpu::PrefetchMode::kFull);
-    case Scheme::kPrefetchExact:
-      return std::make_unique<cpu::PrefetchManager>(
-          env, cpu::PrefetchMode::kExact);
-    case Scheme::kViReC:
-      return std::make_unique<core::ViReCManager>(config_.virec, env);
-    case Scheme::kNSF: {
-      core::ViReCConfig nsf = core::make_nsf_config(config_.virec.num_phys_regs);
-      nsf.rollback_depth = config_.virec.rollback_depth;
-      nsf.seed = config_.virec.seed;
-      return std::make_unique<core::ViReCManager>(nsf, env);
-    }
-  }
-  throw std::logic_error("unknown scheme");
 }
 
 void System::offload_contexts() {

@@ -192,7 +192,6 @@ class System {
 
  private:
   void offload_contexts();
-  std::unique_ptr<cpu::ContextManager> make_manager(const cpu::CoreEnv& env);
   void build_registry();
   void take_sample(Cycle prev_cycle, u64 prev_instructions);
   /// Max cycle over all cores (the system clock at an epoch end).

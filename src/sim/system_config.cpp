@@ -3,6 +3,10 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "cpu/banked_manager.hpp"
+#include "cpu/prefetch_manager.hpp"
+#include "cpu/software_manager.hpp"
+
 namespace virec::sim {
 
 const char* scheme_name(Scheme scheme) {
@@ -47,6 +51,31 @@ SystemConfig SystemConfig::nmp_default() {
                                        .mshrs = 24};
   config.mem.has_l2 = false;
   return config;
+}
+
+std::unique_ptr<cpu::ContextManager> make_context_manager(
+    Scheme scheme, const core::ViReCConfig& virec, const cpu::CoreEnv& env) {
+  switch (scheme) {
+    case Scheme::kBanked:
+      return std::make_unique<cpu::BankedManager>(env);
+    case Scheme::kSoftware:
+      return std::make_unique<cpu::SoftwareManager>(env);
+    case Scheme::kPrefetchFull:
+      return std::make_unique<cpu::PrefetchManager>(
+          env, cpu::PrefetchMode::kFull);
+    case Scheme::kPrefetchExact:
+      return std::make_unique<cpu::PrefetchManager>(
+          env, cpu::PrefetchMode::kExact);
+    case Scheme::kViReC:
+      return std::make_unique<core::ViReCManager>(virec, env);
+    case Scheme::kNSF: {
+      core::ViReCConfig nsf = core::make_nsf_config(virec.num_phys_regs);
+      nsf.rollback_depth = virec.rollback_depth;
+      nsf.seed = virec.seed;
+      return std::make_unique<core::ViReCManager>(nsf, env);
+    }
+  }
+  throw std::logic_error("unknown scheme");
 }
 
 u32 context_regs(double fraction, u32 active_regs, u32 threads) {

@@ -3,6 +3,7 @@
 // Table-1 memory-system presets.
 #pragma once
 
+#include <memory>
 #include <string>
 
 #include "core/virec_manager.hpp"
@@ -38,6 +39,13 @@ struct SystemConfig {
   /// icache, 8 kB dcache, no L2, DDR5-6400-like DRAM behind a crossbar.
   static SystemConfig nmp_default();
 };
+
+/// The register-context manager of one core running @p scheme. ViReC
+/// takes @p virec as is; NSF takes its RF size, rollback depth and seed
+/// and forces the rest (core::make_nsf_config); the other schemes
+/// ignore it.
+std::unique_ptr<cpu::ContextManager> make_context_manager(
+    Scheme scheme, const core::ViReCConfig& virec, const cpu::CoreEnv& env);
 
 /// Physical registers for a ViReC processor that stores @p fraction of
 /// each thread's @p active_regs-register context (Figures 1, 9, 10).

@@ -539,12 +539,6 @@ StreamCache& StreamCache::instance() {
 
 std::shared_ptr<const FuncStream> StreamCache::acquire(
     u64 key, const std::string& dir, System& system) {
-  if (key == 0) {
-    auto stream = build_func_stream(system, 0);
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.built;
-    return stream;
-  }
   std::unique_lock<std::mutex> lk(mu_);
   for (;;) {
     auto it = streams_.find(key);

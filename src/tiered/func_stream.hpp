@@ -49,7 +49,7 @@ namespace virec::sim {
 
 /// One recorded functional execution, immutable once built.
 struct FuncStream {
-  u64 identity = 0;    ///< ckpt::functional_stream_hash (0 = unkeyed)
+  u64 identity = 0;    ///< ckpt::functional_stream_hash
   u32 num_threads = 0;
   int start_tid = 0;   ///< first scheduled thread
   u64 n_total = 0;     ///< records == committed instructions

@@ -6,6 +6,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "ckpt/spec_codec.hpp"
 #include "tiered/functional_executor.hpp"
 
 namespace virec::sim {
@@ -33,33 +34,13 @@ double t_quantile_95(std::size_t df) {
 
 }  // namespace
 
-void TieredConfig::validate() const {
-  if (functional_ff && sample_windows > 0) {
+TieredRunner::TieredRunner(System& system, const RunSpec& spec)
+    : sys_(system), spec_(spec) {
+  validate(spec_);
+  if (spec_.sample_windows == 0 && !spec_.functional_ff) {
     throw std::invalid_argument(
-        "TieredConfig: --functional-ff and --sample-windows are exclusive "
-        "(plain fast-forward has no measurement windows)");
-  }
-  if (!functional_ff && sample_windows == 0) {
-    throw std::invalid_argument(
-        "TieredConfig: nothing to run (no windows, no fast-forward)");
-  }
-  if (sample_windows > 0 && window_insts == 0) {
-    throw std::invalid_argument(
-        "TieredConfig: window_insts must be > 0 (zero-size measurement "
-        "windows estimate nothing)");
-  }
-  if (adaptive_warmup == 0) {
-    throw std::invalid_argument(
-        "TieredConfig: adaptive_warmup must be >= 1 (1 = fixed warm-up)");
-  }
-}
-
-TieredRunner::TieredRunner(System& system, const TieredConfig& config)
-    : sys_(system), config_(config) {
-  config_.validate();
-  if (system.config().num_cores != 1) {
-    throw std::invalid_argument(
-        "TieredRunner: tiered simulation supports single-core systems only");
+        "TieredRunner: nothing to run (no sample windows, no functional "
+        "fast-forward)");
   }
 }
 
@@ -237,34 +218,6 @@ void TieredRunner::end_probe() {
   if (sys_.check() != nullptr) sys_.check()->set_enabled(true);
 }
 
-void TieredRunner::adaptive_warmup_extend(u64 spacing, u64 wk) {
-  // Base warm-up chunk first, measuring its dcache miss rate; then,
-  // with adaptive_warmup > 1, keep burning W-sized chunks while the
-  // chunk-over-chunk miss rate is still moving (a bulk context-switch
-  // scheme refilling a large working set warms far more slowly than a
-  // register-cache scheme). Every extension fits inside the stratum's
-  // slack, so the probe can never spill into the next stratum.
-  const u64 w = config_.warmup_insts;
-  const StatSet& st = sys_.memory_system().dcache(0).stats();
-  const auto accesses = [&st] { return st.get("reads") + st.get("writes"); };
-  const u64 slack = spacing > wk ? (spacing - wk) / 2 : 0;
-  const u64 cap =
-      w > 0 ? std::min<u64>(config_.adaptive_warmup - 1, slack / w) : 0;
-  double prev_rate = -1.0;
-  for (u64 chunk = 0; chunk <= cap && !sys_.core(0).done(); ++chunk) {
-    const double a0 = accesses();
-    const double m0 = st.get("misses");
-    run_detailed(w);
-    const double da = accesses() - a0;
-    const double rate = da > 0.0 ? (st.get("misses") - m0) / da : 0.0;
-    const bool converged =
-        prev_rate >= 0.0 &&
-        std::fabs(rate - prev_rate) <= std::max(0.1 * prev_rate, 0.005);
-    prev_rate = rate;
-    if (converged) break;
-  }
-}
-
 void TieredRunner::run_detailed(u64 insts) {
   if (insts == 0 || sys_.core(0).done()) return;
   const double t0 = now_secs();
@@ -287,7 +240,7 @@ void TieredRunner::emit_progress(const char* tier, bool force) {
   p.insts_done = sys_.total_instructions() + pending_functional_;
   p.insts_total = n_total_;
   p.window = window_;
-  p.windows = config_.sample_windows;
+  p.windows = spec_.sample_windows;
   p.wall_secs = now - wall_start_;
   // Instruction-based ETA with one measured rate per tier: the plan
   // splits the remaining instructions into detailed (unfinished
@@ -303,11 +256,11 @@ void TieredRunner::emit_progress(const char* tier, bool force) {
   const u64 rem_total =
       n_total_ > p.insts_done ? n_total_ - p.insts_done : 0;
   const u64 windows_left =
-      config_.sample_windows > window_ ? config_.sample_windows - window_ : 0;
+      spec_.sample_windows > window_ ? spec_.sample_windows - window_ : 0;
   const u64 rem_detailed = std::min<u64>(
       rem_total,
       static_cast<u64>(windows_left) *
-          (config_.warmup_insts + config_.window_insts));
+          (spec_.warmup_insts + spec_.window_insts));
   const u64 rem_functional = rem_total - rem_detailed;
   double eta = 0.0;
   if (f_rate > 0.0) {
@@ -372,7 +325,7 @@ TieredResult TieredRunner::run() {
   next_emit_wall_ = wall_start_ + progress_every_secs_;
   TieredResult r;
   cpu::CgmtCore& core = sys_.core(0);
-  if (config_.functional_ff) {
+  if (spec_.functional_ff) {
     // Fast-forward keeps the live functional tier (and its oracle
     // coverage); no stream is recorded or replayed.
     if (!prepass_done_) {
@@ -392,16 +345,16 @@ TieredResult TieredRunner::run() {
   if (stream_ == nullptr) {
     emit_progress("prepass", false);
     const double t0 = now_secs();
-    stream_ = StreamCache::instance().acquire(config_.stream_key,
-                                              config_.stream_dir, sys_);
+    stream_ = StreamCache::instance().acquire(
+        ckpt::functional_stream_hash(spec_), spec_.stream_dir, sys_);
     replayer_ = std::make_unique<FuncStreamReplayer>(
         stream_, sys_.program(), sys_.total_threads());
     wall_functional_ += now_secs() - t0;
   }
   n_total_ = stream_->n_total;
   prepass_done_ = true;
-  const u64 wk = config_.warmup_insts + config_.window_insts;
-  const u32 n = config_.sample_windows;
+  const u64 wk = spec_.warmup_insts + spec_.window_insts;
+  const u32 n = spec_.sample_windows;
   if (static_cast<u64>(n) * wk > n_total_) {
     throw std::invalid_argument(
         "TieredRunner: " + std::to_string(n) + " windows of " +
@@ -435,7 +388,7 @@ TieredResult TieredRunner::run() {
                              (spacing > wk ? (spacing - wk) / 2 : 0);
     replay_advance(detail_start);
     begin_probe();
-    adaptive_warmup_extend(spacing, wk);
+    run_detailed(spec_.warmup_insts);
     WindowStat w;
     w.start_inst = sys_.total_instructions();
     const Cycle c0 = core.cycle();
@@ -443,7 +396,7 @@ TieredResult TieredRunner::run() {
     for (std::size_t b = 0; b < kNumCycleBuckets; ++b) {
       s0[b] = sys_.cpi_bucket_cycles(static_cast<CycleBucket>(b));
     }
-    run_detailed(config_.window_insts);
+    run_detailed(spec_.window_insts);
     w.insts = sys_.total_instructions() - w.start_inst;
     w.cycles = core.cycle() - c0;
     for (std::size_t b = 0; b < kNumCycleBuckets; ++b) {

@@ -9,12 +9,12 @@
 // the same functional identity — the prepass cost is paid once per
 // sweep, not once per point. Each measurement window is a detailed
 // *probe*: the cycle-accurate pipeline re-attaches, burns a warm-up
-// prefix (W instructions, optionally extended adaptively) and measures
-// K instructions of CPI + CPI stack; afterwards the probe's
-// architectural effects (memory via an undo journal, registers and
-// thread PCs/NZCV/halts via snapshots) are reverted, so the replayed
-// stream remains the sole driver of architectural progress and every
-// probe measures exactly the golden execution. Microarchitectural warm
+// prefix of W instructions and measures K instructions of CPI + CPI
+// stack; afterwards the probe's architectural effects (memory via an
+// undo journal, registers and thread PCs/NZCV/halts via snapshots) are
+// reverted, so the replayed stream remains the sole driver of
+// architectural progress and every probe measures exactly the golden
+// execution. Microarchitectural warm
 // state (caches, register-cache residency) deliberately carries
 // across. The per-window CPIs give a sampled mean with a confidence
 // interval from inter-window variance.
@@ -26,46 +26,11 @@
 #include <string>
 #include <vector>
 
+#include "sim/run_spec.hpp"
 #include "sim/system.hpp"
 #include "tiered/func_stream.hpp"
 
 namespace virec::sim {
-
-struct TieredConfig {
-  /// Measurement windows (N). 0 together with !functional_ff means
-  /// "no tiering" — callers should use System::run() directly.
-  u32 sample_windows = 0;
-  /// Measured instructions per window (K).
-  u64 window_insts = 10'000;
-  /// Detailed warm-up instructions burned before each window (W).
-  u64 warmup_insts = 2'000;
-  /// Run the entire program through the functional tier (no windows,
-  /// no cycle estimate) — fast-forward-to-end, used for validation and
-  /// as the fast path to a final memory image.
-  bool functional_ff = false;
-  /// Adaptive warm-up multiplier F (>= 1): a probe may extend its
-  /// warm-up by further warmup_insts chunks — up to F chunks in total,
-  /// and never past the stratum's slack — while the dcache miss rate
-  /// of consecutive chunks is still converging. Bulk-transfer schemes
-  /// (full context save/restore) disturb far more cache state per
-  /// switch than register-cache schemes, so a fixed W that is fair to
-  /// one is unfair to the other. 1 = fixed warm-up. Ignored by
-  /// functional_ff.
-  u32 adaptive_warmup = 1;
-  /// Functional identity of the run (ckpt::functional_stream_hash):
-  /// sampled runs replay a recorded functional stream, and points
-  /// sharing a nonzero key share one recorded stream per process
-  /// (StreamCache). 0 = build a private stream (reuse off); estimates
-  /// are bit-identical either way.
-  u64 stream_key = 0;
-  /// Directory for persisted streams ("" = in-memory sharing only).
-  std::string stream_dir;
-
-  /// Throws std::invalid_argument on nonsensical combinations
-  /// (zero-size windows, functional_ff together with windows, zero or
-  /// non-power-of-two warming knobs).
-  void validate() const;
-};
 
 /// One measurement window.
 struct WindowStat {
@@ -114,9 +79,14 @@ struct TieredResult {
 
 class TieredRunner {
  public:
-  /// @p system must be freshly constructed (or restored from a
-  /// checkpoint written by another TieredRunner) and single-core.
-  TieredRunner(System& system, const TieredConfig& config);
+  /// @p system must be built from @p spec (build_config) and freshly
+  /// constructed, or restored from a checkpoint written by another
+  /// TieredRunner. The runner reads the spec's sampling knobs and
+  /// replays the functional stream StreamCache keeps for the spec's
+  /// functional identity (ckpt::functional_stream_hash). Throws
+  /// std::invalid_argument on a spec validate() rejects or one with
+  /// neither sample_windows nor functional_ff.
+  TieredRunner(System& system, const RunSpec& spec);
 
   /// Execute the tiered run to completion and return the estimates.
   TieredResult run();
@@ -169,10 +139,6 @@ class TieredRunner {
   /// oracle. Leaves the core detached (replay_advance re-attaches).
   void end_probe();
   void run_detailed(u64 insts);
-  /// Adaptive warm-up: after the base W chunk, run up to
-  /// adaptive_warmup - 1 further W chunks (bounded by the stratum
-  /// slack) until the per-chunk dcache miss rate converges.
-  void adaptive_warmup_extend(u64 spacing, u64 wk);
   void emit_progress(const char* tier, bool force);
   void finalize(TieredResult& r);
   /// Warm-clock cycles per functional instruction: the running CPI of
@@ -182,7 +148,7 @@ class TieredRunner {
   u64 cpi_scale() const;
 
   System& sys_;
-  TieredConfig config_;
+  const RunSpec spec_;
   // Resumable progress (checkpointed in the "tiered" section).
   bool prepass_done_ = false;
   u64 n_total_ = 0;

@@ -299,6 +299,24 @@ TEST(Cli, TrailingGarbageInNumberIsRejected) {
   EXPECT_NE(d.output.find("--ctx"), std::string::npos) << d.output;
 }
 
+TEST(Cli, OutOfRangeAndDegenerateKnobsAreRejected) {
+  // Each must stop with an error instead of running: a 32-bit knob
+  // must not wrap (4294967298 threads is not 2), and zero threads or
+  // cores or a context fraction outside (0, 1] describe no system.
+  const char* const bad[] = {
+      "--threads 4294967298", "--regs 4294967302", "--jobs 4294967297",
+      "--threads 0",          "--cores 0",         "--ctx nan",
+      "--ctx inf",            "--ctx -1",          "--ctx 1e9",
+  };
+  for (const char* args : bad) {
+    const CliResult r =
+        run_cli(std::string(args) + " --iters 8 --elements 1024");
+    EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find("error:"), std::string::npos)
+        << args << "\n" << r.output;
+  }
+}
+
 TEST(Cli, TraceCoreOutOfRangeIsRejected) {
   const CliResult r = run_cli("--trace-core 3 --iters 8 --elements 1024");
   EXPECT_EQ(r.exit_code, 2);

@@ -1,6 +1,11 @@
-// Unit tests for the common utilities (types, stats, tables, RNG).
+// Unit tests for the common utilities (types, stats, tables, RNG,
+// strict number parsing).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+
+#include "common/parse_number.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -33,6 +38,31 @@ TEST(Types, AlignUpDown) {
   EXPECT_EQ(align_down(63, 64), 0u);
   EXPECT_EQ(align_down(64, 64), 64u);
   EXPECT_EQ(align_down(127, 64), 64u);
+}
+
+TEST(ParseNumber, AcceptsWholeNumbersOnly) {
+  EXPECT_EQ(parse_u64("--n", "0"), 0u);
+  EXPECT_EQ(parse_u64("--n", "18446744073709551615"), ~u64{0});
+  EXPECT_EQ(parse_u64("--n", "0x10"), 16u);
+  EXPECT_EQ(parse_u32("--n", "4294967295"), 4294967295u);
+  EXPECT_EQ(parse_double("--f", "0.25"), 0.25);
+  EXPECT_TRUE(std::isnan(parse_double("--f", "nan")));  // range is the caller's
+  for (const char* bad : {"", "8x", " 8", "-1", "+1", "18446744073709551616"}) {
+    EXPECT_THROW(parse_u64("--n", bad), std::invalid_argument) << bad;
+  }
+  // The u32 variant must not wrap (4294967298 is not 2).
+  for (const char* bad : {"4294967296", "4294967298", "8x"}) {
+    EXPECT_THROW(parse_u32("--n", bad), std::invalid_argument) << bad;
+  }
+  for (const char* bad : {"", "0.8oops", " 1", "1e999"}) {
+    EXPECT_THROW(parse_double("--f", bad), std::invalid_argument) << bad;
+  }
+  try {
+    parse_u32("--threads", "4294967298");
+    ADD_FAILURE() << "accepted an out-of-range u32";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--threads"), std::string::npos);
+  }
 }
 
 TEST(Stats, IncrementAndGet) {

@@ -152,13 +152,12 @@ TEST(PinnedOutputs, DetailedAndSampledMatch) {
     const RunResult r = detailed.run();
     ASSERT_TRUE(r.check_ok) << r.check_msg;
 
-    System sampled(build_config(spec), workload, spec.params);
-    TieredConfig tiered;
-    tiered.sample_windows = 4;
-    tiered.window_insts = 300;
-    tiered.warmup_insts = 100;
-    tiered.stream_key = ckpt::functional_stream_hash(spec);
-    const TieredResult t = TieredRunner(sampled, tiered).run();
+    RunSpec sampled_spec = spec;
+    sampled_spec.sample_windows = 4;
+    sampled_spec.window_insts = 300;
+    sampled_spec.warmup_insts = 100;
+    System sampled(build_config(sampled_spec), workload, spec.params);
+    const TieredResult t = TieredRunner(sampled, sampled_spec).run();
     ASSERT_TRUE(t.full.check_ok) << t.full.check_msg;
     ASSERT_EQ(t.windows.size(), 4u);
 

@@ -1,9 +1,9 @@
-// Shared functional stream tests: the headline contract (sampled
-// estimates are bit-identical with stream reuse on vs off, for every
-// scheme x policy), the sweep economics (one golden build per
-// functional identity, however many points share it), the disk
-// persistence path (round-trip, corruption degrades to a rebuild) and
-// the stream codec itself.
+// Shared functional stream tests: the headline contract (a sampled
+// point replaying another scheme's stream matches its own build bit
+// for bit, for every scheme x policy), the sweep economics (one golden
+// build per functional identity, however many points share it), the
+// disk persistence path (round-trip, corruption degrades to a rebuild)
+// and the stream codec itself.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -107,21 +107,30 @@ void expect_tiered_identical(const TieredResult& a, const TieredResult& b) {
 }
 
 // ---------------------------------------------------------------------
-// Headline contract: reuse is a pure sharing optimization. A reused
-// (keyed) stream and a private (key 0) stream drive bit-identical
-// sampled runs for every scheme x policy.
+// Headline contract: reuse is a pure sharing optimization. A point
+// replaying a stream another scheme built runs bit-identically to the
+// same point building its own stream, for every scheme x policy.
 
-TEST(StreamReuse, BitIdenticalOnVsOffAllSchemes) {
+TEST(StreamReuse, BitIdenticalOwnVsSharedStreamAllSchemes) {
   for (const SchemePoint& p : scheme_grid()) {
     SCOPED_TRACE(std::string(scheme_name(p.scheme)) + "/" +
                  core::policy_name(p.policy));
-    RunSpec spec = sampled_spec("gather", p.scheme, p.policy);
-    spec.stream_reuse = true;
+    const RunSpec spec = sampled_spec("gather", p.scheme, p.policy);
+    StreamCache::instance().reset_for_test();
+    const TieredResult own = run_spec_tiered(spec);
+    ASSERT_EQ(StreamCache::instance().stats().built, 1u);
+
+    StreamCache::instance().reset_for_test();
+    const Scheme builder =
+        p.scheme == Scheme::kBanked ? Scheme::kViReC : Scheme::kBanked;
+    run_spec_tiered(sampled_spec("gather", builder, core::PolicyKind::kLRC));
     const TieredResult shared = run_spec_tiered(spec);
-    spec.stream_reuse = false;
-    const TieredResult priv = run_spec_tiered(spec);
-    expect_tiered_identical(shared, priv);
+    const StreamCache::Stats stats = StreamCache::instance().stats();
+    EXPECT_EQ(stats.built, 1u) << "the point must replay the shared stream";
+    EXPECT_EQ(stats.mem_hits, 1u);
+    expect_tiered_identical(own, shared);
   }
+  StreamCache::instance().reset_for_test();
 }
 
 // ---------------------------------------------------------------------
@@ -365,17 +374,14 @@ TEST(StreamReuse, ReplayerRejectsHostileStreams) {
 TEST(StreamReuse, CheckpointCarriesStream) {
   RunSpec spec = sampled_spec("gather", Scheme::kViReC, core::PolicyKind::kLRC);
   spec.params.iters_per_thread = 512;
-  TieredConfig config;
-  config.sample_windows = 6;
-  config.window_insts = 250;
-  config.warmup_insts = 100;
-  config.stream_key = ckpt::functional_stream_hash(spec);
+  spec.sample_windows = 6;
+  spec.window_insts = 250;
   const fs::path dir = scratch_dir("ckpt");
   const std::string path = (dir / "mid.vckpt").string();
 
   System sys_a(build_config(spec), workloads::find_workload(spec.workload),
                spec.params);
-  TieredRunner runner_a(sys_a, config);
+  TieredRunner runner_a(sys_a, spec);
   runner_a.set_window_hook([&](u32 done) {
     if (done == 3) runner_a.save(path);
   });
@@ -384,7 +390,7 @@ TEST(StreamReuse, CheckpointCarriesStream) {
   StreamCache::instance().reset_for_test();
   System sys_b(build_config(spec), workloads::find_workload(spec.workload),
                spec.params);
-  TieredRunner runner_b(sys_b, config);
+  TieredRunner runner_b(sys_b, spec);
   runner_b.restore(path);
   const TieredResult resumed = runner_b.run();
   EXPECT_EQ(StreamCache::instance().stats().built, 0u)

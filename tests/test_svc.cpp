@@ -1,14 +1,19 @@
 // Result-store tests (docs/checkpointing.md, "Result store"): the
-// canonical spec identity, the result codec, and the content-addressed
-// ResultStore's round trip, identity check and corruption handling —
-// plus the strict JSON parser the tests read reports with. Sweeps over
-// a store (resume, dedup, concurrent writers, corrupt-entry re-run) are
-// covered in tests/test_sweep.cpp.
+// canonical spec identity and the knob table it is generated from
+// (with the table's command-line parser and validate()), the result
+// codec, and the content-addressed ResultStore's round trip, identity
+// check and corruption handling — plus the strict JSON parser the
+// tests read reports with. Sweeps over a store (resume, dedup,
+// concurrent writers, corrupt-entry re-run) are covered in
+// tests/test_sweep.cpp.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 #include "ckpt/spec_codec.hpp"
 #include "common/json_parse.hpp"
@@ -81,13 +86,178 @@ TEST(SpecCodec, IdentityHashIsPinned) {
   // served only while the identity bytes stay the same. A deliberate
   // identity change bumps kSpecCodecVersion and these constants
   // together.
-  EXPECT_EQ(ckpt::kSpecCodecVersion, 3u);
+  EXPECT_EQ(ckpt::kSpecCodecVersion, 4u);
   sim::RunSpec spec = quick_spec();
-  EXPECT_EQ(ckpt::spec_hash(spec), 0xae0913c780a22934ull);
+  EXPECT_EQ(ckpt::spec_hash(spec), 0x428470c38836fff5ull);
   spec.sample_windows = 3;
   spec.window_insts = 2000;
   spec.warmup_insts = 500;
-  EXPECT_EQ(ckpt::spec_hash(spec), 0xf796cb74de9a6929ull);
+  EXPECT_EQ(ckpt::spec_hash(spec), 0xd8f5319a19a68f18ull);
+}
+
+/// A value different from @p value, of the same knob type.
+template <typename T>
+T perturbed(T value) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return value + "x";
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return !value;
+  } else if constexpr (std::is_same_v<T, sim::Scheme>) {
+    return value == sim::Scheme::kNSF ? sim::Scheme::kBanked
+                                      : sim::Scheme::kNSF;
+  } else if constexpr (std::is_same_v<T, core::PolicyKind>) {
+    return value == core::PolicyKind::kFIFO ? core::PolicyKind::kLRU
+                                            : core::PolicyKind::kFIFO;
+  } else if constexpr (std::is_same_v<T, double>) {
+    return value / 2;
+  } else {
+    return value + 1;
+  }
+}
+
+/// Command-line text for a knob type, and the value it parses to.
+template <typename T>
+std::string sample_text(T* value) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    *value = "reduce";
+    return "reduce";
+  } else if constexpr (std::is_same_v<T, bool>) {
+    *value = true;  // a switch: no text
+    return "";
+  } else if constexpr (std::is_same_v<T, sim::Scheme>) {
+    *value = sim::Scheme::kPrefetchExact;
+    return "prefetch-exact";
+  } else if constexpr (std::is_same_v<T, core::PolicyKind>) {
+    *value = core::PolicyKind::kMrtLRU;
+    return "mrt-lru";
+  } else if constexpr (std::is_same_v<T, double>) {
+    *value = 0.25;
+    return "0.25";
+  } else {
+    *value = 4242;
+    return "4242";
+  }
+}
+
+TEST(KnobTable, IdentityRowsAndOnlyThoseMoveTheHash) {
+  const sim::RunSpec base = quick_spec();
+  const u64 h0 = ckpt::spec_hash(base);
+  int identity_rows = 0;
+  sim::for_each_knob([&](const sim::Knob& knob, auto field) {
+    sim::RunSpec spec = base;
+    field(spec) = perturbed(field(spec));
+    const bool identity = (knob.roles & sim::kIdentity) != 0;
+    identity_rows += identity ? 1 : 0;
+    EXPECT_EQ(ckpt::spec_hash(spec) != h0, identity) << knob.field;
+  });
+  EXPECT_GT(identity_rows, 0);
+  // The run-mode knobs never reach the identity.
+  sim::RunSpec run_mode = base;
+  run_mode.check = true;
+  run_mode.no_skip = true;
+  run_mode.stream_dir = "streams";
+  EXPECT_EQ(ckpt::spec_hash(run_mode), h0);
+}
+
+TEST(KnobTable, FunctionalRowsAndOnlyThoseMoveTheStreamKey) {
+  const sim::RunSpec base = quick_spec();
+  const u64 h0 = ckpt::functional_stream_hash(base);
+  sim::for_each_knob([&](const sim::Knob& knob, auto field) {
+    sim::RunSpec spec = base;
+    field(spec) = perturbed(field(spec));
+    EXPECT_EQ(ckpt::functional_stream_hash(spec) != h0,
+              (knob.roles & sim::kFunctional) != 0)
+        << knob.field;
+  });
+}
+
+TEST(KnobTable, EveryFlagParsesIntoItsField) {
+  sim::for_each_knob([&](const sim::Knob& knob, auto field) {
+    if (*knob.flag == '\0') return;
+    SCOPED_TRACE(knob.flag);
+    using T =
+        std::remove_reference_t<decltype(field(std::declval<sim::RunSpec&>()))>;
+    T want{};
+    const std::string text = sample_text(&want);
+    const bool is_switch = *knob.metavar == '\0';
+    sim::SpecFlags flags;
+    bool read_value = false;
+    ASSERT_TRUE(flags.parse(knob.flag, [&] {
+      read_value = true;
+      return text;
+    }));
+    EXPECT_EQ(read_value, !is_switch);
+    const sim::RunSpec parsed = flags.single();
+    EXPECT_EQ(field(parsed), want);
+    if (knob.axis == sim::kNoAxis) return;
+    // Axis flags take a comma list, which only a sweep accepts.
+    sim::SpecFlags list;
+    list.parse(knob.flag, [&] { return text + "," + text; });
+    ASSERT_EQ(list.axis(knob.axis).size(), 2u);
+    sim::RunSpec spec;
+    list.axis(knob.axis)[1](spec);
+    EXPECT_EQ(field(spec), want);
+    EXPECT_THROW(list.single(), std::invalid_argument);
+  });
+  sim::SpecFlags flags;
+  EXPECT_FALSE(flags.parse("--frobnicate", [] { return std::string(); }));
+  EXPECT_FALSE(flags.parse("", [] { return std::string(); }));
+}
+
+TEST(KnobTable, ValidateRejectsDegenerateSpecs) {
+  EXPECT_NO_THROW(sim::validate(quick_spec()));
+  const auto rejects = [](const char* what, auto change) {
+    sim::RunSpec spec = quick_spec();
+    change(spec);
+    EXPECT_THROW(sim::validate(spec), std::invalid_argument) << what;
+  };
+  rejects("zero threads", [](sim::RunSpec& s) { s.threads_per_core = 0; });
+  rejects("zero cores", [](sim::RunSpec& s) { s.num_cores = 0; });
+  for (const double ctx : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), -1.0,
+                           0.0, 1.5, 1e9}) {
+    rejects("context fraction",
+            [ctx](sim::RunSpec& s) { s.context_fraction = ctx; });
+  }
+  rejects("window without sampling",
+          [](sim::RunSpec& s) { s.window_insts = 100; });
+  rejects("warm-up without sampling",
+          [](sim::RunSpec& s) { s.warmup_insts = 100; });
+  rejects("stream store without sampling",
+          [](sim::RunSpec& s) { s.stream_dir = "streams"; });
+  const auto sampled = [](sim::RunSpec& s) { s.sample_windows = 4; };
+  rejects("zero-size windows", [&](sim::RunSpec& s) {
+    sampled(s);
+    s.window_insts = 0;
+  });
+  rejects("sampling + fast-forward", [&](sim::RunSpec& s) {
+    sampled(s);
+    s.functional_ff = true;
+  });
+  rejects("sampling + check", [&](sim::RunSpec& s) {
+    sampled(s);
+    s.check = true;
+  });
+  rejects("multi-core sampling", [&](sim::RunSpec& s) {
+    sampled(s);
+    s.num_cores = 2;
+  });
+  rejects("multi-core fast-forward", [](sim::RunSpec& s) {
+    s.functional_ff = true;
+    s.num_cores = 2;
+  });
+
+  sim::RunSpec ok = quick_spec();
+  ok.context_fraction = 1e-3;
+  EXPECT_NO_THROW(sim::validate(ok));
+  ok.sample_windows = 4;
+  ok.window_insts = 100;
+  ok.stream_dir = "streams";
+  EXPECT_NO_THROW(sim::validate(ok));
+  sim::RunSpec ff = quick_spec();
+  ff.functional_ff = true;
+  ff.check = true;  // how the functional tier itself is validated
+  EXPECT_NO_THROW(sim::validate(ff));
 }
 
 TEST(SpecCodec, ResultRoundTripsBitExactly) {

@@ -65,11 +65,10 @@ TEST(Tiered, OracleHoldsAcrossTierBoundariesAllSchemes) {
     System system(build_config(spec),
                   workloads::find_workload(spec.workload), spec.params);
     system.enable_check();
-    TieredConfig config;
-    config.sample_windows = 5;
-    config.window_insts = 200;
-    config.warmup_insts = 100;
-    TieredRunner runner(system, config);
+    spec.sample_windows = 5;
+    spec.window_insts = 200;
+    spec.warmup_insts = 100;
+    TieredRunner runner(system, spec);
     TieredResult result;
     ASSERT_NO_THROW(result = runner.run())
         << "scheme " << scheme_name(p.scheme);
@@ -103,14 +102,13 @@ TEST(Tiered, FunctionalFFMatchesDetailedArchitecturally) {
 // elapsed cycles.
 TEST(Tiered, CycleAccountingStaysClosed) {
   RunSpec spec = small_spec("gather", Scheme::kViReC, core::PolicyKind::kLRC);
+  spec.sample_windows = 4;
+  spec.window_insts = 200;
+  spec.warmup_insts = 50;
   const TieredResult result = [&] {
     System system(build_config(spec),
                   workloads::find_workload(spec.workload), spec.params);
-    TieredConfig config;
-    config.sample_windows = 4;
-    config.window_insts = 200;
-    config.warmup_insts = 50;
-    TieredRunner runner(system, config);
+    TieredRunner runner(system, spec);
     return runner.run();
   }();
   double stack_sum = 0.0;
@@ -226,15 +224,14 @@ TEST(Tiered, SampledRunsAreDeterministic) {
 TEST(Tiered, CheckpointRoundTripMidSampledRun) {
   RunSpec spec = small_spec("gather", Scheme::kViReC, core::PolicyKind::kLRC);
   spec.params.iters_per_thread = 512;
-  TieredConfig config;
-  config.sample_windows = 6;
-  config.window_insts = 250;
-  config.warmup_insts = 100;
+  spec.sample_windows = 6;
+  spec.window_insts = 250;
+  spec.warmup_insts = 100;
   const std::string path = tmp_path("virec_tiered_ckpt.vckpt");
 
   System sys_a(build_config(spec), workloads::find_workload(spec.workload),
                spec.params);
-  TieredRunner runner_a(sys_a, config);
+  TieredRunner runner_a(sys_a, spec);
   runner_a.set_window_hook([&](u32 done) {
     if (done == 2) runner_a.save(path);
   });
@@ -242,7 +239,7 @@ TEST(Tiered, CheckpointRoundTripMidSampledRun) {
 
   System sys_b(build_config(spec), workloads::find_workload(spec.workload),
                spec.params);
-  TieredRunner runner_b(sys_b, config);
+  TieredRunner runner_b(sys_b, spec);
   runner_b.restore(path);
   const TieredResult resumed = runner_b.run();
   std::remove(path.c_str());
@@ -261,15 +258,15 @@ TEST(Tiered, CheckpointRoundTripMidSampledRun) {
 
 TEST(Tiered, GuardsRejectInvalidConfigs) {
   // Zero-size measurement windows.
-  TieredConfig zero;
+  RunSpec zero = small_spec("gather", Scheme::kViReC, core::PolicyKind::kLRC);
   zero.sample_windows = 4;
   zero.window_insts = 0;
-  EXPECT_THROW(zero.validate(), std::invalid_argument);
+  EXPECT_THROW(validate(zero), std::invalid_argument);
   // Fast-forward and sampling are exclusive.
-  TieredConfig both;
+  RunSpec both = small_spec("gather", Scheme::kViReC, core::PolicyKind::kLRC);
   both.sample_windows = 4;
   both.functional_ff = true;
-  EXPECT_THROW(both.validate(), std::invalid_argument);
+  EXPECT_THROW(validate(both), std::invalid_argument);
   // Sampling + check rejected at the spec level.
   RunSpec checked = small_spec("gather", Scheme::kViReC,
                                core::PolicyKind::kLRC);
