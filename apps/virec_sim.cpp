@@ -325,28 +325,20 @@ int run_lint_stats() {
   return 0;
 }
 
-/// Single-run tiered mode (--sample-windows / --functional-ff):
-/// alternate the functional fast-forward tier with cycle-accurate
-/// measurement windows and report the sampled estimate
-/// (docs/performance.md).
+/// Single-run sampled mode (--sample-windows): alternate replayed
+/// functional stretches with cycle-accurate measurement windows and
+/// report the sampled estimate (docs/performance.md).
 int run_tiered_mode(const Options& opt) {
   if (opt.trace || !opt.trace_out.empty() || opt.sample_interval > 0) {
     throw std::invalid_argument(
         "--trace/--trace-out/--sample-interval follow every detailed "
-        "cycle and cannot be combined with --sample-windows/"
-        "--functional-ff");
+        "cycle and cannot be combined with --sample-windows");
   }
   if (opt.checkpoint_every > 0 || !opt.checkpoint_out.empty() ||
       !opt.restore_path.empty()) {
     throw std::invalid_argument(
         "--checkpoint-every/--checkpoint-out/--restore snapshot full "
-        "detailed runs and cannot be combined with --sample-windows/"
-        "--functional-ff");
-  }
-  if (opt.cpi_stack && opt.spec.functional_ff) {
-    throw std::invalid_argument(
-        "--cpi-stack needs measurement windows; --functional-ff runs "
-        "no detailed cycles to account");
+        "detailed runs and cannot be combined with --sample-windows");
   }
 
   const workloads::Workload& workload =
@@ -381,8 +373,7 @@ int run_tiered_mode(const Options& opt) {
   }
   const sim::TieredResult result = runner.run();
 
-  const bool sampled = opt.spec.sample_windows > 0;
-  if (sampled && !opt.json) print_stream_stats();
+  if (!opt.json) print_stream_stats();
   // Achieved speedup estimate: the wall time an all-detailed run would
   // have taken at the measured detailed simulation rate, over the
   // actual (functional + detailed) wall time.
@@ -412,7 +403,6 @@ int run_tiered_mode(const Options& opt) {
       w.kv("sample_windows", opt.spec.sample_windows);
       w.kv("window_insts", opt.spec.window_insts);
       w.kv("warmup_insts", opt.spec.warmup_insts);
-      w.kv("functional_ff", opt.spec.functional_ff);
       w.end_object();
       w.key("tiered");
       w.begin_object();
@@ -472,30 +462,28 @@ int run_tiered_mode(const Options& opt) {
               << "cores " << opt.spec.num_cores << "\n"
               << "threads_per_core " << opt.spec.threads_per_core << "\n"
               << "phys_regs " << sim::spec_phys_regs(opt.spec) << "\n"
-              << "tier " << (sampled ? "sampled" : "functional") << "\n"
+              << "tier sampled\n"
               << "total_insts " << result.total_insts << "\n"
               << "insts_functional " << result.insts_functional << "\n"
-              << "insts_detailed " << result.insts_detailed << "\n";
-    if (sampled) {
-      std::cout << "sample_windows " << opt.spec.sample_windows << "\n"
-                << "window_insts " << opt.spec.window_insts << "\n"
-                << "warmup_insts " << opt.spec.warmup_insts << "\n"
-                << "cpi_mean " << result.cpi_mean << "\n"
-                << "cpi_ci_half " << result.cpi_ci_half << "\n"
-                << "est_cycles " << result.est_cycles << "\n"
-                << "est_ipc " << result.est_ipc << "\n"
-                << "est_ipc_lo " << result.est_ipc_lo << "\n"
-                << "est_ipc_hi " << result.est_ipc_hi << "\n";
-      for (std::size_t i = 0; i < result.windows.size(); ++i) {
-        const sim::WindowStat& win = result.windows[i];
-        const double ipc =
-            win.cycles == 0 ? 0.0
-                            : static_cast<double>(win.insts) /
-                                  static_cast<double>(win.cycles);
-        std::cout << "window " << i << " start_inst " << win.start_inst
-                  << " insts " << win.insts << " cycles " << win.cycles
-                  << " ipc " << ipc << "\n";
-      }
+              << "insts_detailed " << result.insts_detailed << "\n"
+              << "sample_windows " << opt.spec.sample_windows << "\n"
+              << "window_insts " << opt.spec.window_insts << "\n"
+              << "warmup_insts " << opt.spec.warmup_insts << "\n"
+              << "cpi_mean " << result.cpi_mean << "\n"
+              << "cpi_ci_half " << result.cpi_ci_half << "\n"
+              << "est_cycles " << result.est_cycles << "\n"
+              << "est_ipc " << result.est_ipc << "\n"
+              << "est_ipc_lo " << result.est_ipc_lo << "\n"
+              << "est_ipc_hi " << result.est_ipc_hi << "\n";
+    for (std::size_t i = 0; i < result.windows.size(); ++i) {
+      const sim::WindowStat& win = result.windows[i];
+      const double ipc = win.cycles == 0
+                             ? 0.0
+                             : static_cast<double>(win.insts) /
+                                   static_cast<double>(win.cycles);
+      std::cout << "window " << i << " start_inst " << win.start_inst
+                << " insts " << win.insts << " cycles " << win.cycles
+                << " ipc " << ipc << "\n";
     }
     std::cout << "wall_secs_functional " << result.wall_secs_functional
               << "\n"
@@ -504,7 +492,7 @@ int run_tiered_mode(const Options& opt) {
               << "check " << (result.full.check_ok ? "OK" : "FAIL") << "\n";
   }
 
-  if (opt.cpi_stack && sampled && !result.windows.empty()) {
+  if (opt.cpi_stack && !result.windows.empty()) {
     // Mean per-window CPI stack: each window's bucket deltas divided by
     // its measured instructions, averaged across windows. Shares sum to
     // 100% and the CPI column sums to cpi_mean.
@@ -601,9 +589,7 @@ int main(int argc, char** argv) {
     if (!opt.replay_path.empty()) return run_replay_mode(opt);
     if (opt.sweep) return run_sweep_mode(opt);
 
-    if (opt.spec.sample_windows > 0 || opt.spec.functional_ff) {
-      return run_tiered_mode(opt);
-    }
+    if (opt.spec.sample_windows > 0) return run_tiered_mode(opt);
     if ((opt.checkpoint_every > 0) != !opt.checkpoint_out.empty()) {
       throw std::invalid_argument(
           "--checkpoint-every and --checkpoint-out must be given "

@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
+#include <memory>
 
 #include "core/virec_manager.hpp"
 #include "mem/memory_system.hpp"
@@ -158,21 +159,35 @@ BENCHMARK(BM_SampledPointerChase)
     ->Unit(benchmark::kMillisecond);
 
 void BM_FunctionalTier(benchmark::State& state) {
-  // Functional-tier-only throughput: the whole gather program through
-  // the interpreter + warm hooks, no detailed cycles at all. This is
-  // the ceiling the fast-forward stretches of a sampled run approach.
+  // Functional-tier throughput: FuncStreamReplayer::advance over the
+  // whole recorded gather stream (warm hooks plus register, memory and
+  // NZCV deltas; no detailed cycles). This is the tier that carries the
+  // functional stretches of every sampled run. The stream is built once
+  // and each replay starts from a fresh system, both untimed.
   sim::RunSpec spec;
   spec.workload = "gather";
   spec.scheme = sim::Scheme::kViReC;
   spec.threads_per_core = 8;
   spec.context_fraction = 0.8;
   spec.params.iters_per_thread = 2048;
-  spec.functional_ff = true;
+  const workloads::Workload& workload = workloads::find_workload(spec.workload);
+  const sim::SystemConfig config = sim::build_config(spec);
+  auto system = std::make_unique<sim::System>(config, workload, spec.params);
+  const auto stream = sim::build_func_stream(*system, /*identity=*/0);
   u64 instructions = 0;
   for (auto _ : state) {
-    const sim::RunResult result = sim::run_spec(spec);
-    instructions += result.instructions;
-    benchmark::DoNotOptimize(result.instructions);
+    state.PauseTiming();
+    system = std::make_unique<sim::System>(config, workload, spec.params);
+    sim::FuncStreamReplayer replayer(stream, system->program(),
+                                     system->total_threads());
+    cpu::CgmtCore& core = system->core(0);
+    core.cut_to_functional();
+    state.ResumeTiming();
+    const Cycle end = replayer.advance(
+        stream->n_total, core, system->manager(0), system->memory_system(),
+        /*check=*/nullptr, core.cycle(), /*cpi_scale=*/1);
+    instructions += replayer.pos();
+    benchmark::DoNotOptimize(end);
   }
   state.counters["sim_instr/s"] = benchmark::Counter(
       static_cast<double>(instructions), benchmark::Counter::kIsRate);

@@ -1,6 +1,5 @@
 #include "ckpt/checkpoint.hpp"
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 
@@ -30,27 +29,13 @@ std::vector<u8> CheckpointWriter::bytes() const {
 
 void CheckpointWriter::write_file(const std::string& path) const {
   namespace fs = std::filesystem;
-  const std::vector<u8> data = bytes();
   const fs::path target(path);
   std::error_code ec;
   if (target.has_parent_path()) {
     fs::create_directories(target.parent_path(), ec);  // best effort
   }
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw CkptError("cannot open " + tmp + " for writing");
-    out.write(reinterpret_cast<const char*>(data.data()),
-              static_cast<std::streamsize>(data.size()));
-    out.flush();
-    if (!out) throw CkptError("write failed for " + tmp);
-  }
-  fs::rename(tmp, target, ec);
-  if (ec) {
-    std::remove(tmp.c_str());
-    throw CkptError("cannot rename " + tmp + " to " + path + ": " +
-                    ec.message());
-  }
+  const std::vector<u8> data = bytes();
+  write_file_atomic(path, data.data(), data.size());
 }
 
 CheckpointReader::CheckpointReader(const std::string& path,

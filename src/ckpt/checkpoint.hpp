@@ -12,11 +12,11 @@
 //     crc32        u32   CRC-32 of the payload bytes
 //     payload
 //
-// Writes are atomic: the file is assembled beside the target as
-// "<path>.tmp" and renamed into place, so a crash mid-write never
-// leaves a half-written snapshot under the final name. Restores verify
-// the magic, the format version, the config hash and every section's
-// CRC before any component state is touched.
+// Writes are atomic (ckpt::write_file_atomic): the file is assembled
+// in a unique temp file beside the target and renamed into place, so a
+// crash mid-write never leaves a half-written snapshot under the final
+// name. Restores verify the magic, the format version, the config hash
+// and every section's CRC before any component state is touched.
 #pragma once
 
 #include <cstddef>
@@ -29,8 +29,9 @@
 namespace virec::ckpt {
 
 /// Bumped whenever the snapshot layout changes incompatibly. Restoring
-/// a file with a different version fails cleanly.
-inline constexpr u32 kFormatVersion = 2;  // v2: cycle-accounting state
+/// a file with a different version fails cleanly. v2: cycle-accounting
+/// state; v3: no prepass flag in the "tiered" section.
+inline constexpr u32 kFormatVersion = 3;
 inline constexpr u32 kMagic = 0x504b4356u;  // "VCKP"
 
 /// Assembles a snapshot in memory, then writes it atomically.

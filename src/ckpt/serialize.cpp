@@ -1,7 +1,13 @@
 #include "ckpt/serialize.hpp"
 
+#include <unistd.h>
+
 #include <array>
+#include <atomic>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 
 namespace virec::ckpt {
 
@@ -77,6 +83,30 @@ void Decoder::finish() const {
     throw CkptError("checkpoint " + context_ + ": " +
                     std::to_string(remaining()) +
                     " trailing bytes after restore (format mismatch)");
+  }
+}
+
+void write_file_atomic(const std::string& path, const void* data,
+                       std::size_t size) {
+  static std::atomic<u64> next_tmp{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(next_tmp.fetch_add(1));
+  const auto fail = [&](const std::string& why) {
+    std::remove(tmp.c_str());
+    throw CkptError(why);
+  };
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) fail("cannot open " + tmp + " for writing");
+    out.write(static_cast<const char*>(data),
+              static_cast<std::streamsize>(size));
+    out.flush();
+    if (!out) fail("write failed for " + tmp);
+  }
+  std::error_code ec;
+  std::filesystem::rename(tmp, path, ec);
+  if (ec) {
+    fail("cannot rename " + tmp + " to " + path + ": " + ec.message());
   }
 }
 

@@ -104,6 +104,9 @@ class Decoder {
 
   std::vector<u64> get_u64_vec() {
     const u32 n = get_u32();
+    // Bytes before memory: a hostile count fails here, not in the
+    // allocator.
+    need(static_cast<std::size_t>(n) * sizeof(u64));
     std::vector<u64> v;
     v.reserve(n);
     for (u32 i = 0; i < n; ++i) v.push_back(get_u64());
@@ -129,6 +132,14 @@ class Decoder {
   std::size_t pos_ = 0;
   std::string context_;
 };
+
+/// Write @p size bytes to @p path atomically: into a temp file beside it
+/// whose name carries a ".tmp." infix and is unique per call (across
+/// threads and processes), flushed, then renamed over @p path. A crash
+/// never leaves a half-written file under @p path; on any failure the
+/// temp file is removed and CkptError is thrown.
+void write_file_atomic(const std::string& path, const void* data,
+                       std::size_t size);
 
 /// Save/restore interface implemented by every stateful component that
 /// owns a checkpoint section (cores, context managers, caches, DRAM,

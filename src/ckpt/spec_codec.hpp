@@ -31,7 +31,7 @@ namespace virec::ckpt {
 /// (`virec-sim --version` reports it). Store entries written under
 /// another identity layout read as misses: lookups compare the stored
 /// identity bytes.
-inline constexpr u32 kSpecCodecVersion = 4;
+inline constexpr u32 kSpecCodecVersion = 5;
 
 /// Append the identity bytes of @p spec (outcome-defining fields only;
 /// see file comment) to @p enc, generated from the knob table: every

@@ -636,8 +636,7 @@ void CgmtCore::run_insts(u64 max_insts) {
   if (cycle_ > config_.max_cycles) throw_max_cycles();
 }
 
-int CgmtCore::cut_to_functional() {
-  const int was_running = current_tid_;
+void CgmtCore::cut_to_functional() {
   if (current_tid_ >= 0) {
     Thread& cur = threads_[static_cast<std::size_t>(current_tid_)];
     // The oldest un-committed instruction (MEM outwards) resumes the
@@ -669,7 +668,6 @@ int CgmtCore::cut_to_functional() {
     }
   }
   committed_since_switch_ = true;
-  return was_running;
 }
 
 void CgmtCore::resume_from_functional(Cycle warm_clock, u64 retired) {

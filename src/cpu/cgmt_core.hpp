@@ -103,10 +103,8 @@ class CgmtCore {
   /// oldest one's pc becomes the running thread's architectural resume
   /// pc — drop their rollback entries, release every held miss-line
   /// reservation and deschedule the core. Architectural state (memory,
-  /// register contexts, NZCV, thread pcs) is untouched. Returns the
-  /// tid that was running (-1 if none): the natural first thread for
-  /// the functional scheduler.
-  int cut_to_functional();
+  /// register contexts, NZCV, thread pcs) is untouched.
+  void cut_to_functional();
 
   /// Re-attach after a functional phase whose pseudo-clock reached
   /// @p warm_clock (>= cycle()): the elapsed span is charged to the
@@ -139,13 +137,8 @@ class CgmtCore {
   /// are reverted separately by the caller.
   void probe_restore(const std::vector<ThreadProbeState>& snap);
 
-  // Architectural thread state, exposed for the functional executor.
-  bool thread_started(int tid) const {
-    return threads_[static_cast<std::size_t>(tid)].started;
-  }
-  bool thread_halted(int tid) const {
-    return threads_[static_cast<std::size_t>(tid)].halted;
-  }
+  // Architectural thread state, exposed for the functional stream
+  // replayer.
   /// on_thread_start (initial context fetch) already ran for @p tid.
   bool thread_launched(int tid) const {
     return threads_[static_cast<std::size_t>(tid)].launched_context;
@@ -155,13 +148,10 @@ class CgmtCore {
   void mark_thread_launched(int tid) {
     threads_[static_cast<std::size_t>(tid)].launched_context = true;
   }
-  u64 thread_pc(int tid) const {
-    return threads_[static_cast<std::size_t>(tid)].pc;
-  }
   void set_thread_pc(int tid, u64 pc) {
     threads_[static_cast<std::size_t>(tid)].pc = pc;
   }
-  /// Mutable NZCV for the functional executor (isa::execute).
+  /// Mutable NZCV for the functional stream replayer.
   u8& nzcv_ref(int tid) {
     return threads_[static_cast<std::size_t>(tid)].nzcv;
   }
@@ -187,8 +177,6 @@ class CgmtCore {
   /// Store-queue occupancy at @p now (telemetry counter tracks).
   u32 sq_occupancy(Cycle now) const { return sq_.occupancy(now); }
 
-  /// Threads started and not yet halted.
-  u32 live_threads() const { return live_threads_; }
   /// Threads that could run at @p now (started, not halted, not
   /// blocked on an outstanding miss).
   u32 runnable_threads(Cycle now) const;

@@ -77,18 +77,9 @@ void validate(const RunSpec& spec) {
     reject("--window-insts: must be > 0 (zero-size measurement windows "
            "estimate nothing)");
   }
-  if (sampled && spec.functional_ff) {
-    reject("--functional-ff runs the whole program functionally and cannot "
-           "be combined with --sample-windows");
-  }
-  if (sampled && spec.check) {
-    reject("--check validates the full detailed model, which sampling "
-           "deliberately skips most of; use --functional-ff --check to "
-           "validate the functional tier");
-  }
-  if ((sampled || spec.functional_ff) && spec.num_cores != 1) {
-    reject("--sample-windows/--functional-ff require --cores 1 (tiered "
-           "simulation is single-core)");
+  if (sampled && spec.num_cores != 1) {
+    reject("--sample-windows requires --cores 1 (tiered simulation is "
+           "single-core)");
   }
 }
 

@@ -55,13 +55,11 @@ struct RunSpec {
   /// Tiered simulation (sim::TieredRunner; docs/performance.md).
   /// sample_windows > 0 runs SMARTS-style sampled measurement: the
   /// returned RunResult carries the *estimated* cycles/IPC instead of
-  /// measured full-run values. functional_ff runs the whole program
-  /// through the functional tier. validate() holds the rules that
-  /// combine them with the other knobs.
+  /// measured full-run values. validate() holds the rules that combine
+  /// it with the other knobs.
   u32 sample_windows = 0;
   u64 window_insts = 10'000;  ///< measured instructions per window (K)
   u64 warmup_insts = 2'000;   ///< detailed warm-up before each window (W)
-  bool functional_ff = false;
   /// Directory for persisted functional streams ("" = in-memory reuse
   /// only). Never changes an estimate, so it is not identity.
   std::string stream_dir;
@@ -139,16 +137,11 @@ enum SweepAxis : int {
     "enable the group-spill extension")                                       \
   X(switch_prefetch, "--switch-prefetch", "", kIdentity, kNoAxis,             \
     "enable the switch-prefetch extension")                                   \
-  X(functional_ff, "--functional-ff", "", kIdentity, kNoAxis,                 \
-    "run the whole program through the\n"                                     \
-    "functional tier (no cycle estimate; useful\n"                            \
-    "with --check to validate the functional\n"                               \
-    "tier against the oracle)")                                               \
   X(sample_windows, "--sample-windows", "N", kIdentity, kNoAxis,              \
-    "SMARTS-style sampled measurement: fast-\n"                               \
-    "forward functionally between N systematic\n"                             \
-    "measurement windows and report an estimated\n"                           \
-    "IPC with a confidence interval\n"                                        \
+    "SMARTS-style sampled measurement: replay\n"                              \
+    "the recorded functional stream between N\n"                              \
+    "systematic measurement windows and report\n"                             \
+    "an estimated IPC with a confidence interval\n"                           \
     "(docs/performance.md)")                                                  \
   X(window_insts, "--window-insts", "K", kIdentity | kSampling, kNoAxis,      \
     "measured instructions per window (default\n"                             \
@@ -171,9 +164,10 @@ enum SweepAxis : int {
     "only to bisect the simulator itself")                                    \
   X(check, "--check", "", kRunOnly, kNoAxis,                                  \
     "run the lockstep reference oracle and hard\n"                            \
-    "invariants alongside the simulation; abort\n"                            \
-    "with a divergence report on any mismatch\n"                              \
-    "(docs/correctness.md)")
+    "invariants alongside the simulation (with\n"                             \
+    "--sample-windows: every replayed\n"                                      \
+    "instruction); abort with a divergence\n"                                 \
+    "report on any mismatch (docs/correctness.md)")
 
 /// One row of the knob table.
 struct Knob {
@@ -198,10 +192,9 @@ void for_each_knob(Fn&& fn) {
 
 /// Reject a spec no run can honour: zero cores or threads, a context
 /// fraction outside (0, 1], and the tiered rules — sampling-only knobs
-/// without sample_windows, zero-size windows, sampling combined with
-/// functional_ff or check, tiered runs on more than one core. Throws
-/// std::invalid_argument naming the flag. build_config and
-/// TieredRunner call it.
+/// without sample_windows, zero-size windows, sampled runs on more than
+/// one core. Throws std::invalid_argument naming the flag.
+/// build_config and TieredRunner call it.
 void validate(const RunSpec& spec);
 
 /// Applies one value of a sweep axis to a spec.

@@ -46,16 +46,14 @@ TieredResult run_spec_tiered(const RunSpec& spec) {
 }
 
 RunResult run_spec(const RunSpec& spec) {
-  if (spec.sample_windows > 0 || spec.functional_ff) {
+  if (spec.sample_windows > 0) {
     const TieredResult tiered = run_spec_tiered(spec);
+    // Report the sampled estimates through the standard fields so
+    // sweeps and harnesses consume them unchanged.
     RunResult result = tiered.full;
-    if (spec.sample_windows > 0) {
-      // Report the sampled estimates through the standard fields so
-      // sweeps and harnesses consume them unchanged.
-      result.cycles = static_cast<Cycle>(std::llround(tiered.est_cycles));
-      result.instructions = tiered.total_insts;
-      result.ipc = tiered.est_ipc;
-    }
+    result.cycles = static_cast<Cycle>(std::llround(tiered.est_cycles));
+    result.instructions = tiered.total_insts;
+    result.ipc = tiered.est_ipc;
     return result;
   }
   const workloads::Workload& workload = workloads::find_workload(spec.workload);

@@ -16,14 +16,15 @@ SystemConfig build_config(const RunSpec& spec);
 
 /// Run the experiment point; throws std::runtime_error if the workload
 /// result check fails (a simulator correctness bug, not a model
-/// property). Tiered specs (sample_windows > 0 / functional_ff)
-/// dispatch through sim::TieredRunner; a sampled spec's RunResult then
-/// carries the estimated cycles/IPC.
+/// property). Sampled specs (sample_windows > 0) dispatch through
+/// sim::TieredRunner; their RunResult then carries the estimated
+/// cycles/IPC.
 RunResult run_spec(const RunSpec& spec);
 
 /// Tiered entry point returning the full per-window statistics.
-/// Requires spec.sample_windows > 0 or spec.functional_ff; throws
-/// std::invalid_argument on a spec validate() rejects.
+/// Requires spec.sample_windows > 0; throws std::invalid_argument on
+/// a spec validate() rejects. spec.check runs the lockstep oracle over
+/// every replayed instruction.
 TieredResult run_spec_tiered(const RunSpec& spec);
 
 /// Registers per thread implied by a spec (for reporting).

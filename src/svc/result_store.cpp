@@ -1,7 +1,5 @@
 #include "svc/result_store.hpp"
 
-#include <unistd.h>
-
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -95,6 +93,8 @@ bool ResultStore::lookup_entry(u64 hash, const sim::RunSpec& spec,
     if (identity != want.bytes()) return false;
     const u32 payload_crc = dec.get_u32();
     const u32 payload_len = dec.get_u32();
+    // Bytes before memory: a planted length must not size the buffer.
+    if (payload_len > dec.remaining()) return false;
     std::vector<u8> payload(payload_len);
     dec.raw(payload.data(), payload_len);
     dec.finish();
@@ -140,36 +140,11 @@ void ResultStore::put(u64 hash, const sim::RunSpec& spec,
   const u32 entry_crc = ckpt::crc32(enc.bytes().data(), enc.size());
   enc.put_u32(entry_crc);
 
-  // Unique temp name (pid + address of this call's encoder) so
-  // concurrent writers — sweep worker threads, or separate processes
-  // sharing one store — never scribble on each other's partial file;
-  // rename is atomic and last-writer-wins on identical content.
-  const std::string path = entry_path(hash);
-  char tmp_tag[64];
-  std::snprintf(tmp_tag, sizeof tmp_tag, ".tmp.%ld.%p",
-                static_cast<long>(::getpid()),
-                static_cast<const void*>(&enc));
-  const std::string tmp = path + tmp_tag;
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw std::runtime_error("result store: cannot write " + tmp);
-    }
-    out.write(reinterpret_cast<const char*>(enc.bytes().data()),
-              static_cast<std::streamsize>(enc.size()));
-    out.flush();
-    if (!out) {
-      std::remove(tmp.c_str());
-      throw std::runtime_error("result store: short write to " + tmp);
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("result store: rename " + tmp + " -> " + path +
-                             " failed: " + ec.message());
-  }
+  // write_file_atomic's unique temp name keeps concurrent writers —
+  // sweep worker threads, or separate processes sharing one store —
+  // off each other's partial file; rename is atomic and last-writer-wins
+  // on identical content.
+  ckpt::write_file_atomic(entry_path(hash), enc.bytes().data(), enc.size());
 }
 
 std::size_t ResultStore::size() const {

@@ -59,7 +59,8 @@ class ResultStore {
 
   /// Persist a completed point (atomic temp + rename; last writer
   /// wins, which is safe because identical specs produce identical
-  /// results). Throws std::runtime_error on I/O failure.
+  /// results). Throws ckpt::CkptError (a std::runtime_error) on I/O
+  /// failure.
   void put(u64 hash, const sim::RunSpec& spec,
            const sim::RunResult& result, double wall_secs = 0.0);
 

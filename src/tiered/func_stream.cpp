@@ -1,7 +1,5 @@
 #include "tiered/func_stream.hpp"
 
-#include <unistd.h>
-
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -9,7 +7,6 @@
 #include <system_error>
 
 #include "isa/semantics.hpp"
-#include "tiered/functional_executor.hpp"
 
 namespace virec::sim {
 
@@ -55,8 +52,7 @@ u64 get_varint(const u8*& p, const u8* end) {
   throw std::runtime_error("FuncStream: varint longer than 64 bits");
 }
 
-/// Plain per-thread register files seeded like the offloaded contexts
-/// (same shape as TieredRunner's prepass interpreter).
+/// Plain per-thread register files seeded like the offloaded contexts.
 struct FlatRegFile final : isa::RegisterFileIO {
   std::vector<std::array<u64, isa::kNumAllocatableRegs>> regs;
   u64 read_reg(int tid, isa::RegId reg) override {
@@ -117,9 +113,18 @@ class TagLruModel {
   std::vector<u64> lru_;
 };
 
-int model_pick_next(const std::vector<u8>& halted, u32 n, int after,
-                    int exclude) {
-  // Mirror of FunctionalExecutor::pick_next (all threads started).
+// The functional schedule, defined here once: the golden pass records
+// it and the replayer follows the recording. The running thread keeps
+// the core until a switch-on-miss demand-load miss (decided by the cold
+// TagLruModel) or kRotationPeriod instructions in a row, so hit-heavy
+// stretches still interleave; a halt hands over to the next live
+// thread.
+constexpr u64 kRotationPeriod = 128;
+
+/// First live thread after @p after in cyclic tid order (after < 0
+/// starts at tid 0), skipping @p exclude; -1 if none.
+int next_live_thread(const std::vector<u8>& halted, u32 n, int after,
+                     int exclude) {
   const u32 base = after < 0 ? n - 1 : static_cast<u32>(after);
   for (u32 s = 1; s <= n; ++s) {
     const int tid = static_cast<int>((base + s) % n);
@@ -182,7 +187,7 @@ std::shared_ptr<const FuncStream> build_func_stream(System& system,
   std::vector<u64> pcs(total, 0);
   std::vector<u8> halted(total, 0);
   u32 live = total;
-  int cur = model_pick_next(halted, total, -1, -1);
+  int cur = next_live_thread(halted, total, -1, -1);
   stream->start_tid = cur;
   u64 run_length = 0;
   u64 n = 0;
@@ -190,7 +195,7 @@ std::shared_ptr<const FuncStream> build_func_stream(System& system,
 
   while (live > 0) {
     if (cur < 0) {
-      cur = model_pick_next(halted, total, -1, -1);
+      cur = next_live_thread(halted, total, -1, -1);
       run_length = 0;
       if (cur < 0) break;
     }
@@ -220,20 +225,19 @@ std::shared_ptr<const FuncStream> build_func_stream(System& system,
     pcs[static_cast<std::size_t>(tid)] = res.next_pc;
     ++run_length;
 
-    // Scheduler transition (mirrors FunctionalExecutor::run).
+    // Scheduler transition.
     int sched_next = -2;  // -2 = no event
     if (res.halted) {
       halted[static_cast<std::size_t>(tid)] = 1;
       --live;
-      sched_next = model_pick_next(halted, total, tid, -1);
+      sched_next = next_live_thread(halted, total, tid, -1);
       cur = sched_next;
       run_length = 0;
     } else {
       const bool rotate =
-          (load_miss && switch_on_miss) ||
-          run_length >= FunctionalExecutor::kRotationPeriod;
+          (load_miss && switch_on_miss) || run_length >= kRotationPeriod;
       if (rotate && live > 1) {
-        const int next = model_pick_next(halted, total, tid, -1);
+        const int next = next_live_thread(halted, total, tid, -1);
         if (next >= 0 && next != tid) {
           sched_next = next;
           cur = next;
@@ -309,7 +313,7 @@ FuncStreamReplayer::FuncStreamReplayer(
 }
 
 int FuncStreamReplayer::pick_next(int after, int exclude) const {
-  return model_pick_next(halted_, stream_->num_threads, after, exclude);
+  return next_live_thread(halted_, stream_->num_threads, after, exclude);
 }
 
 FuncStreamReplayer::Decoded FuncStreamReplayer::decode_next(
@@ -506,25 +510,10 @@ bool save_func_stream(const std::string& path, const FuncStream& stream) {
   enc.put_u64(stream.n_total);
   enc.put_u64(stream.records.size());
   enc.raw(stream.records.data(), stream.records.size());
-  const u32 crc = ckpt::crc32(enc.bytes().data(), enc.size());
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    out.write(reinterpret_cast<const char*>(enc.bytes().data()),
-              static_cast<std::streamsize>(enc.size()));
-    char crc_bytes[4] = {static_cast<char>(crc), static_cast<char>(crc >> 8),
-                         static_cast<char>(crc >> 16),
-                         static_cast<char>(crc >> 24)};
-    out.write(crc_bytes, 4);
-    out.flush();
-    if (!out.good()) {
-      std::remove(tmp.c_str());
-      return false;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
+  enc.put_u32(ckpt::crc32(enc.bytes().data(), enc.size()));
+  try {
+    ckpt::write_file_atomic(path, enc.bytes().data(), enc.size());
+  } catch (const ckpt::CkptError&) {
     return false;
   }
   return true;

@@ -15,18 +15,18 @@
 // register values, and scheduler rotation events). FuncStreamReplayer
 // then re-applies those records through a point's OWN warm hooks
 // (icache/dcache warm_access, warm_decode, warm_context_switch,
-// warm_thread_start/halt) and register write path — so per-point
-// microarchitectural warm state is exactly what a live functional
-// execution of the same schedule would produce, without re-running
-// isa::execute.
+// warm_thread_start/halt) and register write path, without re-running
+// isa::execute. The replayed stream is the only functional path of a
+// tiered run; with System::enable_check() the lockstep oracle checks
+// every replayed instruction.
 //
-// The golden pass mirrors FunctionalExecutor's scheduling (rotate on
-// switch-on-miss demand-load misses and every kRotationPeriod
-// instructions), with one substitution: load hit/miss decisions come
-// from a private, deterministically cold tag-only LRU model of the
-// dcache geometry instead of the live dcache, so the recorded schedule
-// cannot depend on any point-specific warm state and one stream is
-// valid for every point sharing the identity.
+// The golden pass is the one definition of the functional schedule
+// (rotate on switch-on-miss demand-load misses and every
+// kRotationPeriod instructions; func_stream.cpp). Its load hit/miss
+// decisions come from a private, deterministically cold tag-only LRU
+// model of the dcache geometry, not from the live dcache, so the
+// recorded schedule cannot depend on any point-specific warm state and
+// one stream is valid for every point sharing the identity.
 //
 // StreamCache is the process-wide rendezvous: all stream acquisitions
 // funnel through it, deduplicating builds across the points of an
@@ -84,8 +84,8 @@ class FuncStreamReplayer {
 
   /// Replay records [pos, min(target, n_total)): warm the icache /
   /// dcache / context manager, apply register, memory and NZCV deltas,
-  /// update thread PCs and drive launch/halt/switch hooks exactly as
-  /// FunctionalExecutor would. @p warm_clock advances by @p cpi_scale
+  /// update thread PCs and drive launch/halt/switch hooks in the
+  /// recorded schedule. @p warm_clock advances by @p cpi_scale
   /// per record; the final value is returned (pass it to
   /// CgmtCore::resume_from_functional). @p check, when non-null and
   /// enabled, receives pre/post_commit for every record so the lockstep
@@ -170,7 +170,7 @@ class StreamCache {
 /// magic/version/CRC mismatch or identity disagreement.
 std::shared_ptr<const FuncStream> load_func_stream(const std::string& path,
                                                    u64 expect_identity);
-/// Atomic (tmp + rename) write; returns false on I/O failure.
+/// Atomic write (ckpt::write_file_atomic); returns false on I/O failure.
 bool save_func_stream(const std::string& path, const FuncStream& stream);
 
 }  // namespace virec::sim

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "ckpt/spec_codec.hpp"
-#include "tiered/functional_executor.hpp"
 
 namespace virec::sim {
 
@@ -19,17 +18,26 @@ double now_secs() {
       .count();
 }
 
-// Two-sided 95% Student-t quantile for small window counts (df = n-1);
-// converges to the normal 1.96 the sampled-simulation literature quotes.
+// Two-sided 95% Student-t quantile (df = n-1): a table for small window
+// counts, then the four-term Cornish-Fisher expansion around the normal
+// quantile (Abramowitz & Stegun 26.7.5), which is within 1e-6 of
+// Student-t above df 20 and converges to the normal 1.96 the
+// sampled-simulation literature quotes.
 double t_quantile_95(std::size_t df) {
   static constexpr double kTable[] = {
       12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
       2.201,  2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086};
   if (df == 0) return 12.706;
   if (df <= 20) return kTable[df - 1];
-  if (df <= 30) return 2.042;
-  if (df <= 60) return 2.000;
-  return 1.96;
+  constexpr double z = 1.959963984540054;  // normal 97.5% quantile
+  constexpr double z2 = z * z;
+  constexpr double g1 = z * (z2 + 1) / 4;
+  constexpr double g2 = z * ((5 * z2 + 16) * z2 + 3) / 96;
+  constexpr double g3 = z * (((3 * z2 + 19) * z2 + 17) * z2 - 15) / 384;
+  constexpr double g4 =
+      z * ((((79 * z2 + 776) * z2 + 1482) * z2 - 1920) * z2 - 945) / 92160;
+  const double v = static_cast<double>(df);
+  return z + (g1 + (g2 + (g3 + g4 / v) / v) / v) / v;
 }
 
 }  // namespace
@@ -37,10 +45,9 @@ double t_quantile_95(std::size_t df) {
 TieredRunner::TieredRunner(System& system, const RunSpec& spec)
     : sys_(system), spec_(spec) {
   validate(spec_);
-  if (spec_.sample_windows == 0 && !spec_.functional_ff) {
+  if (spec_.sample_windows == 0) {
     throw std::invalid_argument(
-        "TieredRunner: nothing to run (no sample windows, no functional "
-        "fast-forward)");
+        "TieredRunner: nothing to run (no sample windows)");
   }
 }
 
@@ -50,82 +57,10 @@ void TieredRunner::set_progress(std::function<void(const TieredProgress&)> fn,
   progress_every_secs_ = every_secs;
 }
 
-u64 TieredRunner::functional_instruction_count(System& system) {
-  // Plain per-thread register files seeded like the offloaded
-  // contexts; memory is a clone, so the real system stays untouched.
-  struct FlatRegFile final : isa::RegisterFileIO {
-    std::vector<std::array<u64, isa::kNumAllocatableRegs>> regs;
-    u64 read_reg(int tid, isa::RegId reg) override {
-      return regs[static_cast<std::size_t>(tid)][reg];
-    }
-    void write_reg(int tid, isa::RegId reg, u64 value) override {
-      regs[static_cast<std::size_t>(tid)][reg] = value;
-    }
-  };
-  const u32 total = system.total_threads();
-  FlatRegFile rf;
-  rf.regs.resize(total);
-  for (u32 gtid = 0; gtid < total; ++gtid) {
-    const workloads::RegContext regs =
-        system.workload().thread_regs(system.params(), gtid, total);
-    for (u32 r = 0; r < isa::kNumAllocatableRegs; ++r) {
-      rf.regs[gtid][r] = regs[r];
-    }
-  }
-  mem::SparseMemory memory = system.memory_system().memory();
-  const kasm::Program& program = system.program();
-  // Instructions never outnumber cycles on this 1-wide core, so the
-  // watchdog budget bounds the prepass too.
-  const u64 cap = system.config().core.max_cycles;
-  u64 total_insts = 0;
-  for (u32 gtid = 0; gtid < total; ++gtid) {
-    u64 pc = 0;
-    u8 nzcv = 0;
-    while (true) {
-      const isa::ExecResult res = isa::execute(
-          program.at(pc), pc, static_cast<int>(gtid), rf, memory, nzcv);
-      ++total_insts;
-      if (res.halted) break;
-      pc = res.next_pc;
-      if (total_insts > cap) {
-        throw std::runtime_error(
-            "TieredRunner: functional prepass exceeded the max_cycles "
-            "instruction budget");
-      }
-    }
-  }
-  return total_insts;
-}
-
 u64 TieredRunner::cpi_scale() const {
   if (insts_detailed_ == 0) return 1;
   return std::max<u64>(1, (cycles_detailed_ + insts_detailed_ / 2) /
                               insts_detailed_);
-}
-
-void TieredRunner::functional_advance(u64 insts) {
-  cpu::CgmtCore& core = sys_.core(0);
-  if (insts == 0 || core.done()) return;
-  const int start_tid = core.cut_to_functional();
-  FunctionalExecutor fx(core, sys_.manager(0), sys_.memory_system(),
-                        sys_.program(), /*core_id=*/0, sys_.check(),
-                        start_tid, cpi_scale());
-  u64 done = 0;
-  double last = now_secs();
-  while (done < insts && core.live_threads() > 0) {
-    const u64 chunk = std::min<u64>(insts - done, u64{1} << 16);
-    const u64 ran = fx.run(chunk);
-    if (ran == 0) break;  // defensive: live threads imply progress
-    done += ran;
-    pending_functional_ = done;
-    insts_functional_ += ran;
-    const double t = now_secs();
-    wall_functional_ += t - last;
-    last = t;
-    emit_progress("functional", false);
-  }
-  pending_functional_ = 0;
-  core.resume_from_functional(fx.warm_clock(), done);
 }
 
 void TieredRunner::replay_advance(u64 target) {
@@ -325,23 +260,9 @@ TieredResult TieredRunner::run() {
   next_emit_wall_ = wall_start_ + progress_every_secs_;
   TieredResult r;
   cpu::CgmtCore& core = sys_.core(0);
-  if (spec_.functional_ff) {
-    // Fast-forward keeps the live functional tier (and its oracle
-    // coverage); no stream is recorded or replayed.
-    if (!prepass_done_) {
-      emit_progress("prepass", false);
-      n_total_ = functional_instruction_count(sys_);
-      prepass_done_ = true;
-    }
-    while (!core.done()) functional_advance(n_total_ + 1);
-    emit_progress("functional", true);
-    finalize(r);
-    return r;
-  }
-  // Sampled path: acquire the (possibly sweep-shared) functional
-  // stream — it subsumes the prepass, since recording fixes the total
-  // instruction count — then alternate replayed functional stretches
-  // with reverted detailed probes.
+  // Acquire the (possibly sweep-shared) functional stream — recording
+  // it fixes the total instruction count — then alternate replayed
+  // functional stretches with reverted detailed probes.
   if (stream_ == nullptr) {
     emit_progress("prepass", false);
     const double t0 = now_secs();
@@ -352,7 +273,6 @@ TieredResult TieredRunner::run() {
     wall_functional_ += now_secs() - t0;
   }
   n_total_ = stream_->n_total;
-  prepass_done_ = true;
   const u64 wk = spec_.warmup_insts + spec_.window_insts;
   const u32 n = spec_.sample_windows;
   if (static_cast<u64>(n) * wk > n_total_) {
@@ -420,7 +340,6 @@ TieredResult TieredRunner::run() {
 void TieredRunner::save(const std::string& path) const {
   sys_.save(path, [this](ckpt::CheckpointWriter& writer) {
     ckpt::Encoder& enc = writer.section("tiered");
-    enc.put_bool(prepass_done_);
     enc.put_u64(n_total_);
     enc.put_u32(window_);
     enc.put_u32(static_cast<u32>(windows_.size()));
@@ -454,7 +373,6 @@ void TieredRunner::save(const std::string& path) const {
 void TieredRunner::restore(const std::string& path) {
   sys_.restore(path, [this](ckpt::CheckpointReader& reader) {
     ckpt::Decoder dec = reader.section("tiered");
-    prepass_done_ = dec.get_bool();
     n_total_ = dec.get_u64();
     window_ = dec.get_u32();
     windows_.clear();

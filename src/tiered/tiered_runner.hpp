@@ -84,8 +84,10 @@ class TieredRunner {
   /// TieredRunner. The runner reads the spec's sampling knobs and
   /// replays the functional stream StreamCache keeps for the spec's
   /// functional identity (ckpt::functional_stream_hash). Throws
-  /// std::invalid_argument on a spec validate() rejects or one with
-  /// neither sample_windows nor functional_ff.
+  /// std::invalid_argument on a spec validate() rejects or one without
+  /// sample_windows. With System::enable_check() the lockstep oracle
+  /// checks every replayed instruction; probes run unchecked, since
+  /// they are reverted.
   TieredRunner(System& system, const RunSpec& spec);
 
   /// Execute the tiered run to completion and return the estimates.
@@ -115,15 +117,7 @@ class TieredRunner {
   /// fields restart from the restore point).
   void restore(const std::string& path);
 
-  /// Pure functional prepass: total instructions the workload commits,
-  /// executed against a clone of the system's current memory at
-  /// interpreter speed (the system itself is untouched). Deterministic
-  /// and interleave-independent (workload threads are
-  /// data-independent).
-  static u64 functional_instruction_count(System& system);
-
  private:
-  void functional_advance(u64 insts);
   /// Replay stream records up to golden position @p target through the
   /// system's warm hooks (cutting the pipeline first if attached) and
   /// re-attach. Instructions a reverted probe already committed are
@@ -150,7 +144,6 @@ class TieredRunner {
   System& sys_;
   const RunSpec spec_;
   // Resumable progress (checkpointed in the "tiered" section).
-  bool prepass_done_ = false;
   u64 n_total_ = 0;
   u32 window_ = 0;  // completed windows
   std::vector<WindowStat> windows_;

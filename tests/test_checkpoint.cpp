@@ -281,9 +281,19 @@ class CheckpointFile : public ::testing::Test {
   std::string path_;
 };
 
+/// File names in @p dir, sorted.
+std::vector<std::string> dir_names(const fs::path& dir) {
+  std::vector<std::string> names;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    names.push_back(e.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
 TEST_F(CheckpointFile, SaveIsAtomicNoTempLeftBehind) {
-  EXPECT_TRUE(fs::exists(path_));
-  EXPECT_FALSE(fs::exists(path_ + ".tmp"));
+  // The temp file was renamed onto the snapshot: nothing else is left.
+  EXPECT_EQ(dir_names(dir_), std::vector<std::string>{"snap.vckpt"});
 }
 
 TEST_F(CheckpointFile, TruncatedFileFailsCleanly) {
@@ -384,6 +394,34 @@ TEST(Serialize, DecoderBoundsChecked) {
   enc.put_u32(7);
   ckpt::Decoder dec(enc.bytes().data(), enc.size());
   EXPECT_THROW(dec.get_u64(), ckpt::CkptError);
+}
+
+TEST(Serialize, HostileVectorCountThrowsCkptError) {
+  // A count of 2^32-1 elements in a 4-byte payload: the bytes are
+  // checked before anything is sized, so this is a clean CkptError,
+  // not std::bad_alloc.
+  const u8 bytes[] = {0xFF, 0xFF, 0xFF, 0xFF};
+  ckpt::Decoder dec(bytes, sizeof bytes);
+  EXPECT_THROW(dec.get_u64_vec(), ckpt::CkptError);
+}
+
+TEST(Serialize, AtomicWriteFailureLeavesNoTemp) {
+  const fs::path dir = scratch_dir("atomic");
+  const char data[] = "payload";
+  // Renaming onto a directory fails after the temp file was written.
+  fs::create_directories(dir / "occupied");
+  EXPECT_THROW(ckpt::write_file_atomic((dir / "occupied").string(), data,
+                                       sizeof data),
+               ckpt::CkptError);
+  // The temp file cannot even be opened in a missing directory.
+  EXPECT_THROW(ckpt::write_file_atomic((dir / "missing" / "f").string(),
+                                       data, sizeof data),
+               ckpt::CkptError);
+  EXPECT_EQ(dir_names(dir), std::vector<std::string>{"occupied"});
+  ckpt::write_file_atomic((dir / "f").string(), data, sizeof data);
+  EXPECT_EQ(fs::file_size(dir / "f"), sizeof data);
+  EXPECT_EQ(dir_names(dir), (std::vector<std::string>{"f", "occupied"}));
+  fs::remove_all(dir);
 }
 
 TEST(Serialize, FinishRejectsLeftoverBytes) {

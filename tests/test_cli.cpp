@@ -425,30 +425,45 @@ TEST(Cli, SampledJsonCarriesWindows) {
   EXPECT_EQ(v.at("result").at("check").string, "OK");
 }
 
-TEST(Cli, FunctionalFFWithCheckPasses) {
-  const CliResult r = run_cli(
-      "--workload stride --iters 64 --elements 4096 --functional-ff "
-      "--check");
-  ASSERT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_TRUE(has_line_prefix(r.output, "tier functional")) << r.output;
-  EXPECT_TRUE(has_line_prefix(r.output, "check OK")) << r.output;
+TEST(Cli, SampledRunWithCheckPasses) {
+  // The lockstep oracle checks every replayed instruction of a sampled
+  // run and leaves its report unchanged (host wall times aside).
+  const std::string args =
+      "--workload stride --iters 256 --elements 4096 --sample-windows 4 "
+      "--window-insts 300 --warmup-insts 100 --stats";
+  const auto without_wall = [](const std::string& out) {
+    std::istringstream in(out);
+    std::string kept;
+    for (std::string line; std::getline(in, line);) {
+      if (line.rfind("wall_", 0) == 0 || line.rfind("est_speedup", 0) == 0) {
+        continue;
+      }
+      kept += line + "\n";
+    }
+    return kept;
+  };
+  const CliResult checked = run_cli(args + " --check");
+  ASSERT_EQ(checked.exit_code, 0) << checked.output;
+  EXPECT_TRUE(has_line_prefix(checked.output, "tier sampled"))
+      << checked.output;
+  EXPECT_TRUE(has_line_prefix(checked.output, "check OK")) << checked.output;
+  const CliResult plain = run_cli(args);
+  ASSERT_EQ(plain.exit_code, 0) << plain.output;
+  EXPECT_EQ(without_wall(checked.output), without_wall(plain.output));
 }
 
 TEST(Cli, SamplingGuardsReject) {
   // Each bad combination must exit 2 with an explanatory error, not
   // fall through to a run.
   const char* const bad[] = {
-      "--sample-windows 4 --check",
       "--window-insts 100",
       "--warmup-insts 100",
       "--sample-windows 4 --window-insts 0",
-      "--sample-windows 4 --functional-ff",
       "--sample-windows 4 --cores 2",
       "--sample-windows 4 --trace",
       "--sample-windows 4 --sample-interval 100",
       "--sample-windows 4 --restore nonexistent.vckpt",
       "--sample-windows 4 --checkpoint-every 100 --checkpoint-out /tmp/x",
-      "--functional-ff --cpi-stack",
       "--sample-windows nope",
   };
   for (const char* args : bad) {

@@ -324,7 +324,7 @@ TEST(Scheduler, MatchesPinnedSampledCheckpointedRun) {
     EXPECT_EQ(samples_hash(*sys), 0xa110d08663ba7709ull);
     const auto [count, snaps] = snapshot_fingerprint(dir);
     EXPECT_EQ(count, 3u);
-    EXPECT_EQ(snaps, 0x7c5f091f56eada62ull);
+    EXPECT_EQ(snaps, 0xe4c15d8c18bbb965ull);
     fs::remove_all(dir);
   }
 }

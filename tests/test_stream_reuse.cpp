@@ -9,11 +9,14 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "check/check.hpp"
 #include "ckpt/spec_codec.hpp"
+#include "isa/inst.hpp"
 #include "kasm/assembler.hpp"
 #include "sim/runner.hpp"
 #include "sim/sweep.hpp"
@@ -364,6 +367,59 @@ TEST(StreamReuse, ReplayerRejectsHostileStreams) {
           << e.what();
     }
   }
+}
+
+// ---------------------------------------------------------------------
+// The oracle guards the replayed tier: one destination value off by a
+// bit, in a record the decoder still accepts, replays silently without
+// the oracle and throws check::CheckError with it.
+
+/// Length of the varint starting at @p at.
+std::size_t varint_len(const std::vector<u8>& bytes, std::size_t at) {
+  std::size_t n = 1;
+  while ((bytes[at + n - 1] & 0x80) != 0) ++n;
+  return n;
+}
+
+TEST(StreamReuse, OracleCatchesCorruptedReplay) {
+  const RunSpec spec =
+      sampled_spec("gather", Scheme::kViReC, core::PolicyKind::kLRC);
+  const auto make_system = [&] {
+    return std::make_unique<System>(build_config(spec),
+                                    workloads::find_workload(spec.workload),
+                                    spec.params);
+  };
+  const auto builder = make_system();
+  const auto honest = build_func_stream(*builder, /*identity=*/0);
+  // The first record (thread start_tid at PC 0) is the flags byte, the
+  // successor PC when flag 1 is set, NZCV when flag 2 is set, the
+  // address and stored value of a memory op, then one varint per
+  // destination register.
+  const isa::Inst& inst = builder->program().at(0);
+  ASSERT_GT(isa::dst_regs(inst).count, 0u);
+  const std::vector<u8>& records = honest->records;
+  std::size_t at = 1;
+  if ((records[0] & 1) != 0) at += varint_len(records, at);
+  if ((records[0] & 2) != 0) at += 1;
+  if (isa::is_mem(inst.op)) at += varint_len(records, at);
+  if (isa::is_store(inst.op)) at += varint_len(records, at);
+  auto corrupt = std::make_shared<FuncStream>(*honest);
+  corrupt->records[at] ^= 1;
+
+  const auto replay = [&](bool check) {
+    const auto system = make_system();
+    if (check) system->enable_check();
+    FuncStreamReplayer replayer(corrupt, system->program(),
+                                system->total_threads());
+    cpu::CgmtCore& core = system->core(0);
+    core.cut_to_functional();
+    replayer.advance(corrupt->n_total, core, system->manager(0),
+                     system->memory_system(), system->check(), core.cycle(),
+                     /*cpi_scale=*/1);
+    return replayer.pos();
+  };
+  EXPECT_EQ(replay(false), corrupt->n_total);
+  EXPECT_THROW(replay(true), check::CheckError);
 }
 
 // ---------------------------------------------------------------------

@@ -7,6 +7,7 @@
 // concurrent writers, corrupt-entry re-run) are covered in
 // tests/test_sweep.cpp.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <filesystem>
 #include <fstream>
@@ -86,13 +87,13 @@ TEST(SpecCodec, IdentityHashIsPinned) {
   // served only while the identity bytes stay the same. A deliberate
   // identity change bumps kSpecCodecVersion and these constants
   // together.
-  EXPECT_EQ(ckpt::kSpecCodecVersion, 4u);
+  EXPECT_EQ(ckpt::kSpecCodecVersion, 5u);
   sim::RunSpec spec = quick_spec();
-  EXPECT_EQ(ckpt::spec_hash(spec), 0x428470c38836fff5ull);
+  EXPECT_EQ(ckpt::spec_hash(spec), 0xce157a836adee017ull);
   spec.sample_windows = 3;
   spec.window_insts = 2000;
   spec.warmup_insts = 500;
-  EXPECT_EQ(ckpt::spec_hash(spec), 0xd8f5319a19a68f18ull);
+  EXPECT_EQ(ckpt::spec_hash(spec), 0x5c661c5404e13612ull);
 }
 
 /// A value different from @p value, of the same knob type.
@@ -230,20 +231,8 @@ TEST(KnobTable, ValidateRejectsDegenerateSpecs) {
     sampled(s);
     s.window_insts = 0;
   });
-  rejects("sampling + fast-forward", [&](sim::RunSpec& s) {
-    sampled(s);
-    s.functional_ff = true;
-  });
-  rejects("sampling + check", [&](sim::RunSpec& s) {
-    sampled(s);
-    s.check = true;
-  });
   rejects("multi-core sampling", [&](sim::RunSpec& s) {
     sampled(s);
-    s.num_cores = 2;
-  });
-  rejects("multi-core fast-forward", [](sim::RunSpec& s) {
-    s.functional_ff = true;
     s.num_cores = 2;
   });
 
@@ -254,10 +243,8 @@ TEST(KnobTable, ValidateRejectsDegenerateSpecs) {
   ok.window_insts = 100;
   ok.stream_dir = "streams";
   EXPECT_NO_THROW(sim::validate(ok));
-  sim::RunSpec ff = quick_spec();
-  ff.functional_ff = true;
-  ff.check = true;  // how the functional tier itself is validated
-  EXPECT_NO_THROW(sim::validate(ff));
+  ok.check = true;  // the oracle checks every replayed instruction
+  EXPECT_NO_THROW(sim::validate(ok));
 }
 
 TEST(SpecCodec, ResultRoundTripsBitExactly) {
@@ -342,6 +329,45 @@ TEST(ResultStore, CorruptEntryReadsAsMiss) {
   store.put(hash, spec, synthetic_result());
   std::filesystem::resize_file(path, 10);
   EXPECT_FALSE(store.lookup(hash, spec, &out));
+}
+
+/// Peak resident set size of this process so far, in MiB.
+double peak_rss_mib() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;
+}
+
+TEST(ResultStore, HostilePayloadLengthIsAMissWithoutAllocating) {
+  // A planted entry with valid CRCs and identity whose payload length
+  // claims ~4 GiB: the length is checked against the bytes left before
+  // anything is sized by it.
+  svc::ResultStore store(temp_dir("store_hostile_len"));
+  const sim::RunSpec spec = quick_spec();
+  const u64 hash = ckpt::spec_hash(spec);
+  ckpt::Encoder identity;
+  ckpt::encode_spec_identity(identity, spec);
+  ckpt::Encoder enc;
+  enc.put_u32(svc::kStoreMagic);
+  enc.put_u32(svc::kStoreFormatVersion);
+  enc.put_u64(hash);
+  enc.put_str("planted");
+  enc.put_f64(0.0);
+  enc.put_u32(static_cast<u32>(identity.size()));
+  enc.raw(identity.bytes().data(), identity.size());
+  enc.put_u32(0);            // payload_crc
+  enc.put_u32(0xFFFFFFF0u);  // payload_len, far past the end of the file
+  enc.put_u64(0);            // the payload bytes actually present
+  enc.put_u32(ckpt::crc32(enc.bytes().data(), enc.size()));
+  {
+    std::ofstream out(store.entry_path(hash), std::ios::binary);
+    out.write(reinterpret_cast<const char*>(enc.bytes().data()),
+              static_cast<std::streamsize>(enc.size()));
+  }
+  const double before = peak_rss_mib();
+  sim::RunResult out;
+  EXPECT_FALSE(store.lookup(hash, spec, &out));
+  EXPECT_LT(peak_rss_mib() - before, 64.0);
 }
 
 TEST(JsonParse, ParsesDocumentsAndRejectsMalformed) {

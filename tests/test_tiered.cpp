@@ -1,11 +1,13 @@
-// Tiered simulation tests: functional-tier architectural fidelity
-// (oracle-enforced at every instruction, so tier boundaries included),
-// sampled-estimate sanity, determinism, guards, and checkpoint
-// round-trips mid-sampled-run.
+// Tiered simulation tests: architectural fidelity of the replayed
+// functional tier (oracle-enforced at every replayed instruction, so
+// tier boundaries included), sampled-estimate sanity and its interval,
+// determinism, guards, and checkpoint round-trips mid-sampled-run.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/runner.hpp"
@@ -53,11 +55,12 @@ std::string tmp_path(const std::string& stem) {
   return std::string(dir != nullptr ? dir : "/tmp") + "/" + stem;
 }
 
-// The lockstep oracle runs through BOTH tiers of a sampled run: every
-// functional instruction and every detailed commit is compared against
-// the shadow interpreter's registers/memory/NZCV through the same
-// manager, so any architectural divergence — in particular at the
-// cut/resume boundaries between tiers — throws check::CheckError.
+// The lockstep oracle runs through a sampled run: every replayed
+// instruction is compared against the shadow interpreter's
+// registers/memory/NZCV through the same manager. Detailed probes run
+// unchecked and are reverted, so any architectural state a probe or a
+// cut/resume boundary leaves wrong shows up at the next replayed
+// instruction and throws check::CheckError.
 TEST(Tiered, OracleHoldsAcrossTierBoundariesAllSchemes) {
   for (const SchemePoint& p : scheme_grid()) {
     RunSpec spec = small_spec("gather", p.scheme, p.policy);
@@ -79,21 +82,36 @@ TEST(Tiered, OracleHoldsAcrossTierBoundariesAllSchemes) {
   }
 }
 
-TEST(Tiered, FunctionalFFMatchesDetailedArchitecturally) {
+// A checked sampled run: the oracle checks every replayed instruction
+// (the probes run unchecked, since they are reverted), the replay
+// covers the detailed run's whole instruction stream, and checking
+// leaves the estimate untouched.
+TEST(Tiered, CheckedSampledRunMatchesDetailedArchitecturally) {
   for (const SchemePoint& p : scheme_grid()) {
+    SCOPED_TRACE(std::string(scheme_name(p.scheme)) + "/" +
+                 core::policy_name(p.policy));
     RunSpec spec = small_spec("stride", p.scheme, p.policy);
     const RunResult detailed = run_spec(spec);
+    spec.sample_windows = 4;
+    spec.window_insts = 100;
+    spec.warmup_insts = 50;
+    const TieredResult unchecked = run_spec_tiered(spec);
 
-    RunSpec ff = spec;
-    ff.functional_ff = true;
-    ff.check = true;  // oracle validates every functional instruction
-    const TieredResult functional = run_spec_tiered(ff);
+    System system(build_config(spec),
+                  workloads::find_workload(spec.workload), spec.params);
+    system.enable_check();  // what --check does
+    TieredRunner runner(system, spec);
+    const TieredResult checked = runner.run();
 
-    EXPECT_TRUE(functional.full.check_ok) << functional.full.check_msg;
-    // Same committed instruction stream, same architectural end state.
-    EXPECT_EQ(functional.full.instructions, detailed.instructions)
-        << "scheme " << scheme_name(p.scheme);
-    EXPECT_EQ(functional.total_insts, detailed.instructions);
+    EXPECT_TRUE(checked.full.check_ok) << checked.full.check_msg;
+    EXPECT_EQ(checked.total_insts, detailed.instructions);
+    EXPECT_EQ(system.check_context()->commits_checked(),
+              checked.total_insts);
+    // Exact equality: the oracle only reads the replayed state.
+    EXPECT_EQ(checked.est_cycles, unchecked.est_cycles);
+    EXPECT_EQ(checked.est_ipc, unchecked.est_ipc);
+    EXPECT_EQ(checked.est_ipc_lo, unchecked.est_ipc_lo);
+    EXPECT_EQ(checked.est_ipc_hi, unchecked.est_ipc_hi);
   }
 }
 
@@ -189,6 +207,35 @@ TEST(Tiered, ConfidenceIntervalCoversFullIpc) {
 
 // Identical sampled specs produce bit-identical estimates, and a
 // sampled sweep is deterministic and order-stable under --jobs.
+// The interval half-width is t_{0.975,n-1} * s / sqrt(n) with the
+// Student-t quantile at every window count, not only the tabulated
+// small ones.
+TEST(Tiered, ConfidenceIntervalUsesStudentTQuantile) {
+  const std::pair<u32, double> cases[] = {{25, 2.0639}, {62, 1.9996}};
+  for (const auto& [n, t] : cases) {
+    SCOPED_TRACE(std::to_string(n) + " windows");
+    RunSpec spec = small_spec("gather", Scheme::kViReC,
+                              core::PolicyKind::kLRC);
+    spec.params.iters_per_thread = 512;
+    spec.sample_windows = n;
+    spec.window_insts = 60;
+    spec.warmup_insts = 20;
+    const TieredResult r = run_spec_tiered(spec);
+    ASSERT_EQ(r.windows.size(), n);
+    double mean = 0.0;
+    for (const WindowStat& w : r.windows) mean += w.cpi;
+    mean /= n;
+    double var = 0.0;
+    for (const WindowStat& w : r.windows) {
+      var += (w.cpi - mean) * (w.cpi - mean);
+    }
+    const double s = std::sqrt(var / (n - 1));
+    ASSERT_GT(s, 0.0);
+    EXPECT_NEAR(r.cpi_ci_half / (s / std::sqrt(static_cast<double>(n))), t,
+                0.001);
+  }
+}
+
 TEST(Tiered, SampledRunsAreDeterministic) {
   RunSpec spec = small_spec("gather", Scheme::kViReC, core::PolicyKind::kLRC);
   spec.params.iters_per_thread = 1024;
@@ -262,17 +309,6 @@ TEST(Tiered, GuardsRejectInvalidConfigs) {
   zero.sample_windows = 4;
   zero.window_insts = 0;
   EXPECT_THROW(validate(zero), std::invalid_argument);
-  // Fast-forward and sampling are exclusive.
-  RunSpec both = small_spec("gather", Scheme::kViReC, core::PolicyKind::kLRC);
-  both.sample_windows = 4;
-  both.functional_ff = true;
-  EXPECT_THROW(validate(both), std::invalid_argument);
-  // Sampling + check rejected at the spec level.
-  RunSpec checked = small_spec("gather", Scheme::kViReC,
-                               core::PolicyKind::kLRC);
-  checked.sample_windows = 4;
-  checked.check = true;
-  EXPECT_THROW(run_spec_tiered(checked), std::invalid_argument);
   // Multi-core sampling unsupported.
   RunSpec multi = small_spec("gather", Scheme::kViReC, core::PolicyKind::kLRC);
   multi.num_cores = 2;
