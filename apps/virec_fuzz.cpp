@@ -23,7 +23,6 @@
 #include "check/repro.hpp"
 #include "common/parse_number.hpp"
 #include "core/replacement_policy.hpp"
-#include "sim/system_config.hpp"
 
 using namespace virec;
 
@@ -34,12 +33,12 @@ struct Options {
   u64 seed = 1;        // seed of program 0; program i uses seed + i
   u32 body_len = 24;
   u32 loop_iters = 40;
-  u32 threads = 2;
-  u32 phys_regs = 6;
+  // --threads, --regs and --no-skip set the base point every
+  // configuration starts from.
+  sim::RunSpec spec = check::fuzz_spec();
   u32 jobs = 0;        // 0 = hardware concurrency
   std::string out = "virec-fuzz-repro.txt";
   bool inject_tag_bug = false;
-  bool no_skip = false;
   bool help = false;
 };
 
@@ -79,12 +78,13 @@ bool parse(int argc, char** argv, Options& opt) {
     else if (arg == "--seed") opt.seed = parse_u64(arg, value());
     else if (arg == "--body") opt.body_len = parse_u32(arg, value());
     else if (arg == "--iters") opt.loop_iters = parse_u32(arg, value());
-    else if (arg == "--threads") opt.threads = parse_u32(arg, value());
-    else if (arg == "--regs") opt.phys_regs = parse_u32(arg, value());
+    else if (arg == "--threads")
+      opt.spec.threads_per_core = parse_u32(arg, value());
+    else if (arg == "--regs") opt.spec.phys_regs = parse_u32(arg, value());
     else if (arg == "--jobs") opt.jobs = parse_u32(arg, value());
     else if (arg == "--out") opt.out = value();
     else if (arg == "--inject-tag-bug") opt.inject_tag_bug = true;
-    else if (arg == "--no-skip") opt.no_skip = true;
+    else if (arg == "--no-skip") opt.spec.no_skip = true;
     else {
       std::cerr << "unknown option: " << arg << "\n";
       return false;
@@ -95,14 +95,11 @@ bool parse(int argc, char** argv, Options& opt) {
 
 /// Every configuration each program is checked under: the five
 /// fixed-policy schemes plus ViReC under every replacement policy.
-std::vector<check::HarnessSpec> build_configs(const Options& opt) {
-  std::vector<check::HarnessSpec> configs;
+std::vector<sim::RunSpec> build_configs(const Options& opt) {
+  std::vector<sim::RunSpec> configs;
   auto base = [&](sim::Scheme scheme) {
-    check::HarnessSpec spec;
+    sim::RunSpec spec = opt.spec;
     spec.scheme = scheme;
-    spec.threads = opt.threads;
-    spec.phys_regs = opt.phys_regs;
-    spec.no_skip = opt.no_skip;
     return spec;
   };
   configs.push_back(base(sim::Scheme::kBanked));
@@ -111,14 +108,14 @@ std::vector<check::HarnessSpec> build_configs(const Options& opt) {
   configs.push_back(base(sim::Scheme::kPrefetchExact));
   configs.push_back(base(sim::Scheme::kNSF));
   for (core::PolicyKind policy : core::all_policies()) {
-    check::HarnessSpec spec = base(sim::Scheme::kViReC);
+    sim::RunSpec spec = base(sim::Scheme::kViReC);
     spec.policy = policy;
     configs.push_back(spec);
   }
   return configs;
 }
 
-std::string config_name(const check::HarnessSpec& spec) {
+std::string config_name(const sim::RunSpec& spec) {
   std::string name = sim::scheme_name(spec.scheme);
   if (spec.scheme == sim::Scheme::kViReC) {
     name += std::string("/") + core::policy_name(spec.policy);
@@ -129,14 +126,14 @@ std::string config_name(const check::HarnessSpec& spec) {
 struct Failure {
   bool found = false;
   u64 seed = 0;
-  check::HarnessSpec spec;
+  sim::RunSpec spec;
   kasm::Program program;
   std::string message;
 };
 
 /// A run reproduces the bug only if the checker fired; a timeout is a
 /// different (shrinker-induced) condition and must not be chased.
-bool reproduces(const kasm::Program& program, const check::HarnessSpec& spec,
+bool reproduces(const kasm::Program& program, const sim::RunSpec& spec,
                 std::string* message = nullptr) {
   const check::HarnessResult r = check::run_checked(program, spec);
   if (message != nullptr) *message = r.message;
@@ -146,7 +143,7 @@ bool reproduces(const kasm::Program& program, const check::HarnessSpec& spec,
 /// Greedy shrink: repeat drop-instruction and halve-iteration passes
 /// until neither makes progress, re-checking that every accepted
 /// candidate still fails the same configuration.
-kasm::Program shrink(kasm::Program program, const check::HarnessSpec& spec) {
+kasm::Program shrink(kasm::Program program, const sim::RunSpec& spec) {
   bool progress = true;
   while (progress) {
     progress = false;
@@ -170,7 +167,7 @@ kasm::Program shrink(kasm::Program program, const check::HarnessSpec& spec) {
 }
 
 int fuzz(const Options& opt) {
-  const std::vector<check::HarnessSpec> configs = build_configs(opt);
+  const std::vector<sim::RunSpec> configs = build_configs(opt);
   check::ProgenOptions gen;
   gen.body_len = opt.body_len;
   gen.loop_iters = opt.loop_iters;
@@ -188,9 +185,9 @@ int fuzz(const Options& opt) {
       if (index >= opt.programs || stop.load()) return;
       const u64 seed = opt.seed + index;
       const kasm::Program program = check::random_program(seed, gen);
-      for (const check::HarnessSpec& spec : configs) {
-        check::HarnessSpec run_spec = spec;
-        run_spec.seed = seed;
+      for (const sim::RunSpec& spec : configs) {
+        sim::RunSpec run_spec = spec;
+        run_spec.params.seed = seed;
         const check::HarnessResult r = check::run_checked(program, run_spec);
         if (r.ok) continue;
         if (r.timed_out) {
@@ -249,11 +246,8 @@ int inject_tag_bug(const Options& opt) {
   gen.loop_iters = opt.loop_iters;
   gen.edge_ops = true;
   const kasm::Program program = check::random_program(opt.seed, gen);
-  check::HarnessSpec spec;
-  spec.threads = opt.threads;
-  spec.phys_regs = opt.phys_regs;
-  spec.seed = opt.seed;
-  spec.no_skip = opt.no_skip;
+  sim::RunSpec spec = opt.spec;
+  spec.params.seed = opt.seed;
   if (check::tag_bug_detected(program, spec)) {
     std::cout << "inject-tag-bug: corruption detected by the check layer\n";
     return 0;
@@ -275,6 +269,8 @@ int main(int argc, char** argv) {
       print_usage();
       return 0;
     }
+    // A bad base point fails here, not in every worker thread.
+    sim::validate(opt.spec);
     if (opt.inject_tag_bug) return inject_tag_bug(opt);
     if (opt.programs == 0) {
       throw std::invalid_argument("--programs must be > 0");

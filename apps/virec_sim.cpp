@@ -325,6 +325,16 @@ int run_lint_stats() {
   return 0;
 }
 
+/// --area: the area/delay report of one core of @p config.
+void print_area(const sim::SystemConfig& config) {
+  const area::CoreAreaReport report = area::core_area_for(config);
+  std::cout << "area.label " << report.label << "\n"
+            << "area.total_mm2 " << report.total_mm2 << "\n"
+            << "area.rf_mm2 " << report.rf_mm2 << "\n"
+            << "area.tag_mm2 " << report.tag_mm2 << "\n"
+            << "area.rf_delay_ns " << report.rf_delay_ns << "\n";
+}
+
 /// Single-run sampled mode (--sample-windows): alternate replayed
 /// functional stretches with cycle-accurate measurement windows and
 /// report the sampled estimate (docs/performance.md).
@@ -344,17 +354,9 @@ int run_tiered_mode(const Options& opt) {
   const workloads::Workload& workload =
       workloads::find_workload(opt.spec.workload);
   const sim::SystemConfig config = sim::build_config(opt.spec);
-  if (opt.area) {
-    const area::CoreAreaReport report = area::core_area_for(config);
-    std::cout << "area.label " << report.label << "\n"
-              << "area.total_mm2 " << report.total_mm2 << "\n"
-              << "area.rf_mm2 " << report.rf_mm2 << "\n"
-              << "area.tag_mm2 " << report.tag_mm2 << "\n"
-              << "area.rf_delay_ns " << report.rf_delay_ns << "\n";
-  }
+  if (opt.area) print_area(config);
 
   sim::System system(config, workload, opt.spec.params);
-  if (opt.json) system.set_detailed_stats(true);
   if (opt.spec.check) system.enable_check();
 
   sim::TieredRunner runner(system, opt.spec);
@@ -538,7 +540,7 @@ int run_replay_mode(const Options& opt) {
             << "scheme " << sim::scheme_name(repro.spec.scheme) << "\n"
             << "policy " << core::policy_name(repro.spec.policy) << "\n"
             << "phys_regs " << repro.spec.phys_regs << "\n"
-            << "threads " << repro.spec.threads << "\n"
+            << "threads " << repro.spec.threads_per_core << "\n"
             << "instructions_in_program " << repro.program.size() << "\n";
   const check::HarnessResult result =
       check::run_checked(repro.program, repro.spec);
@@ -607,14 +609,7 @@ int main(int argc, char** argv) {
           " core(s)");
     }
 
-    if (opt.area) {
-      const area::CoreAreaReport report = area::core_area_for(config);
-      std::cout << "area.label " << report.label << "\n"
-                << "area.total_mm2 " << report.total_mm2 << "\n"
-                << "area.rf_mm2 " << report.rf_mm2 << "\n"
-                << "area.tag_mm2 " << report.tag_mm2 << "\n"
-                << "area.rf_delay_ns " << report.rf_delay_ns << "\n";
-    }
+    if (opt.area) print_area(config);
 
     sim::System system(config, workload, opt.spec.params);
     cpu::TextTracer tracer(std::cout);

@@ -1,54 +1,76 @@
-// Single-core checked execution harness: run one program on a chosen
-// scheme/policy configuration with the lockstep oracle and all hard
-// invariants attached. This is the engine behind apps/virec_fuzz.cpp
-// and `virec-sim --replay`.
+// Checked execution harness: run one program on a sim::System built
+// from a sim::RunSpec, with the lockstep oracle and all hard invariants
+// attached. This is the engine behind apps/virec_fuzz.cpp and
+// `virec-sim --replay`.
 #pragma once
 
 #include <string>
+#include <utility>
 
 #include "common/types.hpp"
-#include "core/replacement_policy.hpp"
 #include "kasm/program.hpp"
-#include "sim/system_config.hpp"
+#include "sim/run_spec.hpp"
+#include "workloads/workload.hpp"
 
 namespace virec::check {
 
-struct HarnessSpec {
-  sim::Scheme scheme = sim::Scheme::kViReC;
-  core::PolicyKind policy = core::PolicyKind::kLRC;
-  /// Physical RF entries for the ViReC/NSF schemes. A deliberately
-  /// small default keeps every register crossing the fill/spill path.
-  u32 phys_regs = 6;
-  u32 threads = 2;
-  /// Cycle budget; exceeding it reports a timeout, not a failure
-  /// (shrinking can produce non-terminating loops).
-  Cycle max_cycles = 2'000'000;
-  /// Generator seed, carried for provenance in repro files (0 = n/a).
-  u64 seed = 0;
-  /// Disable event-driven cycle skipping and step every cycle (the
-  /// oracle checks commits identically either way; skipping only
-  /// changes wall-clock).
-  bool no_skip = false;
+/// The workload of a checked run: one program on every thread, the
+/// seeded arena (seed_arena) as its data, and the arena base register
+/// pointing at it on every thread. Its check() passes: the oracle
+/// judges the run.
+class ProgramWorkload final : public workloads::Workload {
+ public:
+  explicit ProgramWorkload(kasm::Program program)
+      : program_(std::move(program)) {}
+
+  std::string name() const override { return "program"; }
+  std::string description() const override {
+    return "one generated program on every thread (checked runs)";
+  }
+  u32 active_regs() const override { return isa::kNumAllocatableRegs; }
+  kasm::Program program(const workloads::WorkloadParams&) const override {
+    return program_;
+  }
+  void init_memory(mem::SparseMemory& memory, const workloads::WorkloadParams&,
+                   u32) const override;
+  workloads::RegContext thread_regs(const workloads::WorkloadParams&, u32,
+                                    u32) const override;
+  bool check(const mem::SparseMemory&, const workloads::WorkloadParams&, u32,
+             std::string*) const override {
+    return true;
+  }
+
+ private:
+  kasm::Program program_;
 };
+
+/// The fuzzer's base point: one core, 2 threads, 6 physical registers
+/// (a deliberately small RF keeps every register crossing the
+/// fill/spill path) and a 2,000,000-cycle budget, whose overrun reports
+/// a timeout, not a failure (shrinking can produce non-terminating
+/// loops). params.seed carries the generator seed for provenance in
+/// repro files (0 = none).
+sim::RunSpec fuzz_spec();
 
 struct HarnessResult {
   bool ok = false;
   bool timed_out = false;
   std::string message;       ///< divergence / invariant report when !ok
-  Cycle cycles = 0;
-  u64 instructions = 0;
+  Cycle cycles = 0;          ///< max over the cores
+  u64 instructions = 0;      ///< summed over the cores
   u64 commits_checked = 0;
 };
 
-/// Execute @p program under @p spec with the oracle + invariants armed.
-/// All threads start with the arena base register pointing at the
-/// seeded arena (see check::seed_arena).
+/// Execute @p program on every thread of the system @p spec describes,
+/// with the oracle + invariants armed. A run the System watchdog stops
+/// (any core past spec.max_cycles) reports a timeout; an exception
+/// other than check::CheckError propagates.
 HarnessResult run_checked(const kasm::Program& program,
-                          const HarnessSpec& spec);
+                          const sim::RunSpec& spec);
 
-/// Negative self-test: run @p program on the ViReC datapath and corrupt
-/// the tag store mid-run (swap two entries' tags without fixing the
-/// map). Returns true iff the check layer catches it.
-bool tag_bug_detected(const kasm::Program& program, const HarnessSpec& spec);
+/// Negative self-test: run @p program on the ViReC datapath, stepping
+/// core 0, and corrupt the tag store mid-run (swap two entries' tags
+/// without fixing the map). Returns true iff the check layer catches it.
+bool tag_bug_detected(const kasm::Program& program, const sim::RunSpec& spec);
 
 }  // namespace virec::check

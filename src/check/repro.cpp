@@ -10,15 +10,17 @@
 
 namespace virec::check {
 
-std::string write_repro(const HarnessSpec& spec,
+std::string write_repro(const sim::RunSpec& spec,
                         const kasm::Program& program) {
   std::ostringstream os;
   os << "// repro scheme " << sim::scheme_name(spec.scheme) << "\n";
   os << "// repro policy " << core::policy_name(spec.policy) << "\n";
   os << "// repro phys-regs " << spec.phys_regs << "\n";
-  os << "// repro threads " << spec.threads << "\n";
+  os << "// repro threads " << spec.threads_per_core << "\n";
   os << "// repro max-cycles " << spec.max_cycles << "\n";
-  if (spec.seed != 0) os << "// repro seed " << spec.seed << "\n";
+  if (spec.params.seed != 0) {
+    os << "// repro seed " << spec.params.seed << "\n";
+  }
   // Only recorded when set: older repro files (and the default mode)
   // run with skipping on.
   if (spec.no_skip) os << "// repro no-skip 1\n";
@@ -29,7 +31,7 @@ std::string write_repro(const HarnessSpec& spec,
 }
 
 Repro parse_repro(const std::string& text) {
-  Repro repro;
+  Repro repro{fuzz_spec(), {}};
   std::istringstream is(text);
   std::string line;
   std::string body;
@@ -50,11 +52,11 @@ Repro parse_repro(const std::string& text) {
       } else if (key == "phys-regs") {
         repro.spec.phys_regs = parse_u32("repro " + key, value);
       } else if (key == "threads") {
-        repro.spec.threads = parse_u32("repro " + key, value);
+        repro.spec.threads_per_core = parse_u32("repro " + key, value);
       } else if (key == "max-cycles") {
         repro.spec.max_cycles = parse_u64("repro " + key, value);
       } else if (key == "seed") {
-        repro.spec.seed = parse_u64("repro " + key, value);
+        repro.spec.params.seed = parse_u64("repro " + key, value);
       } else if (key == "no-skip") {
         repro.spec.no_skip = parse_u64("repro " + key, value) != 0;
       } else {

@@ -4,7 +4,9 @@
 // carrying the failing configuration, followed by the (shrunk) program
 // as a disassembly listing the kasm assembler can read back. Replay
 // with `virec-sim --replay FILE` or programmatically via
-// check::run_checked().
+// check::run_checked(). Headers a file omits keep check::fuzz_spec()'s
+// values; `threads` is sim::RunSpec::threads_per_core and `seed` its
+// params.seed.
 #pragma once
 
 #include <string>
@@ -15,12 +17,12 @@
 namespace virec::check {
 
 struct Repro {
-  HarnessSpec spec;
+  sim::RunSpec spec;
   kasm::Program program;
 };
 
 /// Serialise @p spec + @p program into the repro text format.
-std::string write_repro(const HarnessSpec& spec,
+std::string write_repro(const sim::RunSpec& spec,
                         const kasm::Program& program);
 
 /// Parse repro text (throws std::invalid_argument / kasm::AsmError on

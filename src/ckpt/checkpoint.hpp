@@ -30,7 +30,8 @@ namespace virec::ckpt {
 
 /// Bumped whenever the snapshot layout changes incompatibly. Restoring
 /// a file with a different version fails cleanly. v2: cycle-accounting
-/// state; v3: no prepass flag in the "tiered" section.
+/// state; v3: no prepass flag in the sampled-run "tiered" section, a
+/// section no snapshot carries any more.
 inline constexpr u32 kFormatVersion = 3;
 inline constexpr u32 kMagic = 0x504b4356u;  // "VCKP"
 

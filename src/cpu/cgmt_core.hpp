@@ -76,8 +76,8 @@ class CgmtCore {
   /// All started threads halted.
   bool done() const { return live_threads_ == 0; }
 
-  /// The one step/skip loop every driver shares: run(), run_insts(),
-  /// sim::System's scheduler and check::run_checked. Steps until
+  /// The one step/skip loop every caller shares: run(), run_insts()
+  /// and sim::System's scheduler. Steps until
   /// done(), cycle() >= @p bound or instructions() >= @p inst_end.
   /// With config.skip set, a quiet stretch is instead fast-forwarded in
   /// one jump to its next event, clamped to @p skip_end (>= @p bound):

@@ -43,13 +43,6 @@ ParallelExecutor::~ParallelExecutor() {
   }
 }
 
-std::size_t ParallelExecutor::submit(RunSpec spec) {
-  std::string label = spec_label(spec);
-  return submit_task(
-      [spec = std::move(spec)] { return run_spec(spec); },
-      std::move(label));
-}
-
 std::size_t ParallelExecutor::submit_task(std::function<RunResult()> task,
                                           std::string label) {
   std::size_t index;
@@ -85,7 +78,7 @@ void ParallelExecutor::run_task(const Task& task) {
     error_ = error;
     error_index_ = task.index;
   }
-  // Fail fast: specs queued behind a failure are skipped so a broken
+  // Fail fast: tasks queued behind a failure are skipped so a broken
   // sweep doesn't burn the rest of the grid.
   queue_.clear();
 }
@@ -130,12 +123,6 @@ std::vector<RunResult> ParallelExecutor::join() {
   joined_ = true;
   if (error_) std::rethrow_exception(error_);
   return std::move(results_);
-}
-
-std::vector<RunResult> run_specs(const std::vector<RunSpec>& specs, u32 jobs) {
-  ParallelExecutor pool(jobs);
-  for (const RunSpec& spec : specs) pool.submit(spec);
-  return pool.join();
 }
 
 std::vector<RunResult> run_tasks(std::vector<std::function<RunResult()>> tasks,

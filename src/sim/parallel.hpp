@@ -1,16 +1,18 @@
-// Parallel experiment engine: run many independent RunSpecs on a fixed
-// pool of worker threads. Every experiment point is a self-contained
-// simulation (its own System, memory, stats registry), so points are
-// embarrassingly parallel; the engine only adds a work queue and
-// deterministic result collection.
+// Parallel experiment engine: run many independent experiment points on
+// a fixed pool of worker threads. Every experiment point is a
+// self-contained simulation (its own System, memory, stats registry),
+// so points are embarrassingly parallel; the engine only adds a work
+// queue and deterministic result collection.
 //
 //   sim::ParallelExecutor pool(8);
-//   for (const RunSpec& spec : grid) pool.submit(spec);
+//   for (const RunSpec& spec : grid) {
+//     pool.submit_task([&spec] { return run_spec(spec); },
+//                      spec_label(spec));
+//   }
 //   std::vector<RunResult> results = pool.join();  // ordered, rethrows
 //
-// or, in one call:
-//
-//   std::vector<RunResult> results = sim::run_specs(grid, /*jobs=*/0);
+// A list of RunSpecs runs through sim::run_points (sim/sweep.hpp), which
+// adds deduplication and the result store on top of this pool.
 //
 // Determinism: results are ordered by submission index, and each run is
 // deterministic in isolation, so the output is bit-identical for any
@@ -40,35 +42,31 @@ u32 default_jobs();
 /// rethrown from ParallelExecutor::join().
 std::string spec_label(const RunSpec& spec);
 
-/// Fixed thread pool over a queue of RunSpecs. Single-use: submit any
-/// number of specs, then call join() exactly once to collect results
-/// in submission order. If any run throws, join() rethrows the
+/// Fixed thread pool over a queue of result-producing tasks.
+/// Single-use: submit any number of tasks, then call join() exactly
+/// once to collect results in submission order. If any run throws, join() rethrows the
 /// exception of the lowest-indexed failing run after the pool has
 /// drained (never deadlocks; runs queued behind a failure are skipped).
 class ParallelExecutor {
  public:
   /// @p jobs worker threads; 0 = default_jobs(). With jobs = 1 no
-  /// threads are spawned and join() runs every spec on the calling
-  /// thread in submission order — today's serial behaviour.
+  /// threads are spawned and join() runs every task on the calling
+  /// thread in submission order — the serial behaviour.
   explicit ParallelExecutor(u32 jobs = 0);
   ~ParallelExecutor();
 
   ParallelExecutor(const ParallelExecutor&) = delete;
   ParallelExecutor& operator=(const ParallelExecutor&) = delete;
 
-  /// Enqueue one experiment point; returns its submission index.
-  std::size_t submit(RunSpec spec);
-
-  /// Enqueue an arbitrary result-producing task — for studies (e.g.
-  /// the feature ablation) whose points tweak config knobs RunSpec
-  /// does not expose. The callable must not touch state shared with
-  /// other tasks. A non-empty @p label wraps any exception the task
+  /// Enqueue one result-producing task; returns its submission index.
+  /// The callable must not touch state shared with other tasks unless
+  /// it synchronises. A non-empty @p label wraps any exception the task
   /// throws in a std::runtime_error prefixed with it, so join()'s
   /// rethrow names the failing point.
   std::size_t submit_task(std::function<RunResult()> task,
                           std::string label = "");
 
-  /// Wait for every submitted spec, stop the workers and return the
+  /// Wait for every submitted task, stop the workers and return the
   /// results ordered by submission index. Rethrows the first (lowest
   /// submission index) captured exception, if any.
   std::vector<RunResult> join();
@@ -100,13 +98,9 @@ class ParallelExecutor {
   bool joined_ = false;
 };
 
-/// Run every spec (0 jobs = hardware concurrency) and return results in
-/// input order; rethrows the first failure. jobs = 1 is exactly the
+/// Run every task (0 jobs = hardware concurrency) and return results
+/// in input order; rethrows the first failure. jobs = 1 is exactly the
 /// serial loop.
-std::vector<RunResult> run_specs(const std::vector<RunSpec>& specs,
-                                 u32 jobs = 0);
-
-/// Same, for arbitrary result-producing tasks.
 std::vector<RunResult> run_tasks(std::vector<std::function<RunResult()>> tasks,
                                  u32 jobs = 0);
 

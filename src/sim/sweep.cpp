@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <functional>
 #include <ostream>
 #include <unordered_map>
@@ -14,20 +13,6 @@
 #include "svc/result_store.hpp"
 
 namespace virec::sim {
-
-std::string sweep_key(const std::string& workload, Scheme scheme, u32 threads,
-                      double fraction) {
-  u64 fraction_bits;
-  std::memcpy(&fraction_bits, &fraction, sizeof fraction_bits);
-  std::string key = workload;
-  key += '\0';
-  key += std::to_string(static_cast<int>(scheme));
-  key += '\0';
-  key += std::to_string(threads);
-  key += '\0';
-  key += std::to_string(fraction_bits);
-  return key;
-}
 
 PointResults run_points(const std::vector<RunSpec>& specs, u32 jobs,
                         svc::ResultStore* store,
@@ -104,41 +89,7 @@ SweepResults::SweepResults(std::vector<SweepRecord> records,
                            std::size_t from_store, std::size_t executed)
     : records_(std::move(records)),
       from_store_(from_store),
-      executed_(executed) {
-  index_.reserve(records_.size());
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    const RunSpec& s = records_[i].spec;
-    // emplace: first record for a key wins, matching the old linear
-    // scan's front-to-back behaviour.
-    index_.emplace(sweep_key(s.workload, s.scheme, s.threads_per_core,
-                             s.context_fraction),
-                   i);
-  }
-}
-
-std::vector<const SweepRecord*> SweepResults::where(
-    const std::function<bool(const SweepRecord&)>& predicate) const {
-  std::vector<const SweepRecord*> out;
-  for (const SweepRecord& record : records_) {
-    if (predicate(record)) out.push_back(&record);
-  }
-  return out;
-}
-
-const SweepRecord* SweepResults::find(const std::string& workload,
-                                      Scheme scheme, u32 threads,
-                                      double fraction) const {
-  const auto it = index_.find(sweep_key(workload, scheme, threads, fraction));
-  return it == index_.end() ? nullptr : &records_[it->second];
-}
-
-std::optional<Cycle> SweepResults::cycles_of(const std::string& workload,
-                                             Scheme scheme, u32 threads,
-                                             double fraction) const {
-  const SweepRecord* record = find(workload, scheme, threads, fraction);
-  if (record == nullptr) return std::nullopt;
-  return record->result.cycles;
-}
+      executed_(executed) {}
 
 void SweepResults::write_csv(std::ostream& os) const {
   os << "workload,scheme,policy,cores,threads,ctx,phys_regs,cycles,"

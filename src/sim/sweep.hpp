@@ -1,6 +1,6 @@
 // Declarative experiment sweeps: build a grid of RunSpecs, run them
-// all, and collect flat records that can be printed, filtered, or
-// exported as CSV. The figure harnesses in bench/ are hand-rolled for
+// all, and collect flat records that can be printed or exported as CSV
+// and JSON. The figure harnesses in bench/ are hand-rolled for
 // readability; this is the programmatic interface for new studies.
 //
 //   sim::Sweep sweep;
@@ -19,9 +19,7 @@
 #include <array>
 #include <functional>
 #include <iosfwd>
-#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/runner.hpp"
@@ -38,13 +36,6 @@ struct SweepRecord {
   RunSpec spec;
   RunResult result;
 };
-
-/// Lookup key for an experiment point: the axes the figure harnesses
-/// index results by. Encodes the context fraction by its exact bit
-/// pattern so keyed lookups match the same doubles the grid was built
-/// from (no epsilon comparison — sweeps reuse the literal values).
-std::string sweep_key(const std::string& workload, Scheme scheme, u32 threads,
-                      double fraction);
 
 /// Progress callback of run_points and Sweep::run: (points done so
 /// far, total points, wall seconds the completing point took; 0 for
@@ -84,22 +75,6 @@ class SweepResults {
   const std::vector<SweepRecord>& records() const { return records_; }
   std::size_t size() const { return records_.size(); }
 
-  /// Records matching a predicate.
-  std::vector<const SweepRecord*> where(
-      const std::function<bool(const SweepRecord&)>& predicate) const;
-
-  /// Record matching (workload, scheme, threads, fraction) via the
-  /// keyed index built at construction — O(1), not a rescan. Returns
-  /// nullptr if absent; the first record wins when the grid visits the
-  /// same point twice.
-  const SweepRecord* find(const std::string& workload, Scheme scheme,
-                          u32 threads, double fraction) const;
-
-  /// Cycles of the record matching (workload, scheme, threads,
-  /// fraction); nullopt if absent.
-  std::optional<Cycle> cycles_of(const std::string& workload, Scheme scheme,
-                                 u32 threads, double fraction) const;
-
   /// CSV with a fixed header:
   /// workload,scheme,policy,cores,threads,ctx,phys_regs,cycles,
   /// instructions,ipc,switches,rf_hit_rate,rf_fills,rf_spills
@@ -119,8 +94,6 @@ class SweepResults {
   std::vector<SweepRecord> records_;
   std::size_t from_store_;
   std::size_t executed_;
-  // sweep_key -> index into records_, built once by the constructor.
-  std::unordered_map<std::string, std::size_t> index_;
 };
 
 class Sweep {

@@ -4,6 +4,8 @@
 #include <chrono>
 #include <stdexcept>
 
+#include "ckpt/spec_codec.hpp"
+
 namespace virec::sim {
 
 namespace {
@@ -319,14 +321,6 @@ u64 System::total_instructions() const {
   return n;
 }
 
-void System::run_detailed_insts(u64 insts) {
-  // The tiered runner is single-core (TieredRunner rejects others).
-  if (cores_.size() != 1) {
-    throw std::logic_error("System::run_detailed_insts: single-core only");
-  }
-  cores_[0]->run_insts(insts);
-}
-
 RunResult System::make_result() {
   // The scheduler drives cores through run_until(), not
   // CgmtCore::run(); mirror run()'s final scalar bookkeeping so registry
@@ -378,89 +372,67 @@ RunResult System::make_result() {
   return result;
 }
 
-namespace {
-
-u64 hash_u64(u64 h, u64 v) {
-  for (u32 i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-u64 hash_str(u64 h, const std::string& s) {
-  h = hash_u64(h, s.size());
-  for (const char c : s) {
-    h ^= static_cast<u8>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-u64 hash_cache(u64 h, const mem::CacheConfig& c) {
-  h = hash_u64(h, c.size_bytes);
-  h = hash_u64(h, c.assoc);
-  h = hash_u64(h, c.hit_latency);
-  h = hash_u64(h, c.mshrs);
-  h = hash_u64(h, c.stride_prefetch ? 1 : 0);
-  h = hash_u64(h, c.prefetch_degree);
-  return h;
-}
-
-}  // namespace
-
 u64 System::config_hash() const {
-  u64 h = 0xcbf29ce484222325ull;  // FNV-1a offset basis
-  h = hash_u64(h, static_cast<u64>(config_.scheme));
-  h = hash_u64(h, config_.num_cores);
-  h = hash_u64(h, config_.threads_per_core);
+  // FNV-1a over each field's 8 little-endian bytes, in this order.
+  ckpt::Encoder enc;
+  const auto put_cache = [&enc](const mem::CacheConfig& c) {
+    enc.put_u64(c.size_bytes);
+    enc.put_u64(c.assoc);
+    enc.put_u64(c.hit_latency);
+    enc.put_u64(c.mshrs);
+    enc.put_u64(c.stride_prefetch ? 1 : 0);
+    enc.put_u64(c.prefetch_degree);
+  };
+  enc.put_u64(static_cast<u64>(config_.scheme));
+  enc.put_u64(config_.num_cores);
+  enc.put_u64(config_.threads_per_core);
   const core::ViReCConfig& v = config_.virec;
-  h = hash_u64(h, v.num_phys_regs);
-  h = hash_u64(h, static_cast<u64>(v.policy));
-  h = hash_u64(h, (v.bsi.non_blocking ? 1u : 0u) |
-                      (v.bsi.dummy_dest_fill ? 2u : 0u) |
-                      (v.bsi.pin_lines ? 4u : 0u) |
-                      (v.csl.sysreg_prefetch ? 8u : 0u) |
-                      (v.group_spill ? 16u : 0u) |
-                      (v.switch_prefetch ? 32u : 0u));
-  h = hash_u64(h, v.rollback_depth);
-  h = hash_u64(h, v.seed);
+  enc.put_u64(v.num_phys_regs);
+  enc.put_u64(static_cast<u64>(v.policy));
+  enc.put_u64((v.bsi.non_blocking ? 1u : 0u) |
+              (v.bsi.dummy_dest_fill ? 2u : 0u) |
+              (v.bsi.pin_lines ? 4u : 0u) |
+              (v.csl.sysreg_prefetch ? 8u : 0u) |
+              (v.group_spill ? 16u : 0u) |
+              (v.switch_prefetch ? 32u : 0u));
+  enc.put_u64(v.rollback_depth);
+  enc.put_u64(v.seed);
   // config_.core.max_cycles is deliberately excluded: restoring with a
   // larger watchdog budget must be allowed. config_.core.skip is
   // excluded too: cycle skipping is a pure simulator-speed knob with
   // no state of its own, so snapshots move freely between skip-on and
   // --no-skip runs.
-  h = hash_u64(h, config_.core.num_threads);
-  h = hash_u64(h, config_.core.sq_entries);
-  h = hash_u64(h, config_.core.switch_on_miss ? 1 : 0);
+  enc.put_u64(config_.core.num_threads);
+  enc.put_u64(config_.core.sq_entries);
+  enc.put_u64(config_.core.switch_on_miss ? 1 : 0);
   const mem::MemSystemConfig& m = config_.mem;
-  h = hash_cache(h, m.icache);
-  h = hash_cache(h, m.dcache);
-  h = hash_u64(h, m.has_l2 ? 1 : 0);
-  if (m.has_l2) h = hash_cache(h, m.l2);
-  h = hash_u64(h, m.xbar.latency);
-  h = hash_u64(h, m.xbar.cycles_per_line);
-  h = hash_u64(h, m.dram.channels);
-  h = hash_u64(h, m.dram.banks_per_channel);
-  h = hash_u64(h, m.dram.row_bytes);
-  h = hash_u64(h, m.dram.t_rp);
-  h = hash_u64(h, m.dram.t_rcd);
-  h = hash_u64(h, m.dram.t_cl);
-  h = hash_u64(h, m.dram.burst_cycles);
-  h = hash_str(h, workload_.name());
-  h = hash_u64(h, params_.iters_per_thread);
-  h = hash_u64(h, params_.elements);
-  h = hash_u64(h, params_.stride);
-  h = hash_u64(h, params_.locality_window);
-  h = hash_u64(h, params_.extra_compute);
-  h = hash_u64(h, params_.max_regs);
-  h = hash_u64(h, params_.seed);
-  return h;
+  put_cache(m.icache);
+  put_cache(m.dcache);
+  enc.put_u64(m.has_l2 ? 1 : 0);
+  if (m.has_l2) put_cache(m.l2);
+  enc.put_u64(m.xbar.latency);
+  enc.put_u64(m.xbar.cycles_per_line);
+  enc.put_u64(m.dram.channels);
+  enc.put_u64(m.dram.banks_per_channel);
+  enc.put_u64(m.dram.row_bytes);
+  enc.put_u64(m.dram.t_rp);
+  enc.put_u64(m.dram.t_rcd);
+  enc.put_u64(m.dram.t_cl);
+  enc.put_u64(m.dram.burst_cycles);
+  const std::string name = workload_.name();
+  enc.put_u64(name.size());
+  enc.raw(name.data(), name.size());
+  enc.put_u64(params_.iters_per_thread);
+  enc.put_u64(params_.elements);
+  enc.put_u64(params_.stride);
+  enc.put_u64(params_.locality_window);
+  enc.put_u64(params_.extra_compute);
+  enc.put_u64(params_.max_regs);
+  enc.put_u64(params_.seed);
+  return ckpt::fnv1a(ckpt::kFnvOffsetBasis, enc.bytes().data(), enc.size());
 }
 
-void System::save(
-    const std::string& path,
-    const std::function<void(ckpt::CheckpointWriter&)>& extra) const {
+void System::save(const std::string& path) const {
   ckpt::CheckpointWriter writer(config_hash());
   ms_->save_state(writer);
   for (u32 c = 0; c < config_.num_cores; ++c) {
@@ -482,13 +454,10 @@ void System::save(
   sim.put_u64(sample_next_);
   sim.put_u64(sample_prev_cycle_);
   sim.put_u64(sample_prev_instructions_);
-  if (extra) extra(writer);
   writer.write_file(path);
 }
 
-void System::restore(
-    const std::string& path,
-    const std::function<void(ckpt::CheckpointReader&)>& extra) {
+void System::restore(const std::string& path) {
   ckpt::CheckpointReader reader(path, config_hash());
   ms_->restore_state(reader);
   for (u32 c = 0; c < config_.num_cores; ++c) {
@@ -518,7 +487,6 @@ void System::restore(
   sample_prev_cycle_ = sim.get_u64();
   sample_prev_instructions_ = sim.get_u64();
   sim.finish();
-  if (extra) extra(reader);
   restored_ = true;
 }
 

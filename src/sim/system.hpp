@@ -79,13 +79,6 @@ class System {
   /// results.
   RunResult run();
 
-  /// Run the detailed model until @p insts further instructions have
-  /// committed or the core is done. Single-core systems only: used by
-  /// the tiered runner for warm-up prefixes and measurement windows;
-  /// the sampling/checkpoint/progress observers of run() do not apply
-  /// here.
-  void run_detailed_insts(u64 insts);
-
   /// Assemble the RunResult for the current simulation state (run()'s
   /// final bookkeeping, exposed so sim::TieredRunner can finish a
   /// sampled run through the same path).
@@ -165,21 +158,14 @@ class System {
   u64 config_hash() const;
 
   /// Write a crash-safe snapshot of the complete simulation state
-  /// (docs/checkpointing.md). Callable mid-run. @p extra, when set, may
-  /// append owner-specific sections after the built-in ones (the
-  /// tiered runner stores its sampling plan this way).
-  void save(const std::string& path,
-            const std::function<void(ckpt::CheckpointWriter&)>& extra =
-                {}) const;
+  /// (docs/checkpointing.md). Callable mid-run.
+  void save(const std::string& path) const;
 
   /// Restore a snapshot produced by an identically configured system.
   /// Throws ckpt::CkptError on corruption or configuration mismatch.
   /// A subsequent run() continues from the snapshot point and produces
-  /// bit-identical results to an uninterrupted run. @p extra must
-  /// mirror the writer-side callback, consuming the same sections in
-  /// the same order.
-  void restore(const std::string& path,
-               const std::function<void(ckpt::CheckpointReader&)>& extra = {});
+  /// bit-identical results to an uninterrupted run.
+  void restore(const std::string& path);
 
   /// Save a snapshot to "<dir>/ckpt-<cycle>.vckpt" every @p every
   /// cycles during run() (0 disables). Grid points are epoch ends of

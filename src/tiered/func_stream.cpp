@@ -444,25 +444,6 @@ Cycle FuncStreamReplayer::advance(u64 target, cpu::CgmtCore& core,
   return warm_clock;
 }
 
-void FuncStreamReplayer::seek(u64 target) {
-  if (target > stream_->n_total) target = stream_->n_total;
-  while (pos_ < target) {
-    const isa::Inst* inst = nullptr;
-    u64 pc = 0;
-    const Decoded d = decode_next(inst, pc);
-    const int tid = cur_tid_;
-    pcs_[static_cast<std::size_t>(tid)] = d.next_pc;
-    ++pos_;
-    if (d.info->halt) {
-      halted_[static_cast<std::size_t>(tid)] = 1;
-      --live_;
-      cur_tid_ = d.sched_next;
-    } else if (d.has_sched) {
-      cur_tid_ = d.sched_next;
-    }
-  }
-}
-
 // --- Disk codec ---
 
 std::shared_ptr<const FuncStream> load_func_stream(const std::string& path,

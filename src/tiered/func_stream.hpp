@@ -72,8 +72,7 @@ std::shared_ptr<const FuncStream> build_func_stream(System& system,
 class FuncStreamReplayer {
  public:
   /// Throws std::runtime_error unless @p stream records @p num_threads
-  /// threads, starts at one of them and @p program is not empty: a
-  /// stream restored from a checkpoint is checked like a disk stream.
+  /// threads, starts at one of them and @p program is not empty.
   FuncStreamReplayer(std::shared_ptr<const FuncStream> stream,
                      const kasm::Program& program, u32 num_threads);
 
@@ -94,12 +93,6 @@ class FuncStreamReplayer {
                 mem::MemorySystem& ms, check::CheckContext* check,
                 Cycle warm_clock, u64 cpi_scale);
 
-  /// Decode-only fast-forward of the cursor to @p target (thread PCs,
-  /// halt flags and the scheduled thread advance; no system effects).
-  /// Checkpoint restore uses this to re-seat a fresh replayer at the
-  /// snapshot's stream position.
-  void seek(u64 target);
-
  private:
   /// What every record at one PC shares, derived from the program once
   /// per replayer instead of once per record.
@@ -115,9 +108,8 @@ class FuncStreamReplayer {
   /// std::runtime_error on a truncated record, a successor PC outside
   /// the program or a scheduler target that is not a live thread.
   Decoded decode_next(const isa::Inst*& inst, u64& pc);
-  /// Post-record bookkeeping shared by advance/seek: PC, halt flag and
-  /// scheduler updates. Returns the outgoing tid's successor (-1 when
-  /// the thread pool is exhausted).
+  /// The first live thread after @p after, skipping @p exclude (-1
+  /// when the thread pool is exhausted).
   int pick_next(int after, int exclude) const;
 
   std::shared_ptr<const FuncStream> stream_;
@@ -133,7 +125,7 @@ class FuncStreamReplayer {
 
 /// Process-wide stream registry: deduplicates builds across the points
 /// of a sweep (and across threads) and optionally persists streams to
-/// disk. Key 0 opts out of sharing entirely (always a local build).
+/// disk.
 class StreamCache {
  public:
   struct Stats {

@@ -154,13 +154,15 @@ void TieredRunner::end_probe() {
 }
 
 void TieredRunner::run_detailed(u64 insts) {
-  if (insts == 0 || sys_.core(0).done()) return;
+  // Single-core: validate() rejects sampling on more cores.
+  cpu::CgmtCore& core = sys_.core(0);
+  if (insts == 0 || core.done()) return;
   const double t0 = now_secs();
   const u64 before = sys_.total_instructions();
-  const Cycle c0 = sys_.core(0).cycle();
-  sys_.run_detailed_insts(insts);
+  const Cycle c0 = core.cycle();
+  core.run_insts(insts);
   insts_detailed_ += sys_.total_instructions() - before;
-  cycles_detailed_ += sys_.core(0).cycle() - c0;
+  cycles_detailed_ += core.cycle() - c0;
   wall_detailed_ += now_secs() - t0;
   emit_progress("detailed", false);
 }
@@ -263,15 +265,13 @@ TieredResult TieredRunner::run() {
   // Acquire the (possibly sweep-shared) functional stream — recording
   // it fixes the total instruction count — then alternate replayed
   // functional stretches with reverted detailed probes.
-  if (stream_ == nullptr) {
-    emit_progress("prepass", false);
-    const double t0 = now_secs();
-    stream_ = StreamCache::instance().acquire(
-        ckpt::functional_stream_hash(spec_), spec_.stream_dir, sys_);
-    replayer_ = std::make_unique<FuncStreamReplayer>(
-        stream_, sys_.program(), sys_.total_threads());
-    wall_functional_ += now_secs() - t0;
-  }
+  emit_progress("prepass", false);
+  const double t0 = now_secs();
+  stream_ = StreamCache::instance().acquire(
+      ckpt::functional_stream_hash(spec_), spec_.stream_dir, sys_);
+  replayer_ = std::make_unique<FuncStreamReplayer>(stream_, sys_.program(),
+                                                   sys_.total_threads());
+  wall_functional_ += now_secs() - t0;
   n_total_ = stream_->n_total;
   const u64 wk = spec_.warmup_insts + spec_.window_insts;
   const u32 n = spec_.sample_windows;
@@ -290,16 +290,13 @@ TieredResult TieredRunner::run() {
   // bias) to warm state faithfully, so burn one window-equivalent of
   // detailed execution at the start. Like every probe it is reverted —
   // the replay below re-executes the same golden positions — but its
-  // warm state and CPI carry forward. Skipped on restore (a detailed
-  // stretch has already run).
-  if (insts_detailed_ == 0 && window_ == 0) {
-    const u64 first_start = spacing > wk ? (spacing - wk) / 2 : 0;
-    const u64 pilot = std::min(wk, first_start);
-    if (pilot > 0 && !core.done()) {
-      begin_probe();
-      run_detailed(pilot);
-      end_probe();
-    }
+  // warm state and CPI carry forward.
+  const u64 first_start = spacing > wk ? (spacing - wk) / 2 : 0;
+  const u64 pilot = std::min(wk, first_start);
+  if (pilot > 0 && !core.done()) {
+    begin_probe();
+    run_detailed(pilot);
+    end_probe();
   }
   while (window_ < n) {
     // Systematic placement: window i's detailed stretch is centred in
@@ -329,88 +326,11 @@ TieredResult TieredRunner::run() {
       windows_.push_back(w);
     }
     ++window_;
-    if (window_hook_) window_hook_(window_);
   }
   replay_advance(n_total_);
   emit_progress("functional", true);
   finalize(r);
   return r;
-}
-
-void TieredRunner::save(const std::string& path) const {
-  sys_.save(path, [this](ckpt::CheckpointWriter& writer) {
-    ckpt::Encoder& enc = writer.section("tiered");
-    enc.put_u64(n_total_);
-    enc.put_u32(window_);
-    enc.put_u32(static_cast<u32>(windows_.size()));
-    for (const WindowStat& w : windows_) {
-      enc.put_u64(w.start_inst);
-      enc.put_u64(w.insts);
-      enc.put_u64(w.cycles);
-      enc.put_f64(w.cpi);
-      for (const double v : w.cpi_stack) enc.put_f64(v);
-    }
-    enc.put_u64(insts_functional_);
-    enc.put_u64(insts_detailed_);
-    enc.put_u64(cycles_detailed_);
-    // Stream replay state: the snapshot embeds the stream itself, so a
-    // restore in another process (no StreamCache entry) is
-    // self-contained and replays the identical schedule.
-    enc.put_bool(detached_);
-    enc.put_bool(stream_ != nullptr);
-    if (stream_ != nullptr) {
-      enc.put_u64(stream_->identity);
-      enc.put_u32(stream_->num_threads);
-      enc.put_i64(stream_->start_tid);
-      enc.put_u64(stream_->n_total);
-      enc.put_u64(stream_->records.size());
-      enc.raw(stream_->records.data(), stream_->records.size());
-      enc.put_u64(replayer_->pos());
-    }
-  });
-}
-
-void TieredRunner::restore(const std::string& path) {
-  sys_.restore(path, [this](ckpt::CheckpointReader& reader) {
-    ckpt::Decoder dec = reader.section("tiered");
-    n_total_ = dec.get_u64();
-    window_ = dec.get_u32();
-    windows_.clear();
-    const u32 n = dec.get_u32();
-    for (u32 i = 0; i < n; ++i) {
-      WindowStat w;
-      w.start_inst = dec.get_u64();
-      w.insts = dec.get_u64();
-      w.cycles = dec.get_u64();
-      w.cpi = dec.get_f64();
-      for (double& v : w.cpi_stack) v = dec.get_f64();
-      windows_.push_back(w);
-    }
-    insts_functional_ = dec.get_u64();
-    insts_detailed_ = dec.get_u64();
-    cycles_detailed_ = dec.get_u64();
-    detached_ = dec.get_bool();
-    stream_.reset();
-    replayer_.reset();
-    if (dec.get_bool()) {
-      auto stream = std::make_shared<FuncStream>();
-      stream->identity = dec.get_u64();
-      stream->num_threads = dec.get_u32();
-      stream->start_tid = static_cast<int>(dec.get_i64());
-      stream->n_total = dec.get_u64();
-      const u64 record_bytes = dec.get_u64();
-      if (record_bytes > dec.remaining()) {
-        throw ckpt::CkptError("tiered: stream records overrun the section");
-      }
-      stream->records.resize(record_bytes);
-      dec.raw(stream->records.data(), stream->records.size());
-      stream_ = stream;
-      replayer_ = std::make_unique<FuncStreamReplayer>(
-          stream_, sys_.program(), sys_.total_threads());
-      replayer_->seek(dec.get_u64());
-    }
-    dec.finish();
-  });
 }
 
 }  // namespace virec::sim

@@ -1,29 +1,29 @@
 // Tiered simulation: SMARTS-style systematic sampling over a single
 // golden execution stream (docs/performance.md).
 //
-// One persistent System carries the run. Sampled runs are driven by a
-// recorded functional stream (tiered/func_stream.hpp): replaying its
-// records through the point's warm hooks advances architectural state
-// at interpreter speed while keeping caches / register-cache residency
-// warm, and the stream is shared across every point of a sweep with
-// the same functional identity — the prepass cost is paid once per
-// sweep, not once per point. Each measurement window is a detailed
-// *probe*: the cycle-accurate pipeline re-attaches, burns a warm-up
-// prefix of W instructions and measures K instructions of CPI + CPI
-// stack; afterwards the probe's architectural effects (memory via an
-// undo journal, registers and thread PCs/NZCV/halts via snapshots) are
+// One System carries the run, driven by a recorded functional stream
+// (tiered/func_stream.hpp): replaying its records through the point's
+// warm hooks advances architectural state at interpreter speed while
+// keeping caches / register-cache residency warm, and the stream is
+// shared across every point of a sweep with the same functional
+// identity — the prepass cost is paid once per sweep, not once per
+// point. Each measurement window is a detailed *probe*: the
+// cycle-accurate pipeline re-attaches, burns a warm-up prefix of W
+// instructions and measures K instructions of CPI + CPI stack;
+// afterwards the probe's architectural effects (memory via an undo
+// journal, registers and thread PCs/NZCV/halts via snapshots) are
 // reverted, so the replayed stream remains the sole driver of
 // architectural progress and every probe measures exactly the golden
-// execution. Microarchitectural warm
-// state (caches, register-cache residency) deliberately carries
-// across. The per-window CPIs give a sampled mean with a confidence
-// interval from inter-window variance.
+// execution. Microarchitectural warm state (caches, register-cache
+// residency) deliberately carries across. The per-window CPIs give a
+// sampled mean with a confidence interval from inter-window variance.
+// A sampled run takes no snapshot of its own: a finished point
+// persists as a svc::ResultStore entry.
 #pragma once
 
 #include <array>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "sim/run_spec.hpp"
@@ -80,8 +80,7 @@ struct TieredResult {
 class TieredRunner {
  public:
   /// @p system must be built from @p spec (build_config) and freshly
-  /// constructed, or restored from a checkpoint written by another
-  /// TieredRunner. The runner reads the spec's sampling knobs and
+  /// constructed. The runner reads the spec's sampling knobs and
   /// replays the functional stream StreamCache keeps for the spec's
   /// functional identity (ckpt::functional_stream_hash). Throws
   /// std::invalid_argument on a spec validate() rejects or one without
@@ -91,31 +90,13 @@ class TieredRunner {
   TieredRunner(System& system, const RunSpec& spec);
 
   /// Execute the tiered run to completion and return the estimates.
+  /// Call once.
   TieredResult run();
 
   /// Emit TieredProgress heartbeats roughly every @p every_secs of
   /// wall time (nullptr detaches).
   void set_progress(std::function<void(const TieredProgress&)> fn,
                     double every_secs = 1.0);
-
-  /// Invoked after each completed measurement window (with the number
-  /// of windows completed so far). The runner is checkpointable inside
-  /// this hook — see save().
-  void set_window_hook(std::function<void(u32)> hook) {
-    window_hook_ = std::move(hook);
-  }
-
-  /// Checkpoint the sampled run. Valid at window boundaries (inside
-  /// the window hook, or before/after run()); the snapshot carries the
-  /// System state plus a "tiered" section with the sampling plan and
-  /// completed windows.
-  void save(const std::string& path) const;
-
-  /// Restore a snapshot written by save() on an identically configured
-  /// runner; a subsequent run() continues the remaining windows and
-  /// produces the same estimates as an uninterrupted run (wall-time
-  /// fields restart from the restore point).
-  void restore(const std::string& path);
 
  private:
   /// Replay stream records up to golden position @p target through the
@@ -143,17 +124,17 @@ class TieredRunner {
 
   System& sys_;
   const RunSpec spec_;
-  // Resumable progress (checkpointed in the "tiered" section).
+  // Sampling progress.
   u64 n_total_ = 0;
   u32 window_ = 0;  // completed windows
   std::vector<WindowStat> windows_;
   u64 insts_functional_ = 0;
   u64 insts_detailed_ = 0;
   Cycle cycles_detailed_ = 0;  // detailed cycles backing cpi_scale()
-  // Stream replay state (sampled path; stream embedded in snapshots).
+  // Stream replay state.
   std::shared_ptr<const FuncStream> stream_;
   std::unique_ptr<FuncStreamReplayer> replayer_;
-  bool detached_ = false;  // core cut, not yet resumed (checkpointed)
+  bool detached_ = false;  // core cut, not yet resumed
   // Probe revert buffers (live only between begin_/end_probe).
   std::vector<std::array<u64, isa::kNumAllocatableRegs>> probe_regs_;
   std::vector<cpu::CgmtCore::ThreadProbeState> probe_threads_;
@@ -161,7 +142,7 @@ class TieredRunner {
   // Instructions executed in the current functional phase but not yet
   // folded into the core's commit count (progress reporting only).
   u64 pending_functional_ = 0;
-  // Wall-clock accounting (not checkpointed).
+  // Wall-clock accounting.
   double wall_functional_ = 0.0;
   double wall_detailed_ = 0.0;
   // Progress plumbing.
@@ -169,7 +150,6 @@ class TieredRunner {
   double progress_every_secs_ = 1.0;
   double next_emit_wall_ = 0.0;
   double wall_start_ = 0.0;
-  std::function<void(u32)> window_hook_;
 };
 
 }  // namespace virec::sim

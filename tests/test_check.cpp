@@ -36,15 +36,18 @@ kasm::Program edge_program(u64 seed) {
 class OracleSchemeTest : public ::testing::TestWithParam<sim::Scheme> {};
 
 TEST_P(OracleSchemeTest, RandomProgramRunsClean) {
-  check::HarnessSpec spec;
+  sim::RunSpec spec = check::fuzz_spec();
   spec.scheme = GetParam();
-  spec.threads = 2;
-  spec.phys_regs = 6;
-  const check::HarnessResult r = check::run_checked(edge_program(7), spec);
-  EXPECT_TRUE(r.ok) << r.message;
-  EXPECT_FALSE(r.timed_out);
-  EXPECT_GT(r.commits_checked, 0u);
-  EXPECT_EQ(r.commits_checked, r.instructions);
+  // One core, then two cores sharing the arena: the harness runs on
+  // sim::System, so the oracle follows every core's commits.
+  for (u32 cores : {1u, 2u}) {
+    spec.num_cores = cores;
+    const check::HarnessResult r = check::run_checked(edge_program(7), spec);
+    EXPECT_TRUE(r.ok) << cores << " core(s): " << r.message;
+    EXPECT_FALSE(r.timed_out) << cores;
+    EXPECT_GT(r.commits_checked, 0u) << cores;
+    EXPECT_EQ(r.commits_checked, r.instructions) << cores;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -62,9 +65,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Oracle, TinyRfStress) {
   // 4 physical registers: every value crosses the fill/spill path.
-  check::HarnessSpec spec;
+  sim::RunSpec spec = check::fuzz_spec();
   spec.phys_regs = 4;
-  spec.threads = 3;
+  spec.threads_per_core = 3;
   const check::HarnessResult r = check::run_checked(edge_program(11), spec);
   EXPECT_TRUE(r.ok) << r.message;
 }
@@ -94,10 +97,8 @@ TEST(SystemCheck, GatherRunsCleanOnEveryScheme) {
 // Injected faults: each invariant must fire.
 
 TEST(Invariants, InjectedTagCorruptionIsDetected) {
-  check::HarnessSpec spec;
-  spec.phys_regs = 6;
-  spec.threads = 2;
-  spec.seed = 3;
+  sim::RunSpec spec = check::fuzz_spec();
+  spec.params.seed = 3;
   EXPECT_TRUE(check::tag_bug_detected(edge_program(3), spec));
 }
 
@@ -143,22 +144,22 @@ TEST(Invariants, LeakedMshrIsDetected) {
 // Repro files: round-trip and deterministic replay.
 
 TEST(Repro, RoundTripPreservesSpecAndProgram) {
-  check::HarnessSpec spec;
+  sim::RunSpec spec = check::fuzz_spec();
   spec.scheme = sim::Scheme::kNSF;
   spec.policy = core::PolicyKind::kMrtPLRU;
   spec.phys_regs = 5;
-  spec.threads = 3;
+  spec.threads_per_core = 3;
   spec.max_cycles = 12345;
-  spec.seed = 42;
+  spec.params.seed = 42;
   const kasm::Program program = edge_program(5);
   const std::string text = check::write_repro(spec, program);
   const check::Repro repro = check::parse_repro(text);
   EXPECT_EQ(repro.spec.scheme, spec.scheme);
   EXPECT_EQ(repro.spec.policy, spec.policy);
   EXPECT_EQ(repro.spec.phys_regs, spec.phys_regs);
-  EXPECT_EQ(repro.spec.threads, spec.threads);
+  EXPECT_EQ(repro.spec.threads_per_core, spec.threads_per_core);
   EXPECT_EQ(repro.spec.max_cycles, spec.max_cycles);
-  EXPECT_EQ(repro.spec.seed, spec.seed);
+  EXPECT_EQ(repro.spec.params.seed, spec.params.seed);
   ASSERT_EQ(repro.program.size(), program.size());
   for (u64 pc = 0; pc < program.size(); ++pc) {
     EXPECT_EQ(isa::disasm(repro.program.at(pc)), isa::disasm(program.at(pc)))
@@ -167,7 +168,7 @@ TEST(Repro, RoundTripPreservesSpecAndProgram) {
 }
 
 TEST(Repro, ReplayIsDeterministic) {
-  check::HarnessSpec spec;
+  sim::RunSpec spec = check::fuzz_spec();
   spec.phys_regs = 5;
   const kasm::Program program = edge_program(9);
   const std::string text = check::write_repro(spec, program);
@@ -203,7 +204,7 @@ TEST(Shrink, DropInstructionRetargetsBranches) {
     ++candidates;
     ASSERT_EQ(smaller.size(), program.size() - 1);
     // Every survivor must still be runnable (possibly timing out).
-    check::HarnessSpec spec;
+    sim::RunSpec spec = check::fuzz_spec();
     spec.max_cycles = 50'000;
     const check::HarnessResult r = check::run_checked(smaller, spec);
     EXPECT_TRUE(r.ok || r.timed_out) << "drop " << i << ": " << r.message;
@@ -223,7 +224,7 @@ TEST(Shrink, HalveLoopItersConverges) {
   }
   EXPECT_GT(halvings, 0u);
   const check::HarnessResult r =
-      check::run_checked(program, check::HarnessSpec{});
+      check::run_checked(program, check::fuzz_spec());
   EXPECT_TRUE(r.ok) << r.message;
 }
 

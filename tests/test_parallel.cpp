@@ -7,6 +7,7 @@
 #include <string>
 
 #include "sim/parallel.hpp"
+#include "sim/sweep.hpp"
 
 namespace virec::sim {
 namespace {
@@ -29,8 +30,8 @@ TEST(Parallel, ResultsFollowSubmissionOrder) {
   std::vector<RunSpec> specs;
   for (u32 t : threads) specs.push_back(tiny_spec(t));
 
-  const std::vector<RunResult> serial = run_specs(specs, 1);
-  const std::vector<RunResult> parallel = run_specs(specs, 4);
+  const std::vector<RunResult> serial = run_points(specs, 1).results;
+  const std::vector<RunResult> parallel = run_points(specs, 4).results;
   ASSERT_EQ(serial.size(), specs.size());
   ASSERT_EQ(parallel.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -42,8 +43,8 @@ TEST(Parallel, ResultsFollowSubmissionOrder) {
 
 TEST(Parallel, SubmitReturnsIncreasingIndices) {
   ParallelExecutor pool(2);
-  EXPECT_EQ(pool.submit(tiny_spec(2)), 0u);
-  EXPECT_EQ(pool.submit(tiny_spec(4)), 1u);
+  EXPECT_EQ(pool.submit_task([] { return run_spec(tiny_spec(2)); }), 0u);
+  EXPECT_EQ(pool.submit_task([] { return run_spec(tiny_spec(4)); }), 1u);
   const std::vector<RunResult> results = pool.join();
   ASSERT_EQ(results.size(), 2u);
   EXPECT_TRUE(results[0].check_ok);
@@ -66,9 +67,9 @@ TEST(Parallel, BadWorkloadThrowsOutOfPool) {
   specs.push_back(tiny_spec(8));
   // Must rethrow on join, not deadlock with tasks still queued. The
   // rethrown exception carries the spec label of the failing point.
-  EXPECT_THROW(run_specs(specs, 4), std::runtime_error);
+  EXPECT_THROW(run_points(specs, 4), std::runtime_error);
   try {
-    run_specs(specs, 1);
+    run_points(specs, 1);
     FAIL() << "expected runtime_error";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
@@ -85,7 +86,7 @@ TEST(Parallel, SerialFailureSkipsLaterWork) {
   specs[1].workload = "first-bad";
   specs[2].workload = "second-bad";
   try {
-    run_specs(specs, 1);
+    run_points(specs, 1);
     FAIL() << "expected runtime_error";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("first-bad"), std::string::npos)

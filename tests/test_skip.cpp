@@ -313,29 +313,34 @@ INSTANTIATE_TEST_SUITE_P(SkipAndStepped, SkipWatchdog, ::testing::Bool(),
                          });
 
 // ---------------------------------------------------------------------
-// Checked harness: the fuzzer rig reports identical cycle counts and
-// oracle progress across skip modes, and the repro format round-trips
-// the flag.
+// Checked harness: checked runs report identical cycle counts and
+// oracle progress across skip modes on 1, 2 and 4 cores, and the repro
+// format round-trips the flag.
 
 TEST(Skip, CheckedHarnessEquivalence) {
   check::ProgenOptions gen;
   gen.body_len = 24;
   gen.loop_iters = 40;
   gen.edge_ops = true;
-  for (u64 seed = 1; seed <= 4; ++seed) {
-    const kasm::Program program = check::random_program(seed, gen);
-    check::HarnessSpec spec;
-    spec.seed = seed;
-    const check::HarnessResult skip = check::run_checked(program, spec);
-    check::HarnessSpec stepped_spec = spec;
-    stepped_spec.no_skip = true;
-    const check::HarnessResult stepped =
-        check::run_checked(program, stepped_spec);
-    EXPECT_EQ(skip.ok, stepped.ok) << seed;
-    EXPECT_EQ(skip.timed_out, stepped.timed_out) << seed;
-    EXPECT_EQ(skip.cycles, stepped.cycles) << seed;
-    EXPECT_EQ(skip.instructions, stepped.instructions) << seed;
-    EXPECT_EQ(skip.commits_checked, stepped.commits_checked) << seed;
+  for (u32 cores : {1u, 2u, 4u}) {
+    for (u64 seed = 1; seed <= 4; ++seed) {
+      const kasm::Program program = check::random_program(seed, gen);
+      RunSpec spec = check::fuzz_spec();
+      spec.num_cores = cores;
+      spec.params.seed = seed;
+      const check::HarnessResult skip = check::run_checked(program, spec);
+      RunSpec stepped_spec = spec;
+      stepped_spec.no_skip = true;
+      const check::HarnessResult stepped =
+          check::run_checked(program, stepped_spec);
+      const std::string where = std::to_string(cores) + " core(s), seed " +
+                                std::to_string(seed);
+      EXPECT_EQ(skip.ok, stepped.ok) << where;
+      EXPECT_EQ(skip.timed_out, stepped.timed_out) << where;
+      EXPECT_EQ(skip.cycles, stepped.cycles) << where;
+      EXPECT_EQ(skip.instructions, stepped.instructions) << where;
+      EXPECT_EQ(skip.commits_checked, stepped.commits_checked) << where;
+    }
   }
 }
 
@@ -345,7 +350,7 @@ TEST(Skip, ReproRoundTripsNoSkipFlag) {
   gen.loop_iters = 4;
   const kasm::Program program = check::random_program(7, gen);
 
-  check::HarnessSpec spec;
+  RunSpec spec = check::fuzz_spec();
   spec.no_skip = true;
   const std::string text = check::write_repro(spec, program);
   EXPECT_NE(text.find("// repro no-skip 1"), std::string::npos);

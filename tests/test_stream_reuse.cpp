@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "check/check.hpp"
+#include "check/harness.hpp"
 #include "ckpt/spec_codec.hpp"
 #include "isa/inst.hpp"
 #include "kasm/assembler.hpp"
@@ -331,10 +332,22 @@ TEST(StreamReuse, ReplayerRejectsHostileStreams) {
     s->records = std::move(records);
     return s;
   };
+  // Replays a stream to its end through a two-thread system's warm
+  // hooks, as a sampled run does.
+  const check::ProgramWorkload workload(program);
+  const RunSpec spec = check::fuzz_spec();
+  const auto replay = [&](const std::shared_ptr<FuncStream>& s) {
+    System system(build_config(spec), workload, spec.params);
+    FuncStreamReplayer replayer(s, system.program(), system.total_threads());
+    cpu::CgmtCore& core = system.core(0);
+    core.cut_to_functional();
+    replayer.advance(s->n_total, core, system.manager(0),
+                     system.memory_system(), /*check=*/nullptr, core.cycle(),
+                     /*cpi_scale=*/1);
+    return replayer.done();
+  };
   const std::vector<u8> honest = {0, 1 | 4, 1, 2, 0, 1 | 4, 1, 0};
-  FuncStreamReplayer good(stream(honest), program, 2);
-  good.seek(4);
-  EXPECT_TRUE(good.done());
+  EXPECT_TRUE(replay(stream(honest)));
 
   // Streams that do not fit the system or the program.
   EXPECT_THROW(FuncStreamReplayer(stream(honest), program, 3),
@@ -358,9 +371,8 @@ TEST(StreamReuse, ReplayerRejectsHostileStreams) {
        "longer than 64 bits"},
   };
   for (const auto& [records, why] : bad_records) {
-    FuncStreamReplayer replayer(stream(records), program, 2);
     try {
-      replayer.seek(4);
+      replay(stream(records));
       ADD_FAILURE() << "accepted a stream that should fail with: " << why;
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
@@ -420,47 +432,6 @@ TEST(StreamReuse, OracleCatchesCorruptedReplay) {
   };
   EXPECT_EQ(replay(false), corrupt->n_total);
   EXPECT_THROW(replay(true), check::CheckError);
-}
-
-// ---------------------------------------------------------------------
-// Checkpoint interop: a snapshot taken mid-sampled-run embeds the
-// stream, so a restore into a fresh process (empty StreamCache, no
-// store) resumes without rebuilding and reproduces the estimates.
-
-TEST(StreamReuse, CheckpointCarriesStream) {
-  RunSpec spec = sampled_spec("gather", Scheme::kViReC, core::PolicyKind::kLRC);
-  spec.params.iters_per_thread = 512;
-  spec.sample_windows = 6;
-  spec.window_insts = 250;
-  const fs::path dir = scratch_dir("ckpt");
-  const std::string path = (dir / "mid.vckpt").string();
-
-  System sys_a(build_config(spec), workloads::find_workload(spec.workload),
-               spec.params);
-  TieredRunner runner_a(sys_a, spec);
-  runner_a.set_window_hook([&](u32 done) {
-    if (done == 3) runner_a.save(path);
-  });
-  const TieredResult uninterrupted = runner_a.run();
-
-  StreamCache::instance().reset_for_test();
-  System sys_b(build_config(spec), workloads::find_workload(spec.workload),
-               spec.params);
-  TieredRunner runner_b(sys_b, spec);
-  runner_b.restore(path);
-  const TieredResult resumed = runner_b.run();
-  EXPECT_EQ(StreamCache::instance().stats().built, 0u)
-      << "restore must not re-run the functional prepass";
-
-  ASSERT_EQ(resumed.windows.size(), uninterrupted.windows.size());
-  for (std::size_t i = 0; i < resumed.windows.size(); ++i) {
-    EXPECT_EQ(resumed.windows[i].start_inst,
-              uninterrupted.windows[i].start_inst);
-    EXPECT_EQ(resumed.windows[i].cycles, uninterrupted.windows[i].cycles);
-  }
-  expect_bits_eq(resumed.est_ipc, uninterrupted.est_ipc, "est_ipc");
-  StreamCache::instance().reset_for_test();
-  fs::remove_all(dir);
 }
 
 }  // namespace

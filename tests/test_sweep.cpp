@@ -71,26 +71,6 @@ TEST(Sweep, RunProducesOneRecordPerPoint) {
   }
 }
 
-TEST(Sweep, CyclesLookup) {
-  Sweep sweep = tiny_sweep();
-  sweep.over_schemes({Scheme::kBanked, Scheme::kViReC}).over_threads({2});
-  const SweepResults results = sweep.run();
-  EXPECT_TRUE(
-      results.cycles_of("reduce", Scheme::kBanked, 2, 1.0).has_value());
-  EXPECT_FALSE(
-      results.cycles_of("gather", Scheme::kBanked, 2, 1.0).has_value());
-}
-
-TEST(Sweep, WhereFilters) {
-  Sweep sweep = tiny_sweep();
-  sweep.over_schemes({Scheme::kBanked, Scheme::kViReC}).over_threads({2, 4});
-  const SweepResults results = sweep.run();
-  const auto banked = results.where([](const SweepRecord& r) {
-    return r.spec.scheme == Scheme::kBanked;
-  });
-  EXPECT_EQ(banked.size(), 2u);
-}
-
 TEST(Sweep, CsvHasHeaderAndRows) {
   Sweep sweep = tiny_sweep();
   sweep.over_threads({2});
@@ -122,21 +102,6 @@ TEST(Sweep, CoresAxisRunsMulticore) {
   const SweepResults results = sweep.run();
   EXPECT_EQ(results.size(), 2u);
   EXPECT_TRUE(results.records()[1].result.check_ok);
-}
-
-TEST(Sweep, FindUsesKeyedIndex) {
-  Sweep sweep = tiny_sweep();
-  sweep.over_schemes({Scheme::kBanked, Scheme::kViReC})
-      .over_context_fractions({1.0, 0.5});
-  const SweepResults results = sweep.run();
-  const SweepRecord* hit = results.find("reduce", Scheme::kViReC, 8, 0.5);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->spec.scheme, Scheme::kViReC);
-  EXPECT_EQ(hit->spec.context_fraction, 0.5);
-  EXPECT_EQ(hit->result.cycles,
-            results.cycles_of("reduce", Scheme::kViReC, 8, 0.5).value());
-  EXPECT_EQ(results.find("reduce", Scheme::kViReC, 8, 0.7), nullptr);
-  EXPECT_EQ(results.find("gather", Scheme::kViReC, 8, 0.5), nullptr);
 }
 
 TEST(Sweep, ParallelRunIsByteIdenticalToSerial) {

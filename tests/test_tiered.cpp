@@ -1,11 +1,10 @@
 // Tiered simulation tests: architectural fidelity of the replayed
 // functional tier (oracle-enforced at every replayed instruction, so
 // tier boundaries included), sampled-estimate sanity and its interval,
-// determinism, guards, and checkpoint round-trips mid-sampled-run.
+// determinism and guards.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
@@ -48,11 +47,6 @@ RunSpec small_spec(const std::string& workload, Scheme scheme,
   spec.params.iters_per_thread = 64;
   spec.params.elements = 1 << 12;
   return spec;
-}
-
-std::string tmp_path(const std::string& stem) {
-  const char* dir = std::getenv("TMPDIR");
-  return std::string(dir != nullptr ? dir : "/tmp") + "/" + stem;
 }
 
 // The lockstep oracle runs through a sampled run: every replayed
@@ -266,41 +260,6 @@ TEST(Tiered, SampledRunsAreDeterministic) {
     EXPECT_DOUBLE_EQ(serial.records()[i].result.ipc,
                      parallel.records()[i].result.ipc);
   }
-}
-
-TEST(Tiered, CheckpointRoundTripMidSampledRun) {
-  RunSpec spec = small_spec("gather", Scheme::kViReC, core::PolicyKind::kLRC);
-  spec.params.iters_per_thread = 512;
-  spec.sample_windows = 6;
-  spec.window_insts = 250;
-  spec.warmup_insts = 100;
-  const std::string path = tmp_path("virec_tiered_ckpt.vckpt");
-
-  System sys_a(build_config(spec), workloads::find_workload(spec.workload),
-               spec.params);
-  TieredRunner runner_a(sys_a, spec);
-  runner_a.set_window_hook([&](u32 done) {
-    if (done == 2) runner_a.save(path);
-  });
-  const TieredResult uninterrupted = runner_a.run();
-
-  System sys_b(build_config(spec), workloads::find_workload(spec.workload),
-               spec.params);
-  TieredRunner runner_b(sys_b, spec);
-  runner_b.restore(path);
-  const TieredResult resumed = runner_b.run();
-  std::remove(path.c_str());
-
-  ASSERT_EQ(resumed.windows.size(), uninterrupted.windows.size());
-  for (std::size_t i = 0; i < resumed.windows.size(); ++i) {
-    EXPECT_EQ(resumed.windows[i].start_inst,
-              uninterrupted.windows[i].start_inst);
-    EXPECT_EQ(resumed.windows[i].cycles, uninterrupted.windows[i].cycles);
-    EXPECT_EQ(resumed.windows[i].insts, uninterrupted.windows[i].insts);
-  }
-  EXPECT_DOUBLE_EQ(resumed.est_ipc, uninterrupted.est_ipc);
-  EXPECT_EQ(resumed.full.instructions, uninterrupted.full.instructions);
-  EXPECT_TRUE(resumed.full.check_ok);
 }
 
 TEST(Tiered, GuardsRejectInvalidConfigs) {
