@@ -198,23 +198,22 @@ sim::Sweep build_sweep(const Options& opt) {
 }
 
 /// Machine-greppable stream-cache summary on stderr after sampled
-/// runs/sweeps (the CI smoke asserts stream_builds 0 on a warm
-/// --stream-store, i.e. the functional tier was not paid again).
+/// runs/sweeps (the CI smoke asserts that a policy sweep builds its
+/// shared stream once, i.e. the functional tier was paid once).
 /// Suppressed under --json: consumers that merge the streams must
 /// still parse stdout as a single JSON document.
 void print_stream_stats() {
   const sim::StreamCache::Stats s = sim::StreamCache::instance().stats();
   std::cerr << "stream_builds " << s.built << "\n"
-            << "stream_loads " << s.loaded << "\n"
             << "stream_mem_hits " << s.mem_hits << "\n";
 }
 
 int run_sweep_mode(const Options& opt) {
-  if (opt.trace || !opt.trace_out.empty() || opt.sample_interval > 0 ||
-      opt.stats || opt.area || opt.cpi_stack) {
+  if (opt.trace || opt.trace_core != 0 || !opt.trace_out.empty() ||
+      opt.sample_interval > 0 || opt.stats || opt.area || opt.cpi_stack) {
     throw std::invalid_argument(
-        "--trace/--trace-out/--sample-interval/--stats/--area/"
-        "--cpi-stack are single-run options and cannot be combined "
+        "--trace/--trace-core/--trace-out/--sample-interval/--stats/"
+        "--area/--cpi-stack are single-run options and cannot be combined "
         "with --sweep");
   }
   if (opt.checkpoint_every > 0 || !opt.checkpoint_out.empty() ||
@@ -339,10 +338,11 @@ void print_area(const sim::SystemConfig& config) {
 /// functional stretches with cycle-accurate measurement windows and
 /// report the sampled estimate (docs/performance.md).
 int run_tiered_mode(const Options& opt) {
-  if (opt.trace || !opt.trace_out.empty() || opt.sample_interval > 0) {
+  if (opt.trace || opt.trace_core != 0 || !opt.trace_out.empty() ||
+      opt.sample_interval > 0) {
     throw std::invalid_argument(
-        "--trace/--trace-out/--sample-interval follow every detailed "
-        "cycle and cannot be combined with --sample-windows");
+        "--trace/--trace-core/--trace-out/--sample-interval follow every "
+        "detailed cycle and cannot be combined with --sample-windows");
   }
   if (opt.checkpoint_every > 0 || !opt.checkpoint_out.empty() ||
       !opt.restore_path.empty()) {

@@ -85,18 +85,6 @@ inline u32 parse_jobs(int argc, char** argv) {
   return 0;
 }
 
-/// Applies the VIREC_STREAM_DIR environment variable to a sampled spec:
-/// when set, locally-run sampled points persist their functional streams
-/// there, so repeated harness invocations skip the golden prepass.
-/// Stream persistence never changes estimates (replay is bit-identical
-/// to a fresh build), so the result-cache key is unaffected.
-inline void apply_stream_env(sim::RunSpec& spec) {
-  if (spec.sample_windows == 0 || !spec.stream_dir.empty()) return;
-  if (const char* dir = std::getenv("VIREC_STREAM_DIR")) {
-    spec.stream_dir = dir;
-  }
-}
-
 /// Runs experiment points through sim::run_points — the path
 /// `virec-sim --sweep` takes — and memoises the results by
 /// ckpt::spec_hash. The harness enumerates its whole grid once,
@@ -136,7 +124,6 @@ class CachedRunner {
     for (const sim::RunSpec& spec : specs) {
       if (cache_.count(ckpt::spec_hash(spec))) continue;
       todo.push_back(spec);
-      apply_stream_env(todo.back());
     }
     if (todo.empty()) return;
     sim::PointResults points = sim::run_points(todo, jobs, store());

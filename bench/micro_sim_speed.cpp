@@ -173,7 +173,7 @@ void BM_FunctionalTier(benchmark::State& state) {
   const workloads::Workload& workload = workloads::find_workload(spec.workload);
   const sim::SystemConfig config = sim::build_config(spec);
   auto system = std::make_unique<sim::System>(config, workload, spec.params);
-  const auto stream = sim::build_func_stream(*system, /*identity=*/0);
+  const auto stream = sim::build_func_stream(*system);
   u64 instructions = 0;
   for (auto _ : state) {
     state.PauseTiming();

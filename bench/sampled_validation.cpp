@@ -19,14 +19,11 @@
 // later point (docs/performance.md, "Stream reuse"); the stream column
 // shows which role each point played. A point that BUILDS its stream
 // pays the one-off golden prepass — its wall-clock is the amortized
-// sweep entry fee, so the speedup gate applies only to replay/load
-// points (the steady-state sweep cost). Set VIREC_STREAM_DIR to
-// persist streams across invocations: a warm second run replays
-// everything and every gated point faces the speedup gate.
+// sweep entry fee, so the speedup gate applies only to replay points
+// (the steady-state sweep cost).
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <stdexcept>
@@ -191,17 +188,15 @@ int main(int argc, char** argv) try {
     sampled_spec.sample_windows = 10;
     sampled_spec.window_insts = 10'000;
     sampled_spec.warmup_insts = 2'000;
-    bench::apply_stream_env(sampled_spec);
     const sim::StreamCache::Stats before =
         sim::StreamCache::instance().stats();
     sim::TieredResult tiered{};
     const double sampled_secs = wall_run_tiered(sampled_spec, &tiered);
     const sim::StreamCache::Stats after = sim::StreamCache::instance().stats();
-    // "build" = this point paid the golden prepass; "load"/"replay" =
-    // it reused a stream from disk / the in-process cache.
-    const char* stream_role = after.built > before.built    ? "build"
-                              : after.loaded > before.loaded ? "load"
-                                                             : "replay";
+    // "build" = this point paid the golden prepass; "replay" = it
+    // reused the stream the in-process cache already held.
+    const bool built = after.built > before.built;
+    const char* stream_role = built ? "build" : "replay";
 
     full_total += full_secs;
     sampled_total += sampled_secs;
@@ -213,8 +208,7 @@ int main(int argc, char** argv) try {
     // The speedup gate measures the steady-state sweep cost, so it
     // skips the one-off prepass payer (the "build" point of each
     // functional identity) — that cost amortizes across the sweep.
-    const bool speedup_gated =
-        point.gated && std::strcmp(stream_role, "build") != 0;
+    const bool speedup_gated = point.gated && !built;
     bool bad = false;
     if (point.gated && max_err_pct > 0.0 && std::abs(err_pct) > max_err_pct) {
       bad = true;
@@ -254,8 +248,8 @@ int main(int argc, char** argv) try {
   std::cout << "\nUngated rows (gate '-') carry a documented estimator bias;"
                "\nsee the tiered-simulation section of docs/performance.md.\n";
   const sim::StreamCache::Stats ss = sim::StreamCache::instance().stats();
-  std::cout << "stream_builds " << ss.built << " stream_loads " << ss.loaded
-            << " stream_mem_hits " << ss.mem_hits << '\n';
+  std::cout << "stream_builds " << ss.built << " stream_mem_hits "
+            << ss.mem_hits << '\n';
   if (sampled_total > 0.0) {
     char agg_buf[64];
     std::snprintf(agg_buf, sizeof agg_buf, "%.2f", full_total / sampled_total);

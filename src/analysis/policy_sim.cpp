@@ -6,8 +6,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "cpu/ooo_core.hpp"
-#include "isa/semantics.hpp"
+#include "analysis/thread_walk.hpp"
 
 namespace virec::analysis {
 
@@ -19,28 +18,14 @@ std::vector<u8> thread_stream(const workloads::Workload& workload,
                               u32 tid, u32 total_threads,
                               u64 max_instructions) {
   const kasm::Program program = workload.program(params);
-  mem::SparseMemory memory;
-  workload.init_memory(memory, params, total_threads);
-  const workloads::RegContext init =
-      workload.thread_regs(params, tid, total_threads);
-  cpu::ArrayRegFile rf;
-  for (u32 r = 0; r < isa::kNumAllocatableRegs; ++r) {
-    rf.write_reg(0, static_cast<isa::RegId>(r), init[r]);
-  }
   std::vector<u8> stream;
-  u64 pc = 0, executed = 0;
-  u8 nzcv = 0;
-  while (true) {
-    if (++executed > max_instructions) {
-      throw std::runtime_error("thread_stream: instruction cap exceeded");
-    }
-    const isa::Inst& inst = program.at(pc);
-    const isa::RegList regs = isa::all_regs(inst);
-    for (u32 i = 0; i < regs.count; ++i) stream.push_back(regs.regs[i]);
-    const isa::ExecResult res = isa::execute(inst, pc, 0, rf, memory, nzcv);
-    if (res.halted) break;
-    pc = res.next_pc;
-  }
+  walk_thread(workload, params, program, tid, total_threads, max_instructions,
+              [&](u64, const isa::Inst& inst) {
+                const isa::RegList regs = isa::all_regs(inst);
+                for (u32 i = 0; i < regs.count; ++i) {
+                  stream.push_back(regs.regs[i]);
+                }
+              });
   return stream;
 }
 

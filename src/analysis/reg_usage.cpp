@@ -1,10 +1,9 @@
 #include "analysis/reg_usage.hpp"
 
-#include <stdexcept>
+#include <algorithm>
 #include <vector>
 
-#include "cpu/ooo_core.hpp"  // ArrayRegFile
-#include "isa/semantics.hpp"
+#include "analysis/thread_walk.hpp"
 
 namespace virec::analysis {
 
@@ -14,35 +13,17 @@ RegUsageReport profile_registers(const workloads::Workload& workload,
   const kasm::Program program = workload.program(params);
   program.validate();
 
-  mem::SparseMemory memory;
-  workload.init_memory(memory, params, /*total_threads=*/1);
-  const workloads::RegContext init = workload.thread_regs(params, 0, 1);
-
-  cpu::ArrayRegFile rf;
-  for (u32 r = 0; r < isa::kNumAllocatableRegs; ++r) {
-    rf.write_reg(0, static_cast<isa::RegId>(r), init[r]);
-  }
-
   std::vector<u64> exec_count(program.size(), 0);
   RegUsageReport report;
-
-  u64 pc = 0;
-  u8 nzcv = 0;
-  while (true) {
-    if (report.instructions >= max_instructions) {
-      throw std::runtime_error("profile_registers: instruction cap exceeded");
-    }
-    const isa::Inst& inst = program.at(pc);
-    ++exec_count[pc];
-    ++report.instructions;
-    const isa::RegList regs = isa::all_regs(inst);
-    for (u32 i = 0; i < regs.count; ++i) {
-      ++report.access_counts[regs.regs[i]];
-    }
-    const isa::ExecResult res = isa::execute(inst, pc, 0, rf, memory, nzcv);
-    if (res.halted) break;
-    pc = res.next_pc;
-  }
+  walk_thread(workload, params, program, /*tid=*/0, /*total_threads=*/1,
+              max_instructions, [&](u64 pc, const isa::Inst& inst) {
+                ++exec_count[pc];
+                ++report.instructions;
+                const isa::RegList regs = isa::all_regs(inst);
+                for (u32 i = 0; i < regs.count; ++i) {
+                  ++report.access_counts[regs.regs[i]];
+                }
+              });
 
   // Classify instructions: the innermost loop executes at least half as
   // often as the hottest instruction.

@@ -14,10 +14,9 @@
 // The identity covers every field that changes the simulated outcome:
 // the rows the knob table (sim/run_spec.hpp) marks kIdentity. It
 // deliberately excludes `check` (validation-only: a checked run
-// produces the same RunResult), `no_skip` (event skipping is
-// bit-identical by construction, enforced by tests/test_skip.cpp) and
-// `stream_dir` (a persisted stream replays bit-identically) — so a
-// checked or stepped request is served from a stored unchecked or
+// produces the same RunResult) and `no_skip` (event skipping is
+// bit-identical by construction, enforced by tests/test_skip.cpp) — so
+// a checked or stepped request is served from a stored unchecked or
 // skipping run.
 #pragma once
 
@@ -55,9 +54,9 @@ u64 spec_hash(const sim::RunSpec& spec);
 inline constexpr u64 kFnvOffsetBasis = 0xcbf29ce484222325ull;
 u64 fnv1a(u64 h, const void* data, std::size_t size);
 
-/// Bumped whenever the functional-stream record format or the golden
-/// schedule model changes: streams persisted by an older build then
-/// read as misses instead of replaying a stale schedule.
+/// Leading word of every functional-stream key. Streams live only in
+/// one process's memory (sim::StreamCache), so a record-format or
+/// schedule change needs no bump; the word keeps every key's value.
 inline constexpr u32 kFuncStreamVersion = 1;
 
 /// Functional identity of an experiment point: hash over exactly the

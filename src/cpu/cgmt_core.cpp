@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "check/check.hpp"
-#include "common/log.hpp"
 
 namespace virec::cpu {
 

@@ -60,9 +60,6 @@ struct RunSpec {
   u32 sample_windows = 0;
   u64 window_insts = 10'000;  ///< measured instructions per window (K)
   u64 warmup_insts = 2'000;   ///< detailed warm-up before each window (W)
-  /// Directory for persisted functional streams ("" = in-memory reuse
-  /// only). Never changes an estimate, so it is not identity.
-  std::string stream_dir;
 };
 
 /// What a knob is, beyond its value (bits of Knob::roles).
@@ -150,13 +147,6 @@ enum SweepAxis : int {
     "detailed warm-up instructions before each\n"                             \
     "window (default 2000; needs\n"                                           \
     "--sample-windows)")                                                      \
-  X(stream_dir, "--stream-store", "DIR", kSampling, kNoAxis,                  \
-    "persist recorded functional streams in DIR\n"                            \
-    "(<identity>.vfs) and reuse them across\n"                                \
-    "processes; sampled sweep points sharing a\n"                             \
-    "functional identity already share one\n"                                 \
-    "stream in-process (stream_* stats go to\n"                               \
-    "stderr after sampled runs/sweeps)")                                      \
   X(no_skip, "--no-skip", "", kRunOnly, kNoAxis,                              \
     "disable event-driven cycle skipping and\n"                               \
     "step every cycle. Results are bit-identical\n"                           \

@@ -1,10 +1,6 @@
 #include "tiered/func_stream.hpp"
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <stdexcept>
-#include <system_error>
 
 #include "isa/semantics.hpp"
 
@@ -134,13 +130,6 @@ int next_live_thread(const std::vector<u8>& halted, u32 n, int after,
   return -1;
 }
 
-std::string stream_file_name(const std::string& dir, u64 key) {
-  char hex[17];
-  std::snprintf(hex, sizeof hex, "%016llx",
-                static_cast<unsigned long long>(key));
-  return dir + "/" + hex + ".vfs";
-}
-
 /// True when @p stream can drive a system of @p num_threads threads:
 /// the thread counts agree and the first scheduled thread exists.
 bool stream_fits(const FuncStream& stream, u32 num_threads) {
@@ -148,13 +137,9 @@ bool stream_fits(const FuncStream& stream, u32 num_threads) {
          stream.start_tid < static_cast<i64>(num_threads);
 }
 
-constexpr u32 kStreamMagic = 0x31534656;  // "VFS1", little-endian
-constexpr u32 kStreamFileVersion = 1;
-
 }  // namespace
 
-std::shared_ptr<const FuncStream> build_func_stream(System& system,
-                                                    u64 identity) {
+std::shared_ptr<const FuncStream> build_func_stream(System& system) {
   if (system.config().num_cores != 1) {
     throw std::invalid_argument(
         "build_func_stream: single-core systems only");
@@ -181,7 +166,6 @@ std::shared_ptr<const FuncStream> build_func_stream(System& system,
   const u64 cap = system.config().core.max_cycles;
 
   auto stream = std::make_shared<FuncStream>();
-  stream->identity = identity;
   stream->num_threads = total;
 
   std::vector<u64> pcs(total, 0);
@@ -444,62 +428,6 @@ Cycle FuncStreamReplayer::advance(u64 target, cpu::CgmtCore& core,
   return warm_clock;
 }
 
-// --- Disk codec ---
-
-std::shared_ptr<const FuncStream> load_func_stream(const std::string& path,
-                                                   u64 expect_identity) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return nullptr;
-  std::vector<char> raw((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) return nullptr;
-  if (raw.size() < 4) return nullptr;
-  const std::size_t body = raw.size() - 4;
-  ckpt::Decoder crc_dec(reinterpret_cast<const u8*>(raw.data()) + body, 4,
-                        "stream crc");
-  if (ckpt::crc32(raw.data(), body) != crc_dec.get_u32()) return nullptr;
-  try {
-    ckpt::Decoder dec(reinterpret_cast<const u8*>(raw.data()), body,
-                      "stream file");
-    if (dec.get_u32() != kStreamMagic) return nullptr;
-    if (dec.get_u32() != kStreamFileVersion) return nullptr;
-    auto stream = std::make_shared<FuncStream>();
-    stream->identity = dec.get_u64();
-    if (expect_identity != 0 && stream->identity != expect_identity) {
-      return nullptr;
-    }
-    stream->num_threads = dec.get_u32();
-    stream->start_tid = static_cast<int>(dec.get_i64());
-    stream->n_total = dec.get_u64();
-    const u64 size = dec.get_u64();
-    if (size != dec.remaining()) return nullptr;
-    stream->records.resize(size);
-    dec.raw(stream->records.data(), size);
-    return stream;
-  } catch (const ckpt::CkptError&) {
-    return nullptr;
-  }
-}
-
-bool save_func_stream(const std::string& path, const FuncStream& stream) {
-  ckpt::Encoder enc;
-  enc.put_u32(kStreamMagic);
-  enc.put_u32(kStreamFileVersion);
-  enc.put_u64(stream.identity);
-  enc.put_u32(stream.num_threads);
-  enc.put_i64(stream.start_tid);
-  enc.put_u64(stream.n_total);
-  enc.put_u64(stream.records.size());
-  enc.raw(stream.records.data(), stream.records.size());
-  enc.put_u32(ckpt::crc32(enc.bytes().data(), enc.size()));
-  try {
-    ckpt::write_file_atomic(path, enc.bytes().data(), enc.size());
-  } catch (const ckpt::CkptError&) {
-    return false;
-  }
-  return true;
-}
-
 // --- StreamCache ---
 
 StreamCache& StreamCache::instance() {
@@ -507,8 +435,8 @@ StreamCache& StreamCache::instance() {
   return cache;
 }
 
-std::shared_ptr<const FuncStream> StreamCache::acquire(
-    u64 key, const std::string& dir, System& system) {
+std::shared_ptr<const FuncStream> StreamCache::acquire(u64 key,
+                                                      System& system) {
   std::unique_lock<std::mutex> lk(mu_);
   for (;;) {
     auto it = streams_.find(key);
@@ -522,26 +450,8 @@ std::shared_ptr<const FuncStream> StreamCache::acquire(
   building_.insert(key);
   lk.unlock();
   std::shared_ptr<const FuncStream> stream;
-  bool from_disk = false;
   try {
-    if (!dir.empty()) {
-      stream = load_func_stream(stream_file_name(dir, key), key);
-      if (stream != nullptr && !stream_fits(*stream, system.total_threads())) {
-        stream = nullptr;  // planted or foreign file: rebuild over it
-      }
-      from_disk = stream != nullptr;
-    }
-    if (stream == nullptr) {
-      stream = build_func_stream(system, key);
-      if (!dir.empty()) {
-        // Best-effort persistence: a missing store directory is
-        // created here; any failure just means the next process
-        // rebuilds instead of loading.
-        std::error_code ec;
-        std::filesystem::create_directories(dir, ec);
-        if (!ec) save_func_stream(stream_file_name(dir, key), *stream);
-      }
-    }
+    stream = build_func_stream(system);
   } catch (...) {
     lk.lock();
     building_.erase(key);
@@ -551,11 +461,7 @@ std::shared_ptr<const FuncStream> StreamCache::acquire(
   lk.lock();
   building_.erase(key);
   streams_[key] = stream;
-  if (from_disk) {
-    ++stats_.loaded;
-  } else {
-    ++stats_.built;
-  }
+  ++stats_.built;
   cv_.notify_all();
   return stream;
 }

@@ -30,15 +30,13 @@
 //
 // StreamCache is the process-wide rendezvous: all stream acquisitions
 // funnel through it, deduplicating builds across the points of an
-// in-process sweep and, when a directory is configured, persisting
-// streams on disk (CRC-guarded, written atomically) so later processes
-// skip the build too.
+// in-process sweep. Streams live only in its in-memory map; none is
+// written to or read from disk.
 #pragma once
 
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -49,7 +47,6 @@ namespace virec::sim {
 
 /// One recorded functional execution, immutable once built.
 struct FuncStream {
-  u64 identity = 0;    ///< ckpt::functional_stream_hash
   u32 num_threads = 0;
   int start_tid = 0;   ///< first scheduled thread
   u64 n_total = 0;     ///< records == committed instructions
@@ -61,8 +58,7 @@ struct FuncStream {
 /// initial register contexts and memory (the system is untouched) and
 /// records the stream. Throws std::runtime_error when the instruction
 /// count exceeds the core's max_cycles watchdog budget.
-std::shared_ptr<const FuncStream> build_func_stream(System& system,
-                                                    u64 identity);
+std::shared_ptr<const FuncStream> build_func_stream(System& system);
 
 /// Advance-only cursor over a FuncStream that re-applies records
 /// through a live system's warm hooks and architectural write paths.
@@ -124,13 +120,12 @@ class FuncStreamReplayer {
 };
 
 /// Process-wide stream registry: deduplicates builds across the points
-/// of a sweep (and across threads) and optionally persists streams to
-/// disk.
+/// of a sweep (and across threads). Every stream is kept for the life
+/// of the process.
 class StreamCache {
  public:
   struct Stats {
     u64 built = 0;     ///< golden passes actually executed
-    u64 loaded = 0;    ///< streams deserialized from disk
     u64 mem_hits = 0;  ///< acquisitions served from the in-memory map
   };
 
@@ -138,13 +133,8 @@ class StreamCache {
 
   /// Return the stream for @p key, building it from @p system at most
   /// once per process (concurrent acquirers of the same key block
-  /// until the first finishes). @p dir, when non-empty, is probed for
-  /// a persisted stream before building and receives newly built
-  /// streams ("<hex key>.vfs", written atomically; unreadable or
-  /// corrupt files, and streams that do not fit @p system, degrade to
-  /// a rebuild, never an error).
-  std::shared_ptr<const FuncStream> acquire(u64 key, const std::string& dir,
-                                            System& system);
+  /// until the first finishes).
+  std::shared_ptr<const FuncStream> acquire(u64 key, System& system);
 
   Stats stats() const;
   /// Drop every cached stream and zero the counters (tests / CI smoke).
@@ -157,12 +147,5 @@ class StreamCache {
   std::unordered_set<u64> building_;
   Stats stats_;
 };
-
-/// Disk codec (exposed for tests): returns nullptr on any I/O error,
-/// magic/version/CRC mismatch or identity disagreement.
-std::shared_ptr<const FuncStream> load_func_stream(const std::string& path,
-                                                   u64 expect_identity);
-/// Atomic write (ckpt::write_file_atomic); returns false on I/O failure.
-bool save_func_stream(const std::string& path, const FuncStream& stream);
 
 }  // namespace virec::sim

@@ -268,7 +268,7 @@ TieredResult TieredRunner::run() {
   emit_progress("prepass", false);
   const double t0 = now_secs();
   stream_ = StreamCache::instance().acquire(
-      ckpt::functional_stream_hash(spec_), spec_.stream_dir, sys_);
+      ckpt::functional_stream_hash(spec_), sys_);
   replayer_ = std::make_unique<FuncStreamReplayer>(stream_, sys_.program(),
                                                    sys_.total_threads());
   wall_functional_ += now_secs() - t0;

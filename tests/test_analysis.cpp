@@ -1,11 +1,8 @@
 // Analysis module tests: the register-usage profiler must agree with
-// each kernel's declared active context (the Figure 2 data), and the
-// reuse-distance analyzer must show the inter-thread effects that
-// motivate MRT/LRC.
+// each kernel's declared active context (the Figure 2 data).
 #include <gtest/gtest.h>
 
 #include "analysis/reg_usage.hpp"
-#include "analysis/reuse_distance.hpp"
 
 namespace virec::analysis {
 namespace {
@@ -54,64 +51,6 @@ TEST(RegUsage, CapGuardsRunaways) {
   const auto& gather = workloads::find_workload("gather");
   EXPECT_THROW(profile_registers(gather, tiny_params(), 10),
                std::runtime_error);
-}
-
-TEST(ReuseDistance, SingleThreadDistancesAreShort) {
-  const auto& gather = workloads::find_workload("gather");
-  const ReuseHistogram hist = register_reuse(gather, tiny_params());
-  EXPECT_GT(hist.total_accesses, 0u);
-  // A 6-register loop: intra-thread stack distances stay below the
-  // active context size for nearly all accesses.
-  EXPECT_GT(hist.cdf(8), 0.99);
-}
-
-TEST(ReuseDistance, InterleavingStretchesDistances) {
-  const auto& gather = workloads::find_workload("gather");
-  const ReuseHistogram single = register_reuse(gather, tiny_params());
-  const ReuseHistogram inter =
-      interleaved_register_reuse(gather, tiny_params(), /*threads=*/4,
-                                 /*accesses_per_episode=*/12);
-  // Section 4.1: interleaved execution adds the other threads' working
-  // sets to every reuse distance.
-  EXPECT_GT(inter.mean_distance(), single.mean_distance() * 2);
-}
-
-TEST(ReuseDistance, MoreThreadsStretchFurther) {
-  const auto& gather = workloads::find_workload("gather");
-  const ReuseHistogram two =
-      interleaved_register_reuse(gather, tiny_params(), 2, 12);
-  const ReuseHistogram eight =
-      interleaved_register_reuse(gather, tiny_params(), 8, 12);
-  EXPECT_GT(eight.mean_distance(), two.mean_distance());
-}
-
-TEST(ReuseDistance, FirstTouchesCounted) {
-  const auto& gather = workloads::find_workload("gather");
-  const ReuseHistogram hist = register_reuse(gather, tiny_params());
-  EXPECT_GT(hist.first_touches, 0u);
-  EXPECT_LE(hist.first_touches, 31u);
-}
-
-TEST(ReuseDistance, CdfIsMonotonic) {
-  const auto& spmv = workloads::find_workload("spmv");
-  const ReuseHistogram hist = register_reuse(spmv, tiny_params());
-  double prev = 0.0;
-  for (u32 d = 0; d <= ReuseHistogram::kMaxDistance; ++d) {
-    const double c = hist.cdf(d);
-    EXPECT_GE(c, prev);
-    prev = c;
-  }
-  EXPECT_NEAR(hist.cdf(ReuseHistogram::kMaxDistance), 1.0, 1e-12);
-}
-
-TEST(ReuseDistance, BadArgumentsThrow) {
-  const auto& gather = workloads::find_workload("gather");
-  EXPECT_THROW(
-      interleaved_register_reuse(gather, tiny_params(), 0, 8),
-      std::invalid_argument);
-  EXPECT_THROW(
-      interleaved_register_reuse(gather, tiny_params(), 2, 0),
-      std::invalid_argument);
 }
 
 }  // namespace

@@ -174,9 +174,13 @@ TEST(Cli, ListsRequireSweepMode) {
 }
 
 TEST(Cli, SweepRejectsSingleRunOnlyFlags) {
-  const CliResult r = run_cli("--sweep --trace --iters 16");
-  EXPECT_EQ(r.exit_code, 2);
-  EXPECT_NE(r.output.find("--sweep"), std::string::npos) << r.output;
+  for (const char* args : {"--sweep --trace --iters 16",
+                           "--sweep --trace-core 7 --iters 16"}) {
+    const CliResult r = run_cli(args);
+    EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find("--sweep"), std::string::npos)
+        << args << "\n" << r.output;
+  }
 }
 
 TEST(Cli, JobsRejectsTrailingGarbage) {
@@ -461,6 +465,8 @@ TEST(Cli, SamplingGuardsReject) {
       "--sample-windows 4 --window-insts 0",
       "--sample-windows 4 --cores 2",
       "--sample-windows 4 --trace",
+      "--sample-windows 4 --window-insts 300 --warmup-insts 100 "
+      "--iters 1024 --elements 4096 --trace-core 7",
       "--sample-windows 4 --sample-interval 100",
       "--sample-windows 4 --restore nonexistent.vckpt",
       "--sample-windows 4 --checkpoint-every 100 --checkpoint-out /tmp/x",

@@ -1,14 +1,11 @@
 // Shared functional stream tests: the headline contract (a sampled
 // point replaying another scheme's stream matches its own build bit
 // for bit, for every scheme x policy), the sweep economics (one golden
-// build per functional identity, however many points share it), the
-// disk persistence path (round-trip, corruption degrades to a rebuild)
-// and the stream codec itself.
+// build per functional identity, however many points share it) and
+// the replayer's guards against a corrupted stream.
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <utility>
@@ -16,7 +13,6 @@
 
 #include "check/check.hpp"
 #include "check/harness.hpp"
-#include "ckpt/spec_codec.hpp"
 #include "isa/inst.hpp"
 #include "kasm/assembler.hpp"
 #include "sim/runner.hpp"
@@ -26,8 +22,6 @@
 
 namespace virec::sim {
 namespace {
-
-namespace fs = std::filesystem;
 
 struct SchemePoint {
   Scheme scheme;
@@ -63,13 +57,6 @@ RunSpec sampled_spec(const std::string& workload, Scheme scheme,
   spec.window_insts = 200;
   spec.warmup_insts = 100;
   return spec;
-}
-
-fs::path scratch_dir(const std::string& name) {
-  const fs::path dir = fs::path(::testing::TempDir()) / ("stream_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
 }
 
 /// Bit-exact double comparison: "close" is not good enough for the
@@ -155,7 +142,6 @@ TEST(StreamReuse, PolicySweepBuildsStreamOnce) {
   ASSERT_EQ(results.size(), 12u);
   const StreamCache::Stats stats = StreamCache::instance().stats();
   EXPECT_EQ(stats.built, 1u) << "functional tier must run once per identity";
-  EXPECT_EQ(stats.loaded, 0u);
   EXPECT_EQ(stats.mem_hits, 11u);
 }
 
@@ -174,149 +160,11 @@ TEST(StreamReuse, DistinctIdentitiesBuildSeparately) {
 }
 
 // ---------------------------------------------------------------------
-// Disk persistence: a stream store lets a later process skip the build
-// too, and the loaded stream reproduces the estimates bit for bit.
-// Corrupt or truncated files degrade to a rebuild, never an error.
-
-TEST(StreamReuse, DiskStoreRoundTripAndCorruption) {
-  const fs::path dir = scratch_dir("store");
-  RunSpec spec = sampled_spec("gather", Scheme::kViReC, core::PolicyKind::kLRC);
-  spec.stream_dir = dir.string();
-
-  StreamCache::instance().reset_for_test();
-  const TieredResult first = run_spec_tiered(spec);
-  EXPECT_EQ(StreamCache::instance().stats().built, 1u);
-
-  char name[32];
-  std::snprintf(name, sizeof name, "%016llx.vfs",
-                static_cast<unsigned long long>(
-                    ckpt::functional_stream_hash(spec)));
-  const fs::path file = dir / name;
-  ASSERT_TRUE(fs::exists(file)) << file;
-
-  // Fresh process simulated by resetting the in-memory cache: the
-  // stream comes off disk, nothing is rebuilt, estimates are identical.
-  StreamCache::instance().reset_for_test();
-  const TieredResult reloaded = run_spec_tiered(spec);
-  const StreamCache::Stats after_load = StreamCache::instance().stats();
-  EXPECT_EQ(after_load.built, 0u);
-  EXPECT_EQ(after_load.loaded, 1u);
-  expect_tiered_identical(first, reloaded);
-
-  // Flip one record byte: the CRC rejects the file and the build runs
-  // again, transparently.
-  {
-    std::fstream f(file, std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(f);
-    f.seekp(-16, std::ios::end);
-    char byte = 0;
-    f.read(&byte, 1);
-    f.seekp(-16, std::ios::end);
-    byte = static_cast<char>(byte ^ 0x40);
-    f.write(&byte, 1);
-  }
-  StreamCache::instance().reset_for_test();
-  const TieredResult rebuilt = run_spec_tiered(spec);
-  const StreamCache::Stats after_corrupt = StreamCache::instance().stats();
-  EXPECT_EQ(after_corrupt.built, 1u);
-  EXPECT_EQ(after_corrupt.loaded, 0u);
-  expect_tiered_identical(first, rebuilt);
-
-  StreamCache::instance().reset_for_test();
-  fs::remove_all(dir);
-}
-
-// ---------------------------------------------------------------------
-// Stream codec: save/load round-trips every field; identity and
-// truncation are both rejected (as nullptr, not exceptions).
-
-TEST(StreamReuse, CodecRoundTrip) {
-  RunSpec spec = sampled_spec("stride", Scheme::kViReC, core::PolicyKind::kLRC);
-  System system(build_config(spec), workloads::find_workload(spec.workload),
-                spec.params);
-  const auto stream = build_func_stream(system, /*identity=*/0x1234);
-  ASSERT_NE(stream, nullptr);
-  EXPECT_GT(stream->n_total, 0u);
-  EXPECT_FALSE(stream->records.empty());
-
-  const fs::path dir = scratch_dir("codec");
-  const std::string path = (dir / "s.vfs").string();
-  ASSERT_TRUE(save_func_stream(path, *stream));
-
-  const auto back = load_func_stream(path, 0x1234);
-  ASSERT_NE(back, nullptr);
-  EXPECT_EQ(back->identity, stream->identity);
-  EXPECT_EQ(back->num_threads, stream->num_threads);
-  EXPECT_EQ(back->start_tid, stream->start_tid);
-  EXPECT_EQ(back->n_total, stream->n_total);
-  EXPECT_EQ(back->records, stream->records);
-
-  // Wrong identity: the file is valid but not the stream we want.
-  EXPECT_EQ(load_func_stream(path, 0x9999), nullptr);
-
-  // Truncation: drop the CRC trailer.
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  in.close();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(),
-            static_cast<std::streamsize>(bytes.size() - 6));
-  out.close();
-  EXPECT_EQ(load_func_stream(path, 0x1234), nullptr);
-
-  EXPECT_EQ(load_func_stream((dir / "absent.vfs").string(), 0), nullptr);
-  fs::remove_all(dir);
-}
-
-// ---------------------------------------------------------------------
-// Hostile streams: a .vfs file or a checkpoint can carry stream bytes
-// that pass their CRC yet do not fit the system. A planted disk stream
-// is rebuilt over; a replayer refuses a stream that does not fit, and a
-// record with a PC outside the program, a scheduler target that is not
-// another live thread or an overlong varint throws instead of indexing
-// out of range.
-
-TEST(StreamReuse, PlantedMisfitStreamIsRebuilt) {
-  const fs::path dir = scratch_dir("planted");
-  RunSpec spec = sampled_spec("gather", Scheme::kViReC, core::PolicyKind::kLRC);
-  StreamCache::instance().reset_for_test();
-  const TieredResult clean = run_spec_tiered(spec);
-
-  spec.stream_dir = dir.string();
-  const u64 key = ckpt::functional_stream_hash(spec);
-  char name[32];
-  std::snprintf(name, sizeof name, "%016llx.vfs",
-                static_cast<unsigned long long>(key));
-  const std::string path = (dir / name).string();
-  System system(build_config(spec), workloads::find_workload(spec.workload),
-                spec.params);
-  const auto honest = build_func_stream(system, key);
-  const std::pair<int, u32> plants[] = {{1000, honest->num_threads},
-                                        {0, 64}};
-  for (const auto& [start_tid, threads] : plants) {
-    SCOPED_TRACE("start_tid " + std::to_string(start_tid) + ", " +
-                 std::to_string(threads) + " threads");
-    FuncStream planted = *honest;
-    planted.start_tid = start_tid;
-    planted.num_threads = threads;
-    ASSERT_TRUE(save_func_stream(path, planted));
-    ASSERT_NE(load_func_stream(path, key), nullptr)
-        << "the plant must pass the CRC and identity checks";
-    StreamCache::instance().reset_for_test();
-    const TieredResult rebuilt = run_spec_tiered(spec);
-    const StreamCache::Stats stats = StreamCache::instance().stats();
-    EXPECT_EQ(stats.built, 1u);
-    EXPECT_EQ(stats.loaded, 0u);
-    expect_tiered_identical(clean, rebuilt);
-    // The rebuild replaced the plant with a stream that fits.
-    const auto healed = load_func_stream(path, key);
-    ASSERT_NE(healed, nullptr);
-    EXPECT_EQ(healed->records, honest->records);
-  }
-  StreamCache::instance().reset_for_test();
-  fs::remove_all(dir);
-}
+// Hostile streams: a stream corrupted in memory can carry bytes that do
+// not fit the system. A replayer refuses a stream that does not fit,
+// and a record with a PC outside the program, a scheduler target that
+// is not another live thread or an overlong varint throws instead of
+// indexing out of range.
 
 TEST(StreamReuse, ReplayerRejectsHostileStreams) {
   // Two threads each run "nop; halt". Record bytes: flags (1 explicit
@@ -402,7 +250,7 @@ TEST(StreamReuse, OracleCatchesCorruptedReplay) {
                                     spec.params);
   };
   const auto builder = make_system();
-  const auto honest = build_func_stream(*builder, /*identity=*/0);
+  const auto honest = build_func_stream(*builder);
   // The first record (thread start_tid at PC 0) is the flags byte, the
   // successor PC when flag 1 is set, NZCV when flag 2 is set, the
   // address and stored value of a memory op, then one varint per

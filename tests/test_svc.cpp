@@ -156,7 +156,6 @@ TEST(KnobTable, IdentityRowsAndOnlyThoseMoveTheHash) {
   sim::RunSpec run_mode = base;
   run_mode.check = true;
   run_mode.no_skip = true;
-  run_mode.stream_dir = "streams";
   EXPECT_EQ(ckpt::spec_hash(run_mode), h0);
 }
 
@@ -224,8 +223,6 @@ TEST(KnobTable, ValidateRejectsDegenerateSpecs) {
           [](sim::RunSpec& s) { s.window_insts = 100; });
   rejects("warm-up without sampling",
           [](sim::RunSpec& s) { s.warmup_insts = 100; });
-  rejects("stream store without sampling",
-          [](sim::RunSpec& s) { s.stream_dir = "streams"; });
   const auto sampled = [](sim::RunSpec& s) { s.sample_windows = 4; };
   rejects("zero-size windows", [&](sim::RunSpec& s) {
     sampled(s);
@@ -241,7 +238,6 @@ TEST(KnobTable, ValidateRejectsDegenerateSpecs) {
   EXPECT_NO_THROW(sim::validate(ok));
   ok.sample_windows = 4;
   ok.window_insts = 100;
-  ok.stream_dir = "streams";
   EXPECT_NO_THROW(sim::validate(ok));
   ok.check = true;  // the oracle checks every replayed instruction
   EXPECT_NO_THROW(sim::validate(ok));
