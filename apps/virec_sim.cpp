@@ -103,7 +103,8 @@ void print_usage() {
       "  --stats             dump every component counter\n"
       "  --area              print the area/delay report for this config\n"
       "  --replay FILE       replay a virec-fuzz repro file under the\n"
-      "                      oracle and exit (0 = clean, 1 = diverged)\n"
+      "                      oracle and exit (0 = clean, 1 = diverged;\n"
+      "                      --no-skip is the only other flag it takes)\n"
       "  --checkpoint-every N  write a snapshot every N cycles (needs\n"
       "                      --checkpoint-out; single-run only)\n"
       "  --checkpoint-out DIR  directory for ckpt-<cycle>.vckpt files\n"
@@ -124,8 +125,10 @@ void print_usage() {
 
 bool parse(int argc, char** argv, Options& opt) {
   std::vector<std::string> args(argv + 1, argv + argc);
+  std::vector<std::string> given;  // every flag, without its value
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
+    given.push_back(arg);
     auto value = [&]() -> std::string {
       if (i + 1 >= args.size()) {
         throw std::invalid_argument(arg + " needs a value");
@@ -171,6 +174,16 @@ bool parse(int argc, char** argv, Options& opt) {
     } else {
       std::cerr << "unknown option: " << arg << "\n";
       return false;
+    }
+  }
+  if (!opt.replay_path.empty()) {
+    // A repro file carries its own spec and program.
+    for (const std::string& flag : given) {
+      if (flag != "--replay" && flag != "--no-skip") {
+        throw std::invalid_argument(
+            flag + " cannot be combined with --replay (the repro file "
+                   "holds the run; only --no-skip is accepted)");
+      }
     }
   }
   if (opt.sweep) {
@@ -602,6 +615,12 @@ int main(int argc, char** argv) {
         workloads::find_workload(opt.spec.workload);
     const sim::SystemConfig config = sim::build_config(opt.spec);
 
+    if (opt.trace_core != 0 && !opt.trace) {
+      throw std::invalid_argument("--trace-core " +
+                                  std::to_string(opt.trace_core) +
+                                  " selects the core --trace prints and "
+                                  "needs --trace");
+    }
     if (opt.trace_core >= opt.spec.num_cores) {
       throw std::invalid_argument(
           "--trace-core " + std::to_string(opt.trace_core) +

@@ -38,6 +38,7 @@ void put_knob(Encoder& enc, const T& value) {
 }  // namespace
 
 void encode_spec_identity(Encoder& enc, const sim::RunSpec& spec) {
+  enc.put_u32(kSpecCodecVersion);
   sim::for_each_knob([&](const sim::Knob& knob, auto field) {
     if ((knob.roles & sim::kIdentity) != 0) put_knob(enc, field(spec));
   });

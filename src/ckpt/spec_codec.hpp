@@ -4,7 +4,7 @@
 //
 //   * hashing — ckpt::spec_hash is FNV-1a over the *identity* bytes,
 //     the one key every finished point is stored and deduplicated by
-//     (sim::run_points, bench::CachedRunner's memo, svc::ResultStore);
+//     (sim::run_points, virec-repro's result map, svc::ResultStore);
 //   * the persistent result store — entries embed the identity bytes
 //     and verify them on lookup, so a hash collision or a codec change
 //     degrades to a cache miss, never a wrong result. Results are
@@ -12,7 +12,8 @@
 //     a fresh run's CSV/JSON output exactly.
 //
 // The identity covers every field that changes the simulated outcome:
-// the rows the knob table (sim/run_spec.hpp) marks kIdentity. It
+// the rows the knob table (sim/run_spec.hpp) marks kIdentity, after a
+// leading kSpecCodecVersion word that stands for the model itself. It
 // deliberately excludes `check` (validation-only: a checked run
 // produces the same RunResult) and `no_skip` (event skipping is
 // bit-identical by construction, enforced by tests/test_skip.cpp) — so
@@ -26,16 +27,18 @@
 
 namespace virec::ckpt {
 
-/// Bumped whenever the canonical encoding changes incompatibly
-/// (`virec-sim --version` reports it). Store entries written under
-/// another identity layout read as misses: lookups compare the stored
-/// identity bytes.
-inline constexpr u32 kSpecCodecVersion = 5;
+/// The leading word of every spec identity (`virec-sim --version`
+/// reports it). Bumped whenever the identity layout changes *or* any
+/// simulated outcome changes (a model fix, a changed preset): store
+/// entries written under another value read as misses, because lookups
+/// compare the stored identity bytes. Re-pinning an output in
+/// tests/test_pinned_outputs.cpp bumps it too.
+inline constexpr u32 kSpecCodecVersion = 6;
 
 /// Append the identity bytes of @p spec (outcome-defining fields only;
-/// see file comment) to @p enc, generated from the knob table: every
-/// kIdentity row in table order, enums as u32. Field order is part of
-/// the format.
+/// see file comment) to @p enc: kSpecCodecVersion, then every kIdentity
+/// row of the knob table in table order, enums as u32. Field order is
+/// part of the format.
 void encode_spec_identity(Encoder& enc, const sim::RunSpec& spec);
 
 /// Store encoding of a completed result (all fields, doubles by bit

@@ -1,5 +1,5 @@
-// Fixed-width ASCII table printer used by the figure/table benchmark
-// harnesses so every experiment prints the same style of report.
+// Fixed-width ASCII table printer used by the figure driver
+// (virec-repro) so every experiment prints the same style of report.
 #pragma once
 
 #include <iosfwd>

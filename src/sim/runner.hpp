@@ -1,4 +1,4 @@
-// Experiment-runner helpers shared by the figure harnesses, examples
+// Experiment-runner helpers shared by the figure driver, examples
 // and tests: one-call "configure + run + check" entry points.
 #pragma once
 

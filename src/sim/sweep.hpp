@@ -1,7 +1,7 @@
 // Declarative experiment sweeps: build a grid of RunSpecs, run them
 // all, and collect flat records that can be printed or exported as CSV
-// and JSON. The figure harnesses in bench/ are hand-rolled for
-// readability; this is the programmatic interface for new studies.
+// and JSON. The paper's figures (bench/virec_repro.cpp) list their
+// points by hand; this is the programmatic interface for new studies.
 //
 //   sim::Sweep sweep;
 //   sweep.base().workload = "gather";
@@ -12,8 +12,8 @@
 //   results.write_csv(std::cout);
 //
 // run_points is the one execution path for experiment points: sweeps,
-// `virec-sim --sweep` and the figure harnesses' bench::CachedRunner
-// all go through it, with or without an svc::ResultStore.
+// `virec-sim --sweep` and the figure driver `virec-repro` all go
+// through it, with or without an svc::ResultStore.
 #pragma once
 
 #include <array>

@@ -1,8 +1,8 @@
 // The one persistent home of finished experiment points
 // (docs/checkpointing.md, "Result store"): a content-addressed cache
 // that sim::run_points reads before simulating and fills as each point
-// finishes — `virec-sim --sweep --store DIR`, and the figure harnesses
-// via VIREC_STORE. One file per point under the store directory, named
+// finishes — `virec-sim --sweep --store DIR` and `virec-repro --store
+// DIR`. One file per point under the store directory, named
 // by the point's canonical identity hash (ckpt::spec_hash), in a
 // versioned, CRC-checked binary format built on ckpt::Encoder/Decoder.
 //

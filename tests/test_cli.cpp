@@ -1,5 +1,6 @@
-// End-to-end tests of the virec-sim command-line front end: spawn the
-// real binary (path injected by CMake) and check its output contract.
+// End-to-end tests of the command-line front ends, virec-sim and the
+// reproduction driver virec-repro: spawn the real binaries (paths
+// injected by CMake) and check their output contracts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,14 +9,22 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
-#include "common/json_parse.hpp"
+#include "bench/bench_util.hpp"
+#include "ckpt/spec_codec.hpp"
+#include "svc/result_store.hpp"
+#include "json_parse.hpp"
 
 namespace {
 
 #ifndef VIREC_SIM_PATH
 #define VIREC_SIM_PATH "virec-sim"
+#endif
+#ifndef VIREC_REPRO_PATH
+#define VIREC_REPRO_PATH "virec-repro"
 #endif
 
 struct CliResult {
@@ -23,8 +32,8 @@ struct CliResult {
   std::string output;
 };
 
-CliResult run_cli(const std::string& args) {
-  const std::string command = std::string(VIREC_SIM_PATH) + " " + args + " 2>&1";
+/// Run a shell @p command; its stdout and exit code.
+CliResult run_command(const std::string& command) {
   FILE* pipe = popen(command.c_str(), "r");
   CliResult result;
   if (pipe == nullptr) return result;
@@ -35,6 +44,11 @@ CliResult run_cli(const std::string& args) {
   const int status = pclose(pipe);
   result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   return result;
+}
+
+/// virec-sim with @p args; stderr is merged into the output.
+CliResult run_cli(const std::string& args) {
+  return run_command(std::string(VIREC_SIM_PATH) + " " + args + " 2>&1");
 }
 
 bool has_line_prefix(const std::string& output, const std::string& prefix) {
@@ -322,9 +336,21 @@ TEST(Cli, OutOfRangeAndDegenerateKnobsAreRejected) {
 }
 
 TEST(Cli, TraceCoreOutOfRangeIsRejected) {
-  const CliResult r = run_cli("--trace-core 3 --iters 8 --elements 1024");
+  const CliResult r =
+      run_cli("--trace --trace-core 3 --iters 8 --elements 1024");
   EXPECT_EQ(r.exit_code, 2);
-  EXPECT_NE(r.output.find("--trace-core"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("--trace-core 3: system has only 1 core"),
+            std::string::npos)
+      << r.output;
+}
+
+TEST(Cli, TraceCoreNeedsTrace) {
+  // Without --trace nothing is traced, so a core choice is a mistake.
+  const CliResult r = run_cli(
+      "--cores 2 --threads 2 --iters 16 --elements 4096 --trace-core 1");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("error: --trace-core"), std::string::npos)
+      << r.output;
 }
 
 TEST(Cli, TraceCoreSelectsCore) {
@@ -480,6 +506,24 @@ TEST(Cli, SamplingGuardsReject) {
   }
 }
 
+TEST(Cli, ReplayRejectsEveryFlagButNoSkip) {
+  // A repro file holds its own spec and program: any other flag would
+  // be silently ignored, so it is an error.
+  const std::string path = ::testing::TempDir() + "virec_cli_replay.repro";
+  std::ofstream(path) << "// repro scheme banked\nmov x0, #0xff\nhalt\n";
+  const CliResult plain = run_cli("--replay " + path);
+  ASSERT_EQ(plain.exit_code, 0) << plain.output;
+  EXPECT_EQ(run_cli("--replay " + path + " --no-skip").output, plain.output);
+  for (const std::string flag : {"--scheme banked", "--stats", "--json",
+                                 "--sweep", "--trace", "--cores 3"}) {
+    const CliResult r = run_cli("--replay " + path + " " + flag);
+    EXPECT_EQ(r.exit_code, 2) << flag << "\n" << r.output;
+    EXPECT_NE(r.output.find("error: " + flag.substr(0, flag.find(' '))),
+              std::string::npos)
+        << flag << "\n" << r.output;
+  }
+}
+
 TEST(Cli, SampledSweepUsesEstimatedIpc) {
   const CliResult r = run_cli(
       "--sweep --workload gather --scheme virec,banked --iters 1024 "
@@ -488,6 +532,130 @@ TEST(Cli, SampledSweepUsesEstimatedIpc) {
   ASSERT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("gather,virec"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("gather,banked"), std::string::npos) << r.output;
+}
+
+// ---------------------------------------------------------------------
+// virec-repro: the figure registry driver.
+
+struct ReproResult {
+  int exit_code = -1;
+  std::string out;  // the figures
+  std::string err;  // the store line and errors
+};
+
+ReproResult run_repro(const std::string& args) {
+  const std::string err_path = ::testing::TempDir() + "virec_repro.err";
+  const CliResult r = run_command(std::string(VIREC_REPRO_PATH) + " " +
+                                  args + " 2>" + err_path);
+  std::ifstream in(err_path);
+  std::stringstream err;
+  err << in.rdbuf();
+  return {r.exit_code, r.output, err.str()};
+}
+
+TEST(VirecRepro, ListsFiguresInPaperOrder) {
+  const ReproResult r = run_repro("--list");
+  EXPECT_EQ(r.exit_code, 0) << r.err;
+  EXPECT_EQ(r.out,
+            "table1\nfig01\nfig02\nfig09\nfig10\nfig11\nfig12\nfig13\n"
+            "fig14\nablation_features\nablation_policy_bound\n");
+}
+
+TEST(VirecRepro, UnknownFigureOrFlagListsTheFigures) {
+  for (const char* args : {"--figure fig99", "--figures fig11", "--iters 8"}) {
+    const ReproResult r = run_repro(args);
+    EXPECT_EQ(r.exit_code, 2) << args;
+    EXPECT_TRUE(r.out.empty()) << args << "\n" << r.out;
+    EXPECT_NE(r.err.find("error:"), std::string::npos) << args << r.err;
+    EXPECT_NE(r.err.find("table1 fig01"), std::string::npos) << args << r.err;
+  }
+}
+
+TEST(VirecRepro, OutputIsIndependentOfJobCount) {
+  const ReproResult serial = run_repro("--figure fig11 --jobs 1");
+  ASSERT_EQ(serial.exit_code, 0) << serial.err;
+  EXPECT_NE(serial.out.find("Figure 11"), std::string::npos) << serial.out;
+  const ReproResult pooled = run_repro("--figure fig11 --jobs 4");
+  ASSERT_EQ(pooled.exit_code, 0) << pooled.err;
+  EXPECT_EQ(pooled.out, serial.out);
+}
+
+TEST(VirecRepro, ColdAndWarmStoreRunsMatchAPlainRun) {
+  const std::string store = ::testing::TempDir() + "virec_repro_store";
+  std::filesystem::remove_all(store);
+  const ReproResult plain = run_repro("--figure fig11 --jobs 2");
+  ASSERT_EQ(plain.exit_code, 0) << plain.err;
+  EXPECT_TRUE(plain.err.empty()) << plain.err;
+  const ReproResult cold =
+      run_repro("--figure fig11 --jobs 2 --store " + store);
+  ASSERT_EQ(cold.exit_code, 0) << cold.err;
+  EXPECT_EQ(cold.err, "store: 0 of 8 point(s) already in " + store +
+                          ", 8 simulated\n");
+  EXPECT_EQ(cold.out, plain.out);
+  const ReproResult warm =
+      run_repro("--figure fig11 --jobs 2 --store " + store);
+  ASSERT_EQ(warm.exit_code, 0) << warm.err;
+  EXPECT_EQ(warm.err, "store: 8 of 8 point(s) already in " + store +
+                          ", 0 simulated\n");
+  EXPECT_EQ(warm.out, plain.out);
+  std::filesystem::remove_all(store);
+}
+
+TEST(VirecRepro, UnusableStoreExits2) {
+  const std::string file = ::testing::TempDir() + "virec_repro_not_a_dir";
+  std::ofstream(file) << "x";
+  const ReproResult r = run_repro("--figure fig11 --store " + file + "/store");
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_TRUE(r.out.empty()) << r.out;
+  EXPECT_NE(r.err.find("error:"), std::string::npos) << r.err;
+}
+
+using virec::bench::ResultMap;
+using virec::sim::RunSpec;
+
+RunSpec tiny_point(virec::u32 threads) {
+  RunSpec spec;
+  spec.workload = "reduce";
+  spec.threads_per_core = threads;
+  spec.params.iters_per_thread = 32;
+  spec.params.elements = 1 << 12;
+  return spec;
+}
+
+TEST(VirecRepro, ResultMapKeysByFullPointIdentity) {
+  // The driver's results are keyed by the full point identity
+  // (ckpt::spec_hash): a spec that differs only in the watchdog bound
+  // is another point, never served the first one's result.
+  RunSpec spec = tiny_point(2);
+  const std::vector<RunSpec> grid = {spec};
+  const ResultMap results(grid, virec::sim::run_points(grid).results);
+  EXPECT_TRUE(results.at(spec).check_ok);
+  spec.max_cycles = 100;
+  EXPECT_THROW(results.at(spec), std::logic_error);
+}
+
+TEST(VirecRepro, StoreServesAndFillsTheResultMap) {
+  // With a store, the driver's points go through it: one entry per
+  // unique point, read back by the next run.
+  const std::string dir = ::testing::TempDir() + "virec_repro_map_store";
+  std::filesystem::remove_all(dir);
+  virec::svc::ResultStore store(dir);
+  const std::vector<RunSpec> grid = {tiny_point(2), tiny_point(4),
+                                     tiny_point(2)};
+  const ResultMap cold(grid, virec::sim::run_points(grid, 2, &store).results);
+  EXPECT_EQ(store.size(), 2u);
+  // A planted entry proves the next run reads the store instead of
+  // simulating.
+  virec::sim::RunResult planted = cold.at(grid[0]);
+  planted.cycles = 12345;
+  store.put(virec::ckpt::spec_hash(grid[0]), grid[0], planted);
+  virec::sim::PointResults points = virec::sim::run_points(grid, 2, &store);
+  EXPECT_EQ(points.executed, 0u);
+  const ResultMap warm(grid, std::move(points.results));
+  EXPECT_EQ(warm.cycles(grid[0]), 12345u);
+  EXPECT_EQ(warm.cycles(grid[2]), 12345u);  // same point as grid[0]
+  EXPECT_EQ(warm.cycles(grid[1]), cold.cycles(grid[1]));
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

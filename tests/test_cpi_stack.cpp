@@ -16,7 +16,6 @@
 
 #include "check/check.hpp"
 #include "common/cycle_account.hpp"
-#include "common/json_parse.hpp"
 #include "cpu/ooo_core.hpp"
 #include "kasm/assembler.hpp"
 #include "sim/observability.hpp"
@@ -24,6 +23,7 @@
 #include "sim/sweep.hpp"
 #include "sim/system.hpp"
 #include "workloads/workload.hpp"
+#include "json_parse.hpp"
 
 namespace virec::sim {
 namespace {

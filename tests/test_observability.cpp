@@ -1,6 +1,6 @@
 // Tests of the observability layer: histogram bucket math, typed-stat
 // bookkeeping, the StatRegistry walk, the JSON report (golden-parsed
-// with common/json_parse.hpp), the sampled time series, and the
+// with tests/json_parse.hpp), the sampled time series, and the
 // Perfetto trace sink's output framing.
 #include <gtest/gtest.h>
 
@@ -9,12 +9,12 @@
 #include <sstream>
 
 #include "common/json.hpp"
-#include "common/json_parse.hpp"
 #include "common/stats.hpp"
 #include "cpu/perfetto_trace.hpp"
 #include "sim/observability.hpp"
 #include "sim/runner.hpp"
 #include "sim/sweep.hpp"
+#include "json_parse.hpp"
 
 namespace {
 

@@ -137,7 +137,14 @@ constexpr PinnedPoint kPinned[] = {
      0x39ba8d22235c11ecull, 0x6cec4a139013428eull},
 };
 
+/// The model the rows above were recorded under. Every spec identity
+/// leads with ckpt::kSpecCodecVersion, so result-store entries of another
+/// model read as misses. Re-pinning a row changes the model: bump
+/// kSpecCodecVersion and this pin with it.
+constexpr u32 kPinnedSpecCodecVersion = 6;
+
 TEST(PinnedOutputs, DetailedAndSampledMatch) {
+  EXPECT_EQ(ckpt::kSpecCodecVersion, kPinnedSpecCodecVersion);
   for (const PinnedPoint& p : kPinned) {
     const RunSpec spec = pinned_spec(p);
     const std::string label = std::string(scheme_name(p.scheme)) + "/" +

@@ -17,8 +17,8 @@
 #include <utility>
 
 #include "ckpt/spec_codec.hpp"
-#include "common/json_parse.hpp"
 #include "svc/result_store.hpp"
+#include "json_parse.hpp"
 
 namespace virec {
 namespace {
@@ -85,15 +85,15 @@ TEST(SpecCodec, IdentityIgnoresRunModeFlags) {
 TEST(SpecCodec, IdentityHashIsPinned) {
   // Stores outlive builds: an entry written by an earlier build is
   // served only while the identity bytes stay the same. A deliberate
-  // identity change bumps kSpecCodecVersion and these constants
-  // together.
-  EXPECT_EQ(ckpt::kSpecCodecVersion, 5u);
+  // identity or model change bumps kSpecCodecVersion (the identity's
+  // leading word) and these constants together.
+  EXPECT_EQ(ckpt::kSpecCodecVersion, 6u);
   sim::RunSpec spec = quick_spec();
-  EXPECT_EQ(ckpt::spec_hash(spec), 0xce157a836adee017ull);
+  EXPECT_EQ(ckpt::spec_hash(spec), 0x32b6b1c47a1298adull);
   spec.sample_windows = 3;
   spec.window_insts = 2000;
   spec.warmup_insts = 500;
-  EXPECT_EQ(ckpt::spec_hash(spec), 0x5c661c5404e13612ull);
+  EXPECT_EQ(ckpt::spec_hash(spec), 0x665e663d1bca6c30ull);
 }
 
 /// A value different from @p value, of the same knob type.
@@ -334,6 +334,26 @@ double peak_rss_mib() {
   return static_cast<double>(ru.ru_maxrss) / 1024.0;
 }
 
+/// Write a hand-built entry for @p hash with a valid whole-entry CRC:
+/// the header, @p identity as its identity bytes, then @p tail as is
+/// (payload CRC, payload length and payload).
+void plant_entry(const svc::ResultStore& store, u64 hash,
+                 const ckpt::Encoder& identity, const ckpt::Encoder& tail) {
+  ckpt::Encoder enc;
+  enc.put_u32(svc::kStoreMagic);
+  enc.put_u32(svc::kStoreFormatVersion);
+  enc.put_u64(hash);
+  enc.put_str("planted");
+  enc.put_f64(0.0);
+  enc.put_u32(static_cast<u32>(identity.size()));
+  enc.raw(identity.bytes().data(), identity.size());
+  enc.raw(tail.bytes().data(), tail.size());
+  enc.put_u32(ckpt::crc32(enc.bytes().data(), enc.size()));
+  std::ofstream out(store.entry_path(hash), std::ios::binary);
+  out.write(reinterpret_cast<const char*>(enc.bytes().data()),
+            static_cast<std::streamsize>(enc.size()));
+}
+
 TEST(ResultStore, HostilePayloadLengthIsAMissWithoutAllocating) {
   // A planted entry with valid CRCs and identity whose payload length
   // claims ~4 GiB: the length is checked against the bytes left before
@@ -343,27 +363,50 @@ TEST(ResultStore, HostilePayloadLengthIsAMissWithoutAllocating) {
   const u64 hash = ckpt::spec_hash(spec);
   ckpt::Encoder identity;
   ckpt::encode_spec_identity(identity, spec);
-  ckpt::Encoder enc;
-  enc.put_u32(svc::kStoreMagic);
-  enc.put_u32(svc::kStoreFormatVersion);
-  enc.put_u64(hash);
-  enc.put_str("planted");
-  enc.put_f64(0.0);
-  enc.put_u32(static_cast<u32>(identity.size()));
-  enc.raw(identity.bytes().data(), identity.size());
-  enc.put_u32(0);            // payload_crc
-  enc.put_u32(0xFFFFFFF0u);  // payload_len, far past the end of the file
-  enc.put_u64(0);            // the payload bytes actually present
-  enc.put_u32(ckpt::crc32(enc.bytes().data(), enc.size()));
-  {
-    std::ofstream out(store.entry_path(hash), std::ios::binary);
-    out.write(reinterpret_cast<const char*>(enc.bytes().data()),
-              static_cast<std::streamsize>(enc.size()));
-  }
+  ckpt::Encoder tail;
+  tail.put_u32(0);            // payload_crc
+  tail.put_u32(0xFFFFFFF0u);  // payload_len, far past the end of the file
+  tail.put_u64(0);            // the payload bytes actually present
+  plant_entry(store, hash, identity, tail);
   const double before = peak_rss_mib();
   sim::RunResult out;
   EXPECT_FALSE(store.lookup(hash, spec, &out));
   EXPECT_LT(peak_rss_mib() - before, 64.0);
+}
+
+TEST(ResultStore, EntryOfAnOlderModelIsAMiss) {
+  // A planted entry with valid CRCs and payload whose identity has the
+  // v5 layout: the knob rows alone, with no leading kSpecCodecVersion
+  // word. An entry from before a model change must miss, not be served.
+  svc::ResultStore store(temp_dir("store_old_model"));
+  const sim::RunSpec spec = quick_spec();
+  const u64 hash = ckpt::spec_hash(spec);
+  ckpt::Encoder identity;
+  sim::for_each_knob([&](const sim::Knob& knob, auto field) {
+    if ((knob.roles & sim::kIdentity) == 0) return;
+    const auto& value = field(spec);
+    using T = std::decay_t<decltype(value)>;
+    if constexpr (std::is_same_v<T, std::string>) {
+      identity.put_str(value);
+    } else if constexpr (std::is_same_v<T, bool>) {
+      identity.put_bool(value);
+    } else if constexpr (std::is_same_v<T, u64>) {
+      identity.put_u64(value);
+    } else if constexpr (std::is_same_v<T, double>) {
+      identity.put_f64(value);
+    } else {
+      identity.put_u32(static_cast<u32>(value));  // u32 and enums
+    }
+  });
+  ckpt::Encoder payload;
+  ckpt::encode_result(payload, synthetic_result());
+  ckpt::Encoder tail;
+  tail.put_u32(ckpt::crc32(payload.bytes().data(), payload.size()));
+  tail.put_u32(static_cast<u32>(payload.size()));
+  tail.raw(payload.bytes().data(), payload.size());
+  plant_entry(store, hash, identity, tail);
+  sim::RunResult out;
+  EXPECT_FALSE(store.lookup(hash, spec, &out));
 }
 
 TEST(JsonParse, ParsesDocumentsAndRejectsMalformed) {

@@ -10,7 +10,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "bench/bench_util.hpp"
 #include "ckpt/spec_codec.hpp"
 #include "sim/sweep.hpp"
 #include "svc/result_store.hpp"
@@ -311,43 +310,6 @@ TEST(Sweep, CorruptStoreEntryRerunsAndIsRewritten) {
   EXPECT_EQ(documents(clean), documents(healed));
   ASSERT_TRUE(store.lookup(hash, victim, &out));
   EXPECT_EQ(out.cycles, healed.records()[1].result.cycles);
-}
-
-TEST(CachedRunner, KeysByFullPointIdentity) {
-  // The harness memo keys by the full point identity (ckpt::spec_hash):
-  // two specs that differ only in the watchdog bound are two points, so
-  // the second must run, and trip its watchdog, instead of being served
-  // the first one's result.
-  bench::CachedRunner runner(1);
-  RunSpec spec = tiny_sweep().specs().front();
-  EXPECT_TRUE(runner.result(spec).check_ok);
-  spec.max_cycles = 100;
-  EXPECT_THROW(runner.result(spec), std::runtime_error);
-}
-
-TEST(CachedRunner, VirecStoreServesAndFillsTheResultStore) {
-  // With VIREC_STORE set, harness points go through the result store:
-  // one entry per unique point, read back by a fresh runner.
-  const std::string dir = fresh_dir("cached_runner_store");
-  ASSERT_EQ(setenv("VIREC_STORE", dir.c_str(), 1), 0);
-  Sweep sweep = tiny_sweep();
-  sweep.over_threads({2, 4, 2});
-  const std::vector<RunSpec> grid = sweep.specs();
-  bench::CachedRunner cold(2);
-  cold.prefetch(grid);
-  svc::ResultStore store(dir);
-  EXPECT_EQ(store.size(), 2u);
-  // A planted entry proves the fresh runner reads the store instead of
-  // simulating.
-  RunResult planted = cold.result(grid[0]);
-  planted.cycles = 12345;
-  store.put(ckpt::spec_hash(grid[0]), grid[0], planted);
-  bench::CachedRunner warm(2);
-  warm.prefetch(grid);
-  unsetenv("VIREC_STORE");
-  EXPECT_EQ(warm.cycles(grid[0]), 12345u);
-  EXPECT_EQ(warm.cycles(grid[2]), 12345u);  // same point as grid[0]
-  EXPECT_EQ(warm.cycles(grid[1]), cold.cycles(grid[1]));
 }
 
 }  // namespace
