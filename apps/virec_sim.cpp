@@ -11,14 +11,19 @@
 // every component, in a stable machine-greppable "key value" format —
 // or, with --json, one JSON document carrying the config echo, the
 // results and every typed stat (see docs/observability.md).
+#include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "area/area_model.hpp"
@@ -43,32 +48,196 @@ using namespace virec;
 
 namespace {
 
+/// What a command line does. The bit order is the dispatch order: the
+/// first mode a given flag selects wins; with none, a run is sampled
+/// if --sample-windows is above 0 and a detailed single run otherwise.
+enum Mode : unsigned {
+  kHelp = 1u << 0,
+  kVersion = 1u << 1,
+  kList = 1u << 2,
+  kLintStats = 1u << 3,
+  kReplay = 1u << 4,
+  kSweep = 1u << 5,
+  kSampled = 1u << 6,
+  kSingle = 1u << 7,
+};
+constexpr unsigned kOneRun = kSampled | kSingle;
+/// The modes that simulate a spec: each takes every knob flag.
+constexpr unsigned kRuns = kSweep | kOneRun;
+
 struct Options {
   sim::SpecFlags flags;  // knob flags as given
   sim::RunSpec spec;     // the single run, or the sweep's base point
-  bool list = false;
+  Mode mode = kSingle;
   bool stats = false;
   bool trace = false;
   bool area = false;
-  bool help = false;
-  bool version = false;
   u32 trace_core = 0;
-  bool json = false;
+  bool json = false;       // a JSON report (stdout or json_path)
   bool cpi_stack = false;  // print the closed cycle-accounting table
-  bool lint_stats = false; // stat-schema lint mode (CI)
   bool progress = false;   // JSON heartbeat lines on stderr
   double progress_secs = 1.0;
   std::string json_path;   // empty = stdout
   std::string trace_out;   // Perfetto trace file; empty = off
   u64 sample_interval = 0;
-  bool sweep = false;
   u32 jobs = 0;            // 0 = hardware concurrency
   u64 checkpoint_every = 0;   // periodic snapshot interval (cycles)
   std::string checkpoint_out; // snapshot directory
   std::string restore_path;   // snapshot to resume a single run from
   std::string store_dir;      // result store a sweep reads and fills
   std::string replay_path;    // fuzzer repro file to replay and exit
+
+  /// Bare --json: the JSON report replaces the text report on stdout.
+  bool json_owns_stdout() const { return json && json_path.empty(); }
 };
+
+/// The Options member a flag sets: a switch sets a bool, any other
+/// flag parses its value into the member's type. Null = none.
+using Field = std::variant<bool Options::*, u32 Options::*, u64 Options::*,
+                           double Options::*, std::string Options::*>;
+
+/// A flag that cannot be given beside a row's flag, and why.
+struct Conflict {
+  const char* flag = nullptr;  ///< its name in kFlags; nullptr = none
+  const char* why = "";
+};
+
+/// One non-knob flag of virec-sim. Knob flags come from sim::SpecFlags:
+/// every run mode takes them, and --replay takes --no-skip alone.
+struct Flag {
+  const char* name;          ///< spelling; "--x=V" takes its value attached
+  const char* metavar = "";  ///< --help placeholder of a separate value
+  unsigned modes;            ///< Mode bits of the modes that take it
+  Field field = {};
+  bool selects = false;      ///< giving it selects its (one) mode
+  const char* needs = "";    ///< a flag that must be given too
+  Conflict excludes[2] = {};
+  const char* help;
+};
+
+constexpr const char* kJsonOnStdout =
+    "the JSON report owns stdout; --json=FILE keeps the text report there";
+constexpr const char* kNoDump =
+    "a JSON report takes no counter dump; a detailed one holds every stat";
+
+/// Every non-knob flag, in --help order.
+const Flag kFlags[] = {
+    {.name = "--stats", .modes = kOneRun, .field = &Options::stats,
+     .excludes = {{"--json", kNoDump}, {"--json=FILE", kNoDump}},
+     .help = "dump every component counter"},
+    {.name = "--area", .modes = kOneRun, .field = &Options::area,
+     .excludes = {{"--json", kJsonOnStdout}},
+     .help = "print the area/delay report for this config"},
+    {.name = "--cpi-stack", .modes = kOneRun, .field = &Options::cpi_stack,
+     .excludes = {{"--json", kJsonOnStdout}},
+     .help = "print the closed cycle-accounting table\n"
+             "(every cycle attributed to one bucket;\n"
+             "single-run only, docs/observability.md)"},
+    {.name = "--json", .modes = kRuns, .field = &Options::json,
+     .help = "emit the run report as JSON on stdout;\n"
+             "enables histogram/distribution collection"},
+    {.name = "--json=FILE", .modes = kRuns, .field = &Options::json_path,
+     .help = "the same, written to FILE; the text report\n"
+             "stays on stdout"},
+    {.name = "--progress", .modes = kRuns, .field = &Options::progress,
+     .help = "emit a JSON heartbeat line on stderr every\n"
+             "second of wall time — cycle, IPC, top stall\n"
+             "bucket, skip efficiency and ETA for a single\n"
+             "run; points done/total for a sweep"},
+    {.name = "--progress=SECS", .modes = kOneRun,
+     .field = &Options::progress_secs,
+     .help = "a heartbeat every SECS seconds instead\n"
+             "(single run only)"},
+    {.name = "--trace", .modes = kSingle, .field = &Options::trace,
+     .excludes = {{"--trace-out", "a core holds one tracer"},
+                  {"--json", kJsonOnStdout}},
+     .help = "print a pipeline trace (see --trace-core)"},
+    {.name = "--trace-core", .metavar = "N", .modes = kSingle,
+     .field = &Options::trace_core, .needs = "--trace",
+     .help = "core to trace with --trace (default 0)"},
+    {.name = "--trace-out", .metavar = "FILE", .modes = kSingle,
+     .field = &Options::trace_out,
+     .help = "write a Perfetto/Chrome trace-event JSON\n"
+             "file covering every core"},
+    {.name = "--sample-interval", .metavar = "N", .modes = kSingle,
+     .field = &Options::sample_interval,
+     .help = "record a time-series sample every N cycles\n"
+             "(reported in the JSON time_series section;\n"
+             "with --trace-out, also emits Perfetto\n"
+             "counter tracks per core: CPI stack, IPC,\n"
+             "MSHRs in flight, store-queue depth, ready\n"
+             "threads)"},
+    {.name = "--checkpoint-every", .metavar = "N", .modes = kSingle,
+     .field = &Options::checkpoint_every, .needs = "--checkpoint-out",
+     .help = "write a snapshot every N cycles (needs\n"
+             "--checkpoint-out; single-run only)"},
+    {.name = "--checkpoint-out", .metavar = "DIR", .modes = kSingle,
+     .field = &Options::checkpoint_out, .needs = "--checkpoint-every",
+     .help = "directory for ckpt-<cycle>.vckpt files"},
+    {.name = "--restore", .metavar = "FILE", .modes = kSingle,
+     .field = &Options::restore_path,
+     .help = "restore a snapshot and continue the run\n"
+             "(config must match; single-run only)"},
+    {.name = "--sweep", .modes = kSweep, .selects = true,
+     .help = "run the full cross product of the comma\n"
+             "lists given to the [,...] flags and print a\n"
+             "CSV table (or JSON with --json)"},
+    {.name = "--jobs", .metavar = "N", .modes = kSweep,
+     .field = &Options::jobs,
+     .help = "worker threads for --sweep (0 = all\n"
+             "hardware threads, the default; 1 = serial)"},
+    {.name = "--store", .metavar = "DIR", .modes = kSweep,
+     .field = &Options::store_dir,
+     .help = "look sweep points up in the result store DIR\n"
+             "and put each fresh result there (a killed\n"
+             "sweep rerun with it simulates only the\n"
+             "missing points; needs --sweep)"},
+    {.name = "--replay", .metavar = "FILE", .modes = kReplay,
+     .field = &Options::replay_path, .selects = true,
+     .help = "replay a virec-fuzz repro file under the\n"
+             "oracle and exit (0 = clean, 1 = diverged;\n"
+             "--no-skip is the only other flag it takes)"},
+    {.name = "--lint-stats", .modes = kLintStats, .selects = true,
+     .help = "stat-schema lint: build every scheme and\n"
+             "fail (exit 1) if any registered stat lacks\n"
+             "a description; used by CI"},
+    {.name = "--list", .modes = kList, .selects = true,
+     .help = "list workloads and exit"},
+    {.name = "--version", .modes = kVersion, .selects = true,
+     .help = "print build provenance and exit"},
+    {.name = "--help", .modes = kHelp, .selects = true,
+     .help = "print this help and exit (also -h)"},
+};
+
+/// Set a flag's Options member: a switch sets its bool, a value is
+/// parsed strictly (std::invalid_argument naming @p flag).
+void set(bool& on, const char*, const std::string&) { on = true; }
+void set(std::string& out, const char*, const std::string& text) {
+  out = text;
+}
+void set(u32& out, const char* flag, const std::string& text) {
+  out = parse_u32(flag, text);
+}
+void set(u64& out, const char* flag, const std::string& text) {
+  out = parse_u64(flag, text);
+}
+void set(double& out, const char* flag, const std::string& text) {
+  out = parse_double(flag, text);
+}
+
+/// The first of @p modes in dispatch order.
+Mode first_mode(unsigned modes) {
+  return static_cast<Mode>(1u << std::countr_zero(modes));
+}
+
+/// The flag that selects @p mode; "" for a detailed single run.
+std::string selector(Mode mode) {
+  if (mode == kSampled) return "--sample-windows";
+  for (const Flag& flag : kFlags) {
+    if (flag.selects && flag.modes == mode) return flag.name;
+  }
+  return "";
+}
 
 void print_usage() {
   std::cout <<
@@ -76,127 +245,117 @@ void print_usage() {
       "\n"
       "usage: virec-sim [options]\n";
   sim::SpecFlags::print_help(std::cout);
-  std::cout <<
-      "  --trace             print a pipeline trace (see --trace-core)\n"
-      "  --trace-core N      core to trace with --trace (default 0)\n"
-      "  --trace-out FILE    write a Perfetto/Chrome trace-event JSON\n"
-      "                      file covering every core\n"
-      "  --json[=FILE]       emit the run report as JSON (stdout or FILE);\n"
-      "                      enables histogram/distribution collection\n"
-      "  --sample-interval N record a time-series sample every N cycles\n"
-      "                      (reported in the JSON time_series section;\n"
-      "                      with --trace-out, also emits Perfetto\n"
-      "                      counter tracks per core: CPI stack, IPC,\n"
-      "                      MSHRs in flight, store-queue depth, ready\n"
-      "                      threads)\n"
-      "  --cpi-stack         print the closed cycle-accounting table\n"
-      "                      (every cycle attributed to one bucket;\n"
-      "                      single-run only, docs/observability.md)\n"
-      "  --progress[=SECS]   emit a JSON heartbeat line on stderr every\n"
-      "                      SECS seconds (default 1) of wall time —\n"
-      "                      cycle, IPC, top stall bucket, skip\n"
-      "                      efficiency and ETA for a single run;\n"
-      "                      points done/total for a sweep\n"
-      "  --lint-stats        stat-schema lint: build every scheme and\n"
-      "                      fail (exit 1) if any registered stat lacks\n"
-      "                      a description; used by CI\n"
-      "  --stats             dump every component counter\n"
-      "  --area              print the area/delay report for this config\n"
-      "  --replay FILE       replay a virec-fuzz repro file under the\n"
-      "                      oracle and exit (0 = clean, 1 = diverged;\n"
-      "                      --no-skip is the only other flag it takes)\n"
-      "  --checkpoint-every N  write a snapshot every N cycles (needs\n"
-      "                      --checkpoint-out; single-run only)\n"
-      "  --checkpoint-out DIR  directory for ckpt-<cycle>.vckpt files\n"
-      "  --restore FILE      restore a snapshot and continue the run\n"
-      "                      (config must match; single-run only)\n"
-      "  --store DIR         look sweep points up in the result store DIR\n"
-      "                      and put each fresh result there (a killed\n"
-      "                      sweep rerun with it simulates only the\n"
-      "                      missing points; needs --sweep)\n"
-      "  --sweep             run the full cross product of the comma\n"
-      "                      lists given to the [,...] flags and print a\n"
-      "                      CSV table (or JSON with --json)\n"
-      "  --jobs N            worker threads for --sweep (0 = all\n"
-      "                      hardware threads, the default; 1 = serial)\n"
-      "  --list              list workloads and exit\n"
-      "  --version           print build provenance and exit\n";
+  for (const Flag& flag : kFlags) {
+    std::string head = flag.name;
+    if (*flag.metavar != '\0') head += std::string(" ") + flag.metavar;
+    sim::SpecFlags::print_help_entry(std::cout, head, flag.help);
+  }
 }
 
+/// Parse the command line into @p opt and work out its mode. Returns
+/// false on an unknown flag; throws std::invalid_argument naming the
+/// flag on a bad value or on a flag the mode would ignore.
 bool parse(int argc, char** argv, Options& opt) {
+  struct Given {
+    const Flag* row;  // nullptr for a knob flag
+    std::string name;
+    unsigned modes;   // the modes that take it
+  };
+  std::vector<Given> given;
+  unsigned selected = kSingle;
   std::vector<std::string> args(argv + 1, argv + argc);
-  std::vector<std::string> given;  // every flag, without its value
   for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    given.push_back(arg);
+    const std::string arg = args[i] == "-h" ? "--help" : args[i];
     auto value = [&]() -> std::string {
       if (i + 1 >= args.size()) {
         throw std::invalid_argument(arg + " needs a value");
       }
       return args[++i];
     };
-    if (opt.flags.parse(arg, value)) continue;
-    if (arg == "--help" || arg == "-h") opt.help = true;
-    else if (arg == "--version") opt.version = true;
-    else if (arg == "--list") opt.list = true;
-    else if (arg == "--stats") opt.stats = true;
-    else if (arg == "--trace") opt.trace = true;
-    else if (arg == "--area") opt.area = true;
-    else if (arg == "--sweep") opt.sweep = true;
-    else if (arg == "--jobs") opt.jobs = parse_u32(arg, value());
-    else if (arg == "--checkpoint-every")
-      opt.checkpoint_every = parse_u64(arg, value());
-    else if (arg == "--checkpoint-out") opt.checkpoint_out = value();
-    else if (arg == "--restore") opt.restore_path = value();
-    else if (arg == "--store") opt.store_dir = value();
-    else if (arg == "--replay") opt.replay_path = value();
-    else if (arg == "--trace-core") opt.trace_core = parse_u32(arg, value());
-    else if (arg == "--trace-out") opt.trace_out = value();
-    else if (arg == "--sample-interval")
-      opt.sample_interval = parse_u64(arg, value());
-    else if (arg == "--cpi-stack") opt.cpi_stack = true;
-    else if (arg == "--lint-stats") opt.lint_stats = true;
-    else if (arg == "--progress") opt.progress = true;
-    else if (arg.rfind("--progress=", 0) == 0) {
-      opt.progress = true;
-      opt.progress_secs = parse_double("--progress", arg.substr(11));
-      if (!(opt.progress_secs > 0)) {
-        throw std::invalid_argument("--progress: interval must be > 0");
-      }
+    if (opt.flags.parse(arg, value)) {
+      given.push_back(
+          {nullptr, arg, arg == "--no-skip" ? kRuns | kReplay : kRuns});
+      continue;
     }
-    else if (arg == "--json") opt.json = true;
-    else if (arg.rfind("--json=", 0) == 0) {
-      opt.json = true;
-      opt.json_path = arg.substr(7);
-      if (opt.json_path.empty()) {
-        throw std::invalid_argument("--json=FILE needs a file name");
-      }
-    } else {
+    const auto row = std::find_if(
+        std::begin(kFlags), std::end(kFlags), [&](const Flag& flag) {
+          const char* eq = std::strchr(flag.name, '=');
+          return eq == nullptr
+                     ? arg == flag.name
+                     : arg.compare(0, eq + 1 - flag.name, flag.name,
+                                   eq + 1 - flag.name) == 0;
+        });
+    if (row == std::end(kFlags)) {
       std::cerr << "unknown option: " << arg << "\n";
       return false;
     }
+    std::string text;  // the value of a flag that takes one
+    if (!std::holds_alternative<bool Options::*>(row->field)) {
+      const char* eq = std::strchr(row->name, '=');
+      text = eq != nullptr ? arg.substr(eq + 1 - row->name) : value();
+      if (text.empty()) {
+        throw std::invalid_argument(std::string(row->name) + " needs a value");
+      }
+    }
+    std::visit(
+        [&](auto field) {
+          if (field != nullptr) set(opt.*field, row->name, text);
+        },
+        row->field);
+    if (row->selects) selected |= row->modes;
+    given.push_back({&*row, row->name, row->modes});
   }
-  if (!opt.replay_path.empty()) {
-    // A repro file carries its own spec and program.
-    for (const std::string& flag : given) {
-      if (flag != "--replay" && flag != "--no-skip") {
-        throw std::invalid_argument(
-            flag + " cannot be combined with --replay (the repro file "
-                   "holds the run; only --no-skip is accepted)");
+  const auto has = [&](const char* name) {
+    return std::any_of(given.begin(), given.end(),
+                       [&](const Given& g) { return g.name == name; });
+  };
+  // Values the rows' types cannot check.
+  if (has("--progress=SECS") && !(opt.progress_secs > 0)) {
+    throw std::invalid_argument("--progress=SECS: interval must be > 0");
+  }
+  if (has("--checkpoint-every") && opt.checkpoint_every == 0) {
+    throw std::invalid_argument("--checkpoint-every: interval must be > 0");
+  }
+  opt.json |= !opt.json_path.empty();
+  opt.progress |= has("--progress=SECS");
+
+  if (opt.flags.base().sample_windows > 0) selected |= kSampled;
+  opt.mode = first_mode(selected);
+  for (const Given& g : given) {
+    if ((g.modes & opt.mode) != 0) continue;
+    const std::string by = selector(opt.mode);
+    throw std::invalid_argument(
+        by.empty() ? g.name + " needs " + selector(first_mode(g.modes))
+                   : g.name + " cannot be combined with " + by);
+  }
+  for (const Given& g : given) {
+    if (g.row == nullptr) continue;
+    if (*g.row->needs != '\0' && !has(g.row->needs)) {
+      throw std::invalid_argument(g.name + " needs " + g.row->needs);
+    }
+    for (const Conflict& c : g.row->excludes) {
+      if (c.flag != nullptr && has(c.flag)) {
+        throw std::invalid_argument(g.name + " cannot be combined with " +
+                                    c.flag + " (" + c.why + ")");
       }
     }
   }
-  if (opt.sweep) {
-    opt.spec = opt.flags.base();
-  } else {
-    if (!opt.store_dir.empty()) {
-      throw std::invalid_argument(
-          "--store keeps sweep points and needs --sweep "
-          "(to continue a single run from a snapshot, use --restore)");
-    }
-    opt.spec = opt.flags.single();
-  }
+  opt.spec = opt.mode == kSweep ? opt.flags.base() : opt.flags.single();
   return true;
+}
+
+/// Write a JSON report through @p write: to FILE for --json=FILE, to
+/// stdout for bare --json, nowhere without --json.
+void write_json(const Options& opt,
+                const std::function<void(std::ostream&)>& write) {
+  if (!opt.json) return;
+  if (opt.json_path.empty()) {
+    write(std::cout);
+    return;
+  }
+  std::ofstream out(opt.json_path);
+  if (!out) throw std::runtime_error("cannot open " + opt.json_path);
+  write(out);
 }
 
 /// The sweep grid: the base spec varied over every axis flag's list.
@@ -222,20 +381,6 @@ void print_stream_stats() {
 }
 
 int run_sweep_mode(const Options& opt) {
-  if (opt.trace || opt.trace_core != 0 || !opt.trace_out.empty() ||
-      opt.sample_interval > 0 || opt.stats || opt.area || opt.cpi_stack) {
-    throw std::invalid_argument(
-        "--trace/--trace-core/--trace-out/--sample-interval/--stats/"
-        "--area/--cpi-stack are single-run options and cannot be combined "
-        "with --sweep");
-  }
-  if (opt.checkpoint_every > 0 || !opt.checkpoint_out.empty() ||
-      !opt.restore_path.empty()) {
-    throw std::invalid_argument(
-        "--checkpoint-every/--checkpoint-out/--restore are single-run "
-        "options and cannot be combined with --sweep (use --store to "
-        "make a sweep resumable)");
-  }
   const sim::Sweep sweep = build_sweep(opt);
   std::unique_ptr<svc::ResultStore> store;
   if (!opt.store_dir.empty()) {
@@ -272,18 +417,8 @@ int run_sweep_mode(const Options& opt) {
               << ", " << results.executed() << " simulated\n";
   }
   if (opt.spec.sample_windows > 0 && !opt.json) print_stream_stats();
-  if (opt.json) {
-    if (opt.json_path.empty()) {
-      results.write_json(std::cout);
-    } else {
-      std::ofstream out(opt.json_path);
-      if (!out) throw std::runtime_error("cannot open " + opt.json_path);
-      results.write_json(out);
-      results.write_csv(std::cout);
-    }
-  } else {
-    results.write_csv(std::cout);
-  }
+  write_json(opt, [&](std::ostream& os) { results.write_json(os); });
+  if (!opt.json_owns_stdout()) results.write_csv(std::cout);
   return 0;
 }
 
@@ -347,31 +482,20 @@ void print_area(const sim::SystemConfig& config) {
             << "area.rf_delay_ns " << report.rf_delay_ns << "\n";
 }
 
-/// Single-run sampled mode (--sample-windows): alternate replayed
-/// functional stretches with cycle-accurate measurement windows and
-/// report the sampled estimate (docs/performance.md).
-int run_tiered_mode(const Options& opt) {
-  if (opt.trace || opt.trace_core != 0 || !opt.trace_out.empty() ||
-      opt.sample_interval > 0) {
-    throw std::invalid_argument(
-        "--trace/--trace-core/--trace-out/--sample-interval follow every "
-        "detailed cycle and cannot be combined with --sample-windows");
-  }
-  if (opt.checkpoint_every > 0 || !opt.checkpoint_out.empty() ||
-      !opt.restore_path.empty()) {
-    throw std::invalid_argument(
-        "--checkpoint-every/--checkpoint-out/--restore snapshot full "
-        "detailed runs and cannot be combined with --sample-windows");
-  }
+/// The config lines that open a single run's text report.
+void print_config(const sim::RunSpec& spec) {
+  std::cout << "workload " << spec.workload << "\n"
+            << "scheme " << sim::scheme_name(spec.scheme) << "\n"
+            << "policy " << core::policy_name(spec.policy) << "\n"
+            << "cores " << spec.num_cores << "\n"
+            << "threads_per_core " << spec.threads_per_core << "\n"
+            << "phys_regs " << sim::spec_phys_regs(spec) << "\n";
+}
 
-  const workloads::Workload& workload =
-      workloads::find_workload(opt.spec.workload);
-  const sim::SystemConfig config = sim::build_config(opt.spec);
-  if (opt.area) print_area(config);
-
-  sim::System system(config, workload, opt.spec.params);
-  if (opt.spec.check) system.enable_check();
-
+/// Sampled mode (--sample-windows): alternate replayed functional
+/// stretches with cycle-accurate measurement windows and report the
+/// sampled estimate (docs/performance.md).
+sim::RunResult run_sampled(const Options& opt, sim::System& system) {
   sim::TieredRunner runner(system, opt.spec);
   if (opt.progress) {
     runner.set_progress(
@@ -403,81 +527,67 @@ int run_tiered_mode(const Options& opt) {
         static_cast<double>(result.total_insts) / detailed_rate / wall_total;
   }
 
-  if (opt.json) {
-    auto write = [&](std::ostream& os) {
-      JsonWriter w(os);
+  write_json(opt, [&](std::ostream& os) {
+    JsonWriter w(os);
+    w.begin_object();
+    w.key("config");
+    w.begin_object();
+    w.kv("workload", opt.spec.workload);
+    w.kv("scheme", sim::scheme_name(opt.spec.scheme));
+    w.kv("policy", core::policy_name(opt.spec.policy));
+    w.kv("cores", opt.spec.num_cores);
+    w.kv("threads_per_core", opt.spec.threads_per_core);
+    w.kv("phys_regs", sim::spec_phys_regs(opt.spec));
+    w.kv("sample_windows", opt.spec.sample_windows);
+    w.kv("window_insts", opt.spec.window_insts);
+    w.kv("warmup_insts", opt.spec.warmup_insts);
+    w.end_object();
+    w.key("tiered");
+    w.begin_object();
+    w.kv("total_insts", result.total_insts);
+    w.kv("insts_functional", result.insts_functional);
+    w.kv("insts_detailed", result.insts_detailed);
+    w.kv("cpi_mean", result.cpi_mean);
+    w.kv("cpi_ci_half", result.cpi_ci_half);
+    w.kv("est_cycles", result.est_cycles);
+    w.kv("est_ipc", result.est_ipc);
+    w.kv("est_ipc_lo", result.est_ipc_lo);
+    w.kv("est_ipc_hi", result.est_ipc_hi);
+    w.kv("wall_secs_functional", result.wall_secs_functional);
+    w.kv("wall_secs_detailed", result.wall_secs_detailed);
+    w.kv("est_speedup", est_speedup);
+    w.key("windows");
+    w.begin_array();
+    for (const sim::WindowStat& win : result.windows) {
       w.begin_object();
-      w.key("config");
+      w.kv("start_inst", win.start_inst);
+      w.kv("insts", win.insts);
+      w.kv("cycles", win.cycles);
+      w.kv("cpi", win.cpi);
+      w.key("cpi_stack");
       w.begin_object();
-      w.kv("workload", workload.name());
-      w.kv("scheme", sim::scheme_name(opt.spec.scheme));
-      w.kv("policy", core::policy_name(opt.spec.policy));
-      w.kv("cores", opt.spec.num_cores);
-      w.kv("threads_per_core", opt.spec.threads_per_core);
-      w.kv("phys_regs", sim::spec_phys_regs(opt.spec));
-      w.kv("sample_windows", opt.spec.sample_windows);
-      w.kv("window_insts", opt.spec.window_insts);
-      w.kv("warmup_insts", opt.spec.warmup_insts);
-      w.end_object();
-      w.key("tiered");
-      w.begin_object();
-      w.kv("total_insts", result.total_insts);
-      w.kv("insts_functional", result.insts_functional);
-      w.kv("insts_detailed", result.insts_detailed);
-      w.kv("cpi_mean", result.cpi_mean);
-      w.kv("cpi_ci_half", result.cpi_ci_half);
-      w.kv("est_cycles", result.est_cycles);
-      w.kv("est_ipc", result.est_ipc);
-      w.kv("est_ipc_lo", result.est_ipc_lo);
-      w.kv("est_ipc_hi", result.est_ipc_hi);
-      w.kv("wall_secs_functional", result.wall_secs_functional);
-      w.kv("wall_secs_detailed", result.wall_secs_detailed);
-      w.kv("est_speedup", est_speedup);
-      w.key("windows");
-      w.begin_array();
-      for (const sim::WindowStat& win : result.windows) {
-        w.begin_object();
-        w.kv("start_inst", win.start_inst);
-        w.kv("insts", win.insts);
-        w.kv("cycles", win.cycles);
-        w.kv("cpi", win.cpi);
-        w.key("cpi_stack");
-        w.begin_object();
-        for (std::size_t b = 0; b < kNumCycleBuckets; ++b) {
-          w.kv(cycle_bucket_name(static_cast<CycleBucket>(b)),
-               win.insts == 0
-                   ? 0.0
-                   : win.cpi_stack[b] / static_cast<double>(win.insts));
-        }
-        w.end_object();
-        w.end_object();
+      for (std::size_t b = 0; b < kNumCycleBuckets; ++b) {
+        w.kv(cycle_bucket_name(static_cast<CycleBucket>(b)),
+             win.insts == 0
+                 ? 0.0
+                 : win.cpi_stack[b] / static_cast<double>(win.insts));
       }
-      w.end_array();
-      w.end_object();
-      w.key("result");
-      w.begin_object();
-      w.kv("check", result.full.check_ok ? "OK" : "FAIL");
       w.end_object();
       w.end_object();
-      os << "\n";
-    };
-    if (opt.json_path.empty()) {
-      write(std::cout);
-    } else {
-      std::ofstream out(opt.json_path);
-      if (!out) throw std::runtime_error("cannot open " + opt.json_path);
-      write(out);
     }
-  }
+    w.end_array();
+    w.end_object();
+    w.key("result");
+    w.begin_object();
+    w.kv("check", result.full.check_ok ? "OK" : "FAIL");
+    w.end_object();
+    w.end_object();
+    os << "\n";
+  });
 
-  if (!opt.json || !opt.json_path.empty()) {
-    std::cout << "workload " << workload.name() << "\n"
-              << "scheme " << sim::scheme_name(opt.spec.scheme) << "\n"
-              << "policy " << core::policy_name(opt.spec.policy) << "\n"
-              << "cores " << opt.spec.num_cores << "\n"
-              << "threads_per_core " << opt.spec.threads_per_core << "\n"
-              << "phys_regs " << sim::spec_phys_regs(opt.spec) << "\n"
-              << "tier sampled\n"
+  if (!opt.json_owns_stdout()) {
+    print_config(opt.spec);
+    std::cout << "tier sampled\n"
               << "total_insts " << result.total_insts << "\n"
               << "insts_functional " << result.insts_functional << "\n"
               << "insts_detailed " << result.insts_detailed << "\n"
@@ -530,14 +640,202 @@ int run_tiered_mode(const Options& opt) {
     table.add_row({"total", Table::fmt(total), Table::fmt_pct(1.0)});
     table.print(std::cout);
   }
+  return result.full;
+}
 
-  if (opt.stats && !opt.json) {
+/// Detailed mode: every cycle simulated, with the traces, samples and
+/// snapshots the flags ask for.
+sim::RunResult run_detailed(const Options& opt, sim::System& system) {
+  cpu::TextTracer tracer(std::cout);
+  if (opt.trace) system.core(opt.trace_core).set_tracer(&tracer);
+
+  // Perfetto trace: one shared writer, one sink per core (pipeline
+  // events + register traffic). A core holds one tracer, so --trace and
+  // --trace-out exclude each other.
+  std::ofstream trace_file;
+  std::unique_ptr<cpu::PerfettoTraceWriter> trace_writer;
+  std::vector<std::unique_ptr<cpu::PerfettoTracer>> perfetto;
+  if (!opt.trace_out.empty()) {
+    trace_file.open(opt.trace_out);
+    if (!trace_file) {
+      throw std::runtime_error("cannot open trace file " + opt.trace_out);
+    }
+    trace_writer = std::make_unique<cpu::PerfettoTraceWriter>(trace_file);
+    for (u32 c = 0; c < opt.spec.num_cores; ++c) {
+      perfetto.push_back(std::make_unique<cpu::PerfettoTracer>(
+          *trace_writer, c, opt.spec.threads_per_core));
+      system.set_tracer(c, perfetto[c].get());
+    }
+  }
+
+  if (opt.json) system.set_detailed_stats(true);
+  if (opt.sample_interval > 0) {
+    system.set_sample_interval(opt.sample_interval);
+  }
+
+  // Perfetto counter tracks ride the sampling grid: at every sample,
+  // emit per-core series — the CPI stack (cycles per bucket within
+  // the elapsed epoch), epoch IPC, and instantaneous MSHR / store-
+  // queue / ready-thread occupancy.
+  struct CounterState {
+    std::array<double, kNumCycleBuckets> cpi{};
+    u64 instructions = 0;
+    Cycle cycle = 0;
+  };
+  auto counter_state = std::make_shared<std::vector<CounterState>>(
+      opt.spec.num_cores);
+  if (trace_writer && opt.sample_interval > 0) {
+    system.set_sample_hook([&system, &opt, counter_state,
+                            w = trace_writer.get()](const sim::Sample& s) {
+      for (u32 c = 0; c < opt.spec.num_cores; ++c) {
+        CounterState& st = (*counter_state)[c];
+        const cpu::CgmtCore& core = system.core(c);
+        const CycleAccount& acct = core.cycle_account();
+        std::ostringstream stack;
+        stack << "{";
+        for (std::size_t b = 0; b < kNumCycleBuckets; ++b) {
+          const double v = acct.bucket(static_cast<CycleBucket>(b));
+          if (b != 0) stack << ", ";
+          stack << '"' << cycle_bucket_name(static_cast<CycleBucket>(b))
+                << "\": " << v - st.cpi[b];
+          st.cpi[b] = v;
+        }
+        stack << "}";
+        w->counter_event("cpi stack", c, s.cycle, stack.str());
+        const Cycle cycle = core.cycle();
+        const u64 instructions = core.instructions();
+        const double epoch_ipc =
+            cycle > st.cycle
+                ? static_cast<double>(instructions - st.instructions) /
+                      static_cast<double>(cycle - st.cycle)
+                : 0.0;
+        st.cycle = cycle;
+        st.instructions = instructions;
+        std::ostringstream ipc;
+        ipc << "{\"ipc\": " << epoch_ipc << "}";
+        w->counter_event("ipc", c, s.cycle, ipc.str());
+        std::ostringstream occ;
+        occ << "{\"busy\": "
+            << system.memory_system().dcache(c).outstanding_misses(s.cycle)
+            << "}";
+        w->counter_event("mshrs in flight", c, s.cycle, occ.str());
+        std::ostringstream sq;
+        sq << "{\"entries\": " << core.sq_occupancy(s.cycle) << "}";
+        w->counter_event("store queue", c, s.cycle, sq.str());
+        std::ostringstream ready;
+        ready << "{\"ready\": " << core.runnable_threads(s.cycle) << "}";
+        w->counter_event("ready threads", c, s.cycle, ready.str());
+      }
+    });
+  }
+
+  if (opt.progress) {
+    system.set_progress(
+        [](const sim::RunProgress& p) {
+          // ETA against the watchdog budget: an upper bound, since
+          // most runs finish well before max_cycles.
+          const double eta =
+              (p.max_cycles > 0 && p.cycle > 0 && p.wall_secs > 0)
+                  ? p.wall_secs *
+                        static_cast<double>(p.max_cycles - p.cycle) /
+                        static_cast<double>(p.cycle)
+                  : 0.0;
+          std::cerr << "{\"type\": \"run\", \"cycle\": " << p.cycle
+                    << ", \"instructions\": " << p.instructions
+                    << ", \"ipc\": " << p.ipc << ", \"top_stall\": \""
+                    << p.top_stall
+                    << "\", \"top_stall_frac\": " << p.top_stall_frac
+                    << ", \"skip_efficiency\": " << p.skip_efficiency
+                    << ", \"wall_secs\": " << p.wall_secs
+                    << ", \"eta_secs\": " << eta << "}\n";
+        },
+        opt.progress_secs);
+  }
+  if (opt.checkpoint_every > 0) {
+    std::filesystem::create_directories(opt.checkpoint_out);
+    system.set_checkpointing(opt.checkpoint_every, opt.checkpoint_out);
+  }
+  // Restore after all sinks are attached so the continued run traces
+  // and samples exactly like the tail of an uninterrupted one.
+  if (!opt.restore_path.empty()) system.restore(opt.restore_path);
+
+  const sim::RunResult result = system.run();
+
+  if (trace_writer) {
+    for (u32 c = 0; c < opt.spec.num_cores; ++c) {
+      perfetto[c]->flush_open_spans(system.core(c).cycle());
+    }
+    trace_writer->finish();
+  }
+
+  write_json(opt, [&](std::ostream& os) {
+    sim::write_json_report(os, system, opt.spec, result, opt.sample_interval);
+  });
+
+  if (!opt.json_owns_stdout()) {
+    print_config(opt.spec);
+    std::cout << "cycles " << result.cycles << "\n"
+              << "instructions " << result.instructions << "\n"
+              << "ipc " << result.ipc << "\n"
+              << "context_switches " << result.context_switches << "\n"
+              << "rf_hit_rate " << result.rf_hit_rate << "\n"
+              << "rf_fills " << result.rf_fills << "\n"
+              << "rf_spills " << result.rf_spills << "\n"
+              << "check " << (result.check_ok ? "OK" : "FAIL") << "\n";
+  }
+
+  if (opt.cpi_stack) {
+    // Closed cycle accounting: every simulated cycle of every core is
+    // in exactly one bucket, so shares sum to 100% and the CPI column
+    // sums to the run's overall CPI.
+    Table table({"bucket", "cycles", "share", "cpi"});
+    double total = 0.0;
+    for (const double v : result.cpi_stack) total += v;
+    for (std::size_t b = 0; b < kNumCycleBuckets; ++b) {
+      const double v = result.cpi_stack[b];
+      table.add_row(
+          {cycle_bucket_name(static_cast<CycleBucket>(b)),
+           Table::fmt(v, 0), Table::fmt_pct(total == 0 ? 0 : v / total),
+           Table::fmt(result.instructions == 0
+                          ? 0
+                          : v / static_cast<double>(result.instructions))});
+    }
+    table.add_row({"total", Table::fmt(total, 0), Table::fmt_pct(1.0),
+                   Table::fmt(result.instructions == 0
+                                  ? 0
+                                  : total / static_cast<double>(
+                                                result.instructions))});
+    table.print(std::cout);
+  }
+  return result;
+}
+
+/// One run, sampled or detailed: the area report, the run, the counter
+/// dump and the workload check's exit status.
+int run_single_mode(const Options& opt) {
+  const workloads::Workload& workload =
+      workloads::find_workload(opt.spec.workload);
+  const sim::SystemConfig config = sim::build_config(opt.spec);
+  if (opt.trace_core >= opt.spec.num_cores) {
+    throw std::invalid_argument(
+        "--trace-core " + std::to_string(opt.trace_core) +
+        ": system has only " + std::to_string(opt.spec.num_cores) +
+        " core(s)");
+  }
+  if (opt.area) print_area(config);
+
+  sim::System system(config, workload, opt.spec.params);
+  if (opt.spec.check) system.enable_check();
+  const sim::RunResult result = opt.mode == kSampled
+                                    ? run_sampled(opt, system)
+                                    : run_detailed(opt, system);
+  if (opt.stats) {
     for (const Stat& s : system.registry().all_scalars()) {
       std::cout << s.name << " " << s.value << "\n";
     }
   }
-  if (!result.full.check_ok) {
-    std::cerr << "CHECK FAILED: " << result.full.check_msg << "\n";
+  if (!result.check_ok) {
+    std::cerr << "CHECK FAILED: " << result.check_msg << "\n";
     return 1;
   }
   return 0;
@@ -582,245 +880,33 @@ int main(int argc, char** argv) {
       print_usage();
       return 2;
     }
-    if (opt.help) {
-      print_usage();
-      return 0;
-    }
-    if (opt.version) {
-      std::cout << "virec-sim\n"
-                << "provenance " << build::provenance() << "\n"
-                << "report_schema " << sim::kReportSchemaVersion << "\n"
-                << "spec_codec " << ckpt::kSpecCodecVersion << "\n";
-      return 0;
-    }
-    if (opt.list) {
-      for (const workloads::Workload* w : workloads::workload_registry()) {
-        std::cout << w->name() << "\t(" << w->active_regs()
-                  << " active regs)\t" << w->description() << "\n";
-      }
-      return 0;
-    }
-    if (opt.lint_stats) return run_lint_stats();
-    if (!opt.replay_path.empty()) return run_replay_mode(opt);
-    if (opt.sweep) return run_sweep_mode(opt);
-
-    if (opt.spec.sample_windows > 0) return run_tiered_mode(opt);
-    if ((opt.checkpoint_every > 0) != !opt.checkpoint_out.empty()) {
-      throw std::invalid_argument(
-          "--checkpoint-every and --checkpoint-out must be given "
-          "together");
-    }
-
-    const workloads::Workload& workload =
-        workloads::find_workload(opt.spec.workload);
-    const sim::SystemConfig config = sim::build_config(opt.spec);
-
-    if (opt.trace_core != 0 && !opt.trace) {
-      throw std::invalid_argument("--trace-core " +
-                                  std::to_string(opt.trace_core) +
-                                  " selects the core --trace prints and "
-                                  "needs --trace");
-    }
-    if (opt.trace_core >= opt.spec.num_cores) {
-      throw std::invalid_argument(
-          "--trace-core " + std::to_string(opt.trace_core) +
-          ": system has only " + std::to_string(opt.spec.num_cores) +
-          " core(s)");
-    }
-
-    if (opt.area) print_area(config);
-
-    sim::System system(config, workload, opt.spec.params);
-    cpu::TextTracer tracer(std::cout);
-    if (opt.trace) system.core(opt.trace_core).set_tracer(&tracer);
-
-    // Perfetto trace: one shared writer, one sink per core (pipeline
-    // events + register traffic). Takes precedence over --trace on a
-    // core, since a core holds a single tracer.
-    std::ofstream trace_file;
-    std::unique_ptr<cpu::PerfettoTraceWriter> trace_writer;
-    std::vector<std::unique_ptr<cpu::PerfettoTracer>> perfetto;
-    if (!opt.trace_out.empty()) {
-      trace_file.open(opt.trace_out);
-      if (!trace_file) {
-        throw std::runtime_error("cannot open trace file " + opt.trace_out);
-      }
-      trace_writer = std::make_unique<cpu::PerfettoTraceWriter>(trace_file);
-      for (u32 c = 0; c < opt.spec.num_cores; ++c) {
-        perfetto.push_back(std::make_unique<cpu::PerfettoTracer>(
-            *trace_writer, c, opt.spec.threads_per_core));
-        system.set_tracer(c, perfetto[c].get());
-      }
-    }
-
-    if (opt.json) system.set_detailed_stats(true);
-    if (opt.sample_interval > 0) {
-      system.set_sample_interval(opt.sample_interval);
-    }
-
-    // Perfetto counter tracks ride the sampling grid: at every sample,
-    // emit per-core series — the CPI stack (cycles per bucket within
-    // the elapsed epoch), epoch IPC, and instantaneous MSHR / store-
-    // queue / ready-thread occupancy.
-    struct CounterState {
-      std::array<double, kNumCycleBuckets> cpi{};
-      u64 instructions = 0;
-      Cycle cycle = 0;
-    };
-    auto counter_state = std::make_shared<std::vector<CounterState>>(
-        opt.spec.num_cores);
-    if (trace_writer && opt.sample_interval > 0) {
-      system.set_sample_hook([&system, &opt, counter_state,
-                              w = trace_writer.get()](const sim::Sample& s) {
-        for (u32 c = 0; c < opt.spec.num_cores; ++c) {
-          CounterState& st = (*counter_state)[c];
-          const cpu::CgmtCore& core = system.core(c);
-          const CycleAccount& acct = core.cycle_account();
-          std::ostringstream stack;
-          stack << "{";
-          for (std::size_t b = 0; b < kNumCycleBuckets; ++b) {
-            const double v = acct.bucket(static_cast<CycleBucket>(b));
-            if (b != 0) stack << ", ";
-            stack << '"' << cycle_bucket_name(static_cast<CycleBucket>(b))
-                  << "\": " << v - st.cpi[b];
-            st.cpi[b] = v;
-          }
-          stack << "}";
-          w->counter_event("cpi stack", c, s.cycle, stack.str());
-          const Cycle cycle = core.cycle();
-          const u64 instructions = core.instructions();
-          const double epoch_ipc =
-              cycle > st.cycle
-                  ? static_cast<double>(instructions - st.instructions) /
-                        static_cast<double>(cycle - st.cycle)
-                  : 0.0;
-          st.cycle = cycle;
-          st.instructions = instructions;
-          std::ostringstream ipc;
-          ipc << "{\"ipc\": " << epoch_ipc << "}";
-          w->counter_event("ipc", c, s.cycle, ipc.str());
-          std::ostringstream occ;
-          occ << "{\"busy\": "
-              << system.memory_system().dcache(c).outstanding_misses(s.cycle)
-              << "}";
-          w->counter_event("mshrs in flight", c, s.cycle, occ.str());
-          std::ostringstream sq;
-          sq << "{\"entries\": " << core.sq_occupancy(s.cycle) << "}";
-          w->counter_event("store queue", c, s.cycle, sq.str());
-          std::ostringstream ready;
-          ready << "{\"ready\": " << core.runnable_threads(s.cycle) << "}";
-          w->counter_event("ready threads", c, s.cycle, ready.str());
+    switch (opt.mode) {
+      case kHelp:
+        print_usage();
+        return 0;
+      case kVersion:
+        std::cout << "virec-sim\n"
+                  << "provenance " << build::provenance() << "\n"
+                  << "report_schema " << sim::kReportSchemaVersion << "\n"
+                  << "spec_codec " << ckpt::kSpecCodecVersion << "\n";
+        return 0;
+      case kList:
+        for (const workloads::Workload* w : workloads::workload_registry()) {
+          std::cout << w->name() << "\t(" << w->active_regs()
+                    << " active regs)\t" << w->description() << "\n";
         }
-      });
+        return 0;
+      case kLintStats:
+        return run_lint_stats();
+      case kReplay:
+        return run_replay_mode(opt);
+      case kSweep:
+        return run_sweep_mode(opt);
+      case kSampled:
+      case kSingle:
+        return run_single_mode(opt);
     }
-
-    if (opt.progress) {
-      system.set_progress(
-          [](const sim::RunProgress& p) {
-            // ETA against the watchdog budget: an upper bound, since
-            // most runs finish well before max_cycles.
-            const double eta =
-                (p.max_cycles > 0 && p.cycle > 0 && p.wall_secs > 0)
-                    ? p.wall_secs *
-                          static_cast<double>(p.max_cycles - p.cycle) /
-                          static_cast<double>(p.cycle)
-                    : 0.0;
-            std::cerr << "{\"type\": \"run\", \"cycle\": " << p.cycle
-                      << ", \"instructions\": " << p.instructions
-                      << ", \"ipc\": " << p.ipc << ", \"top_stall\": \""
-                      << p.top_stall
-                      << "\", \"top_stall_frac\": " << p.top_stall_frac
-                      << ", \"skip_efficiency\": " << p.skip_efficiency
-                      << ", \"wall_secs\": " << p.wall_secs
-                      << ", \"eta_secs\": " << eta << "}\n";
-          },
-          opt.progress_secs);
-    }
-    if (opt.checkpoint_every > 0) {
-      std::filesystem::create_directories(opt.checkpoint_out);
-      system.set_checkpointing(opt.checkpoint_every, opt.checkpoint_out);
-    }
-    if (opt.spec.check) system.enable_check();
-    // Restore after all sinks are attached so the continued run traces
-    // and samples exactly like the tail of an uninterrupted one.
-    if (!opt.restore_path.empty()) system.restore(opt.restore_path);
-
-    const sim::RunResult result = system.run();
-
-    if (trace_writer) {
-      for (u32 c = 0; c < opt.spec.num_cores; ++c) {
-        perfetto[c]->flush_open_spans(system.core(c).cycle());
-      }
-      trace_writer->finish();
-    }
-
-    if (opt.json) {
-      if (opt.json_path.empty()) {
-        sim::write_json_report(std::cout, system, opt.spec, result,
-                               opt.sample_interval);
-      } else {
-        std::ofstream out(opt.json_path);
-        if (!out) {
-          throw std::runtime_error("cannot open " + opt.json_path);
-        }
-        sim::write_json_report(out, system, opt.spec, result,
-                               opt.sample_interval);
-      }
-    }
-
-    // The human-readable report goes to stdout unless the JSON report
-    // already owns it.
-    if (!opt.json || !opt.json_path.empty()) {
-      std::cout << "workload " << workload.name() << "\n"
-                << "scheme " << sim::scheme_name(opt.spec.scheme) << "\n"
-                << "policy " << core::policy_name(opt.spec.policy) << "\n"
-                << "cores " << opt.spec.num_cores << "\n"
-                << "threads_per_core " << opt.spec.threads_per_core << "\n"
-                << "phys_regs " << sim::spec_phys_regs(opt.spec) << "\n"
-                << "cycles " << result.cycles << "\n"
-                << "instructions " << result.instructions << "\n"
-                << "ipc " << result.ipc << "\n"
-                << "context_switches " << result.context_switches << "\n"
-                << "rf_hit_rate " << result.rf_hit_rate << "\n"
-                << "rf_fills " << result.rf_fills << "\n"
-                << "rf_spills " << result.rf_spills << "\n"
-                << "check " << (result.check_ok ? "OK" : "FAIL") << "\n";
-    }
-
-    if (opt.cpi_stack) {
-      // Closed cycle accounting: every simulated cycle of every core is
-      // in exactly one bucket, so shares sum to 100% and the CPI column
-      // sums to the run's overall CPI.
-      Table table({"bucket", "cycles", "share", "cpi"});
-      double total = 0.0;
-      for (const double v : result.cpi_stack) total += v;
-      for (std::size_t b = 0; b < kNumCycleBuckets; ++b) {
-        const double v = result.cpi_stack[b];
-        table.add_row(
-            {cycle_bucket_name(static_cast<CycleBucket>(b)),
-             Table::fmt(v, 0), Table::fmt_pct(total == 0 ? 0 : v / total),
-             Table::fmt(result.instructions == 0
-                            ? 0
-                            : v / static_cast<double>(result.instructions))});
-      }
-      table.add_row({"total", Table::fmt(total, 0), Table::fmt_pct(1.0),
-                     Table::fmt(result.instructions == 0
-                                    ? 0
-                                    : total / static_cast<double>(
-                                                  result.instructions))});
-      table.print(std::cout);
-    }
-
-    if (opt.stats && !opt.json) {
-      for (const Stat& s : system.registry().all_scalars()) {
-        std::cout << s.name << " " << s.value << "\n";
-      }
-    }
-    if (!result.check_ok) {
-      std::cerr << "CHECK FAILED: " << result.check_msg << "\n";
-      return 1;
-    }
-    return 0;
+    return 2;
   } catch (const check::CheckError& e) {
     std::cerr << "CHECK FAILED: " << e.what() << "\n";
     return 1;

@@ -97,11 +97,15 @@ PerfettoTracer::PerfettoTracer(PerfettoTraceWriter& writer, u32 core_id,
       core_id_(core_id),
       residency_start_(num_threads, kNeverCycle),
       commits_in_episode_(num_threads, 0) {
-  writer_.process_name(core_id_, "core" + std::to_string(core_id_));
+  std::string process = "core";
+  process += std::to_string(core_id_);
+  writer_.process_name(core_id_, process);
   for (u32 t = 0; t < num_threads; ++t) {
-    writer_.thread_name(core_id_, t, "t" + std::to_string(t));
+    std::string thread = "t";
+    thread += std::to_string(t);
+    writer_.thread_name(core_id_, t, thread);
     writer_.thread_name(core_id_, miss_track(static_cast<int>(t)),
-                        "t" + std::to_string(t) + " misses");
+                        thread + " misses");
   }
 }
 

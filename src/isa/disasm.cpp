@@ -7,7 +7,9 @@ namespace virec::isa {
 std::string reg_name(RegId reg) {
   if (reg == kZeroReg) return "xzr";
   if (reg == kNoReg) return "x?";
-  return "x" + std::to_string(static_cast<int>(reg));
+  std::string name = "x";
+  name += std::to_string(static_cast<int>(reg));
+  return name;
 }
 
 namespace {

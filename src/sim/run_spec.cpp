@@ -123,24 +123,29 @@ RunSpec SpecFlags::single() const {
 }
 
 void SpecFlags::print_help(std::ostream& os) {
-  const std::string indent(22, ' ');
   for_each_knob([&](const Knob& knob, auto) {
     if (*knob.flag == '\0') return;
-    std::string head = std::string("  ") + knob.flag;
+    std::string head = knob.flag;
     if (*knob.metavar != '\0') head += std::string(" ") + knob.metavar;
     if (knob.axis != kNoAxis) head += "[,...]";
-    os << head;
-    if (head.size() < indent.size()) {
-      os << std::string(indent.size() - head.size(), ' ');
-    } else {
-      os << '\n' << indent;
-    }
-    for (const char* c = knob.help; *c != '\0'; ++c) {
-      os << *c;
-      if (*c == '\n') os << indent;
-    }
-    os << '\n';
+    print_help_entry(os, head, knob.help);
   });
+}
+
+void SpecFlags::print_help_entry(std::ostream& os, const std::string& head,
+                                 const char* help) {
+  const std::string indent(22, ' ');
+  os << "  " << head;
+  if (head.size() + 2 < indent.size()) {
+    os << std::string(indent.size() - head.size() - 2, ' ');
+  } else {
+    os << '\n' << indent;
+  }
+  for (const char* c = help; *c != '\0'; ++c) {
+    os << *c;
+    if (*c == '\n') os << indent;
+  }
+  os << '\n';
 }
 
 }  // namespace virec::sim

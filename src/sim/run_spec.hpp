@@ -218,6 +218,12 @@ class SpecFlags {
   /// One --help entry per knob with a flag.
   static void print_help(std::ostream& os);
 
+  /// One --help entry in print_help's layout: @p head (the flag and
+  /// its metavar), then @p help in a column ('\n' continues on the next
+  /// line). virec-sim's other flags share it.
+  static void print_help_entry(std::ostream& os, const std::string& head,
+                               const char* help);
+
  private:
   struct AxisValues {
     const char* flag = "";

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.hpp"
@@ -61,6 +62,16 @@ TEST(Cli, HelpExitsCleanly) {
   EXPECT_EQ(r.exit_code, 0);
   EXPECT_NE(r.output.find("--workload"), std::string::npos);
   EXPECT_NE(r.output.find("--policy"), std::string::npos);
+  // Every non-knob flag has a help entry of its own.
+  for (const char* flag :
+       {"--stats", "--area", "--cpi-stack", "--json", "--json=FILE",
+        "--progress", "--progress=SECS", "--trace", "--trace-core",
+        "--trace-out", "--sample-interval", "--checkpoint-every",
+        "--checkpoint-out", "--restore", "--sweep", "--jobs", "--store",
+        "--replay", "--lint-stats", "--list", "--version", "--help"}) {
+    EXPECT_NE(r.output.find(std::string("\n  ") + flag), std::string::npos)
+        << flag;
+  }
 }
 
 TEST(Cli, VersionPrintsProvenance) {
@@ -75,10 +86,18 @@ TEST(Cli, VersionPrintsProvenance) {
 }
 
 TEST(Cli, ListShowsEveryKernel) {
-  const CliResult r = run_cli("--list");
-  EXPECT_EQ(r.exit_code, 0);
-  for (const char* name : {"gather", "spmv", "pchase", "gather_wide"}) {
-    EXPECT_NE(r.output.find(name), std::string::npos) << name;
+  // The no-run modes that report on the build: --list and the
+  // stat-schema lint.
+  const std::pair<const char*, std::vector<const char*>> cases[] = {
+      {"--list", {"gather", "spmv", "pchase", "gather_wide"}},
+      {"--lint-stats", {"lint: every registered stat carries a description"}},
+  };
+  for (const auto& [args, lines] : cases) {
+    const CliResult r = run_cli(args);
+    EXPECT_EQ(r.exit_code, 0) << args << "\n" << r.output;
+    for (const char* line : lines) {
+      EXPECT_NE(r.output.find(line), std::string::npos) << args << ": " << line;
+    }
   }
 }
 
@@ -379,17 +398,27 @@ TEST(Cli, JsonReportIsValidAndComplete) {
 }
 
 TEST(Cli, JsonToFileKeepsTextReport) {
+  // --json=FILE is the route to text beside JSON: bare --json owns
+  // stdout, so it rejects --cpi-stack and --area.
   const std::string path = ::testing::TempDir() + "virec_cli_report.json";
-  const CliResult r = run_cli("--iters 16 --elements 1024 --json=" + path);
-  ASSERT_EQ(r.exit_code, 0) << r.output;
-  // stdout still carries the human-readable report.
-  EXPECT_TRUE(has_line_prefix(r.output, "cycles "));
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const auto v = virec::json_parse(ss.str());
-  EXPECT_NE(v.find("results"), nullptr);
+  for (const std::string extra : {"", " --cpi-stack --area"}) {
+    std::filesystem::remove(path);
+    const CliResult r =
+        run_cli("--iters 16 --elements 1024 --json=" + path + extra);
+    ASSERT_EQ(r.exit_code, 0) << extra << "\n" << r.output;
+    // stdout still carries the human-readable report.
+    EXPECT_TRUE(has_line_prefix(r.output, "cycles ")) << extra;
+    if (!extra.empty()) {
+      EXPECT_TRUE(has_line_prefix(r.output, "area.total_mm2 ")) << r.output;
+      EXPECT_TRUE(has_line_prefix(r.output, "| total ")) << r.output;
+    }
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good()) << extra;
+    std::stringstream ss;
+    ss << in.rdbuf();
+    const auto v = virec::json_parse(ss.str());
+    EXPECT_NE(v.find("results"), nullptr) << extra;
+  }
 }
 
 TEST(Cli, SampleIntervalAddsTimeSeries) {
@@ -521,6 +550,52 @@ TEST(Cli, ReplayRejectsEveryFlagButNoSkip) {
     EXPECT_NE(r.output.find("error: " + flag.substr(0, flag.find(' '))),
               std::string::npos)
         << flag << "\n" << r.output;
+  }
+}
+
+TEST(Cli, FlagsTheModeWouldIgnoreAreRejected) {
+  // Each command line names a flag its mode would drop, or text that
+  // would land in --json stdout: it must stop with exit 2 and an error
+  // naming that flag, not run without it.
+  const std::string sampled =
+      "--workload gather --iters 2048 --elements 4096 --sample-windows 5 "
+      "--window-insts 300 --warmup-insts 150";
+  const std::string file = ::testing::TempDir() + "virec_cli_ignored.json";
+  const std::pair<std::string, const char*> cases[] = {
+      // The no-run modes take no other flag.
+      {"--help --iters 8", "--iters"},
+      {"--list --sweep", "--sweep"},
+      {"--version --jobs 9", "--jobs"},
+      {"--lint-stats --sweep --workload nonsense", "--sweep"},
+      // --jobs only sizes a sweep's worker pool.
+      {"--iters 16 --elements 1024 --jobs 4", "--jobs"},
+      {sampled + " --jobs 3", "--jobs"},
+      // --trace-core picks the core --trace prints.
+      {"--iters 16 --elements 1024 --trace-core 0", "--trace-core"},
+      // A core holds one tracer: the Perfetto sink would replace --trace.
+      {"--workload reduce --threads 1 --iters 4 --trace --trace-out " + file,
+       "--trace"},
+      // A sweep's heartbeat comes once per point.
+      {"--sweep --workload reduce --threads 2,4 --iters 16 --elements 4096 "
+       "--progress=100",
+       "--progress=SECS"},
+      // A JSON report takes no text counter dump: a sampled one drops
+      // the stats, a detailed one holds them anyway.
+      {sampled + " --stats --json", "--stats"},
+      {sampled + " --stats --json=" + file, "--stats"},
+      {"--iters 16 --elements 1024 --stats --json=" + file, "--stats"},
+      // Bare --json owns stdout.
+      {"--iters 16 --elements 1024 --json --cpi-stack", "--cpi-stack"},
+      {"--iters 16 --elements 1024 --json --area", "--area"},
+      {"--iters 16 --elements 1024 --json --trace", "--trace"},
+      {sampled + " --json --cpi-stack", "--cpi-stack"},
+      {sampled + " --json --area", "--area"},
+  };
+  for (const auto& [args, flag] : cases) {
+    const CliResult r = run_cli(args);
+    EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find(std::string("error: ") + flag), std::string::npos)
+        << args << "\n" << r.output;
   }
 }
 

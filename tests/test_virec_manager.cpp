@@ -165,7 +165,9 @@ TEST_F(ViReCManagerTest, MispredictFlushDropsRollbackOnly) {
   // Wrong-path registers keep their speculative C bit.
   const TagStore& tags = mgr->tag_store();
   for (u32 i = 0; i < tags.size(); ++i) {
-    if (tags.entry(i).valid) EXPECT_TRUE(tags.entry(i).c_bit);
+    if (tags.entry(i).valid) {
+      EXPECT_TRUE(tags.entry(i).c_bit);
+    }
   }
 }
 
