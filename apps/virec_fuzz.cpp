@@ -262,7 +262,7 @@ int main(int argc, char** argv) {
   Options opt;
   try {
     if (!parse(argc, argv, opt)) {
-      print_usage();
+      std::cerr << "run virec-fuzz --help for the options\n";
       return 2;
     }
     if (opt.help) {

@@ -162,8 +162,9 @@ const Flag kFlags[] = {
     {.name = "--sample-interval", .metavar = "N", .modes = kSingle,
      .field = &Options::sample_interval,
      .help = "record a time-series sample every N cycles\n"
-             "(reported in the JSON time_series section;\n"
-             "with --trace-out, also emits Perfetto\n"
+             "(a sample line each in the text report and\n"
+             "the JSON time_series section; with\n"
+             "--trace-out, also emits Perfetto\n"
              "counter tracks per core: CPI stack, IPC,\n"
              "MSHRs in flight, store-queue depth, ready\n"
              "threads)"},
@@ -782,6 +783,15 @@ sim::RunResult run_detailed(const Options& opt, sim::System& system) {
               << "rf_fills " << result.rf_fills << "\n"
               << "rf_spills " << result.rf_spills << "\n"
               << "check " << (result.check_ok ? "OK" : "FAIL") << "\n";
+    // The --sample-interval time series: the JSON time_series fields
+    // but the CPI stack, one line per sample.
+    for (const sim::Sample& s : system.samples()) {
+      std::cout << "sample cycle " << s.cycle << " instructions "
+                << s.instructions << " ipc " << s.ipc << " interval_ipc "
+                << s.interval_ipc << " rf_hit_rate " << s.rf_hit_rate
+                << " runnable_threads " << s.runnable_threads
+                << " outstanding_misses " << s.outstanding_misses << "\n";
+    }
   }
 
   if (opt.cpi_stack) {
@@ -877,7 +887,7 @@ int main(int argc, char** argv) {
   opt.flags = sim::SpecFlags(defaults);
   try {
     if (!parse(argc, argv, opt)) {
-      print_usage();
+      std::cerr << "run virec-sim --help for the options\n";
       return 2;
     }
     switch (opt.mode) {

@@ -105,4 +105,17 @@ Decoder CheckpointReader::section(const std::string& name) {
   return Decoder(file_.data() + s.offset, s.size, "section '" + name + "'");
 }
 
+void Sections::operator()(const std::string& name,
+                          const std::function<void(Archive&)>& fields) {
+  if (writer_ != nullptr) {
+    Archive ar(writer_->section(name));
+    fields(ar);
+    return;
+  }
+  Decoder dec = reader_->section(name);
+  Archive ar(dec);
+  fields(ar);
+  dec.finish();
+}
+
 }  // namespace virec::ckpt

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -93,6 +94,29 @@ class CheckpointReader {
   u64 config_hash_ = 0;
   std::vector<Section> sections_;
   std::size_t next_section_ = 0;
+};
+
+/// One snapshot's sections in file order, in either direction: the
+/// list of (name, component) pairs a system names once both writes the
+/// snapshot and reads it back.
+class Sections {
+ public:
+  explicit Sections(CheckpointWriter& writer) : writer_(&writer) {}
+  explicit Sections(CheckpointReader& reader) : reader_(&reader) {}
+
+  /// Move section @p name through @p fields. Loading must consume the
+  /// section exactly.
+  void operator()(const std::string& name,
+                  const std::function<void(Archive&)>& fields);
+  /// Move section @p name through @p component.state(Archive&).
+  template <typename T>
+  void operator()(const std::string& name, T& component) {
+    (*this)(name, [&component](Archive& ar) { component.state(ar); });
+  }
+
+ private:
+  CheckpointWriter* writer_ = nullptr;
+  CheckpointReader* reader_ = nullptr;
 };
 
 }  // namespace virec::ckpt

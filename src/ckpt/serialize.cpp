@@ -86,6 +86,33 @@ void Decoder::finish() const {
   }
 }
 
+void Archive::bytes(void* data, std::size_t size) {
+  if (loading()) {
+    dec_->raw(data, size);
+  } else {
+    enc_->raw(data, size);
+  }
+}
+
+void Archive::length(std::size_t live, const char* what) {
+  u32 n = static_cast<u32>(live);
+  field(n);
+  if (loading() && n != live) {
+    fail(std::string(what) + ": snapshot has " + std::to_string(n) +
+         ", this system has " + std::to_string(live));
+  }
+}
+
+void Archive::fail(const std::string& why) const {
+  throw CkptError("checkpoint " + dec_->context() + ": " + why);
+}
+
+void Archive::refuse(const char* what, i64 value, const char* rule,
+                     u64 limit) const {
+  fail(std::string(what) + " is " + std::to_string(value) + ", must be " +
+       rule + " " + std::to_string(limit));
+}
+
 void write_file_atomic(const std::string& path, const void* data,
                        std::size_t size) {
   static std::atomic<u64> next_tmp{0};

@@ -4,16 +4,18 @@
 // checking, so a truncated or corrupted payload surfaces as a
 // CkptError instead of silently restoring garbage.
 //
-// Components implement the Serializable interface (or plain
-// save_state/restore_state member functions for sub-components owned
-// by a Serializable parent). The invariant every implementation must
-// keep: restore_state(save_state(x)) reproduces x exactly — the
-// checkpoint tests assert bit-identical simulation results after a
-// save/restore round trip.
+// Components name their snapshot fields once, in a state(Archive&)
+// member: the same field list writes the section through an Encoder
+// and reads it back through a Decoder. The invariant every component
+// keeps: loading what it saved reproduces it exactly — the checkpoint
+// tests assert bit-identical simulation results after a save/restore
+// round trip.
 #pragma once
 
+#include <bit>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.hpp"
@@ -59,10 +61,6 @@ class Encoder {
   void put_u64_vec(const std::vector<u64>& v) {
     put_u32(static_cast<u32>(v.size()));
     for (u64 x : v) put_u64(x);
-  }
-  void put_cycle_vec(const std::vector<Cycle>& v) {
-    put_u32(static_cast<u32>(v.size()));
-    for (Cycle x : v) put_u64(x);
   }
 
   const std::vector<u8>& bytes() const { return bytes_; }
@@ -112,7 +110,6 @@ class Decoder {
     for (u32 i = 0; i < n; ++i) v.push_back(get_u64());
     return v;
   }
-  std::vector<Cycle> get_cycle_vec() { return get_u64_vec(); }
 
   void skip(std::size_t n) {
     need(n);
@@ -120,6 +117,8 @@ class Decoder {
   }
   std::size_t remaining() const { return size_ - pos_; }
   bool done() const { return pos_ == size_; }
+  /// What the bytes are ("section 'core0'"), for error messages.
+  const std::string& context() const { return context_; }
   /// Restore must consume the section exactly; trailing bytes mean the
   /// snapshot and the code disagree about the format.
   void finish() const;
@@ -141,14 +140,129 @@ class Decoder {
 void write_file_atomic(const std::string& path, const void* data,
                        std::size_t size);
 
-/// Save/restore interface implemented by every stateful component that
-/// owns a checkpoint section (cores, context managers, caches, DRAM,
-/// the crossbar, the functional memory, stat sets, ...).
-class Serializable {
+/// Moves one component's snapshot fields in one direction: out through
+/// an Encoder or in through a Decoder, so one field list both saves and
+/// loads. The checked primitives (length, vec, seq, index, enumeration)
+/// refuse a loaded value the live component could not use, from a
+/// mismatched configuration or hostile bytes behind valid CRCs, with a
+/// CkptError that names the field.
+class Archive {
  public:
-  virtual ~Serializable() = default;
-  virtual void save_state(Encoder& enc) const = 0;
-  virtual void restore_state(Decoder& dec) = 0;
+  explicit Archive(Encoder& enc) : enc_(&enc) {}
+  explicit Archive(Decoder& dec) : dec_(&dec) {}
+
+  bool loading() const { return dec_ != nullptr; }
+
+  /// Move each field by its type: an integer little-endian at its width
+  /// (bool as one byte), a double by bit pattern, a string as a u32
+  /// length and its bytes, a std::array element by element.
+  template <typename... Ts>
+  void operator()(Ts&... fields) {
+    (field(fields), ...);
+  }
+
+  /// @p size raw bytes at @p data.
+  void bytes(void* data, std::size_t size);
+
+  /// A u32 element count that must equal @p live, the length of the
+  /// live container the caller then walks.
+  void length(std::size_t live, const char* what);
+
+  /// A fixed-length vector: its length(), then every element.
+  template <typename T>
+  void vec(std::vector<T>& v, const char* what) {
+    length(v.size(), what);
+    for (T& x : v) field(x);
+  }
+
+  /// A container whose length varies at run time: a u32 count, at most
+  /// @p max on load, then @p each(element). Loading grows the container
+  /// one decoded element at a time, so a hostile count runs out of
+  /// bytes before it runs out of memory.
+  template <typename C, typename Fn>
+  void seq(C& c, std::size_t max, const char* what, Fn each) {
+    u32 n = static_cast<u32>(c.size());
+    field(n);
+    if (!loading()) {
+      for (auto& x : c) each(x);
+      return;
+    }
+    if (n > max) refuse(what, n, "at most", max);
+    c.clear();
+    for (u32 i = 0; i < n; ++i) each(c.emplace_back());
+  }
+
+  /// An index below @p bound; a signed one may also be -1 (none). An
+  /// int travels as i64.
+  template <typename T>
+  void index(T& v, std::size_t bound, const char* what) {
+    using Wire = std::conditional_t<std::is_same_v<T, int>, i64, T>;
+    Wire w = static_cast<Wire>(v);
+    field(w);
+    if (!loading()) return;
+    const i64 s = static_cast<i64>(w);
+    if (!(std::is_signed_v<Wire> && s == -1) &&
+        (s < 0 || static_cast<u64>(s) >= bound)) {
+      refuse(what, s, "below", bound);
+    }
+    v = static_cast<T>(w);
+  }
+
+  /// A one-byte enum that must not exceed @p last.
+  template <typename E>
+  void enumeration(E& v, E last, const char* what) {
+    static_assert(std::is_enum_v<E> && sizeof(E) == 1);
+    u8 w = static_cast<u8>(v);
+    field(w);
+    if (!loading()) return;
+    if (w > static_cast<u8>(last)) {
+      refuse(what, w, "at most", static_cast<u8>(last));
+    }
+    v = static_cast<E>(w);
+  }
+
+  /// Refuse the section being loaded: throws CkptError naming it.
+  [[noreturn]] void fail(const std::string& why) const;
+
+ private:
+  /// fail() with "<what> is <value>, must be <rule> <limit>".
+  [[noreturn]] void refuse(const char* what, i64 value, const char* rule,
+                           u64 limit) const;
+
+  template <typename T>
+  void field(T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      u8 b = v ? 1 : 0;
+      field(b);
+      v = b != 0;
+    } else if constexpr (std::is_same_v<T, double>) {
+      u64 bits = std::bit_cast<u64>(v);
+      field(bits);
+      v = std::bit_cast<double>(bits);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      if (loading()) {
+        v = dec_->get_str();
+      } else {
+        enc_->put_str(v);
+      }
+    } else if constexpr (std::is_integral_v<T>) {
+      static_assert(!std::is_same_v<T, int>, "an int travels via index()");
+      u64 u = loading() ? 0 : static_cast<std::make_unsigned_t<T>>(v);
+      for (std::size_t i = 0; i < sizeof(T); ++i) {
+        if (loading()) {
+          u |= u64{dec_->get_u8()} << (8 * i);
+        } else {
+          enc_->put_u8(static_cast<u8>(u >> (8 * i)));
+        }
+      }
+      v = static_cast<T>(u);
+    } else {
+      for (auto& x : v) field(x);  // std::array
+    }
+  }
+
+  Encoder* enc_ = nullptr;
+  Decoder* dec_ = nullptr;
 };
 
 }  // namespace virec::ckpt

@@ -26,20 +26,6 @@ void Histogram::clear() {
   buckets_.clear();
 }
 
-void Histogram::merge(const Histogram& other) {
-  if (other.count_ == 0) return;
-  if (buckets_.size() < other.buckets_.size()) {
-    buckets_.resize(other.buckets_.size(), 0);
-  }
-  for (std::size_t i = 0; i < other.buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
-  min_ = count_ == 0 ? other.min_ : std::min(min_, other.min_);
-  max_ = count_ == 0 ? other.max_ : std::max(max_, other.max_);
-  count_ += other.count_;
-  sum_ += other.sum_;
-}
-
 void Distribution::record_always(double value) {
   if (count_ == 0) {
     min_ = max_ = value;
@@ -65,45 +51,15 @@ void Distribution::clear() {
   sum_ = sum_sq_ = min_ = max_ = 0.0;
 }
 
-void Distribution::merge(const Distribution& other) {
-  if (other.count_ == 0) return;
-  min_ = count_ == 0 ? other.min_ : std::min(min_, other.min_);
-  max_ = count_ == 0 ? other.max_ : std::max(max_, other.max_);
-  count_ += other.count_;
-  sum_ += other.sum_;
-  sum_sq_ += other.sum_sq_;
+void Histogram::state(ckpt::Archive& ar) {
+  ar(count_, sum_, min_, max_);
+  // Rendering shifts by the bucket index, so no more than kMaxBuckets.
+  ar.seq(buckets_, kMaxBuckets, "histogram buckets",
+         [&ar](u64& b) { ar(b); });
 }
 
-void Histogram::save_state(ckpt::Encoder& enc) const {
-  enc.put_u64(count_);
-  enc.put_f64(sum_);
-  enc.put_f64(min_);
-  enc.put_f64(max_);
-  enc.put_u64_vec(buckets_);
-}
-
-void Histogram::restore_state(ckpt::Decoder& dec) {
-  count_ = dec.get_u64();
-  sum_ = dec.get_f64();
-  min_ = dec.get_f64();
-  max_ = dec.get_f64();
-  buckets_ = dec.get_u64_vec();
-}
-
-void Distribution::save_state(ckpt::Encoder& enc) const {
-  enc.put_u64(count_);
-  enc.put_f64(sum_);
-  enc.put_f64(sum_sq_);
-  enc.put_f64(min_);
-  enc.put_f64(max_);
-}
-
-void Distribution::restore_state(ckpt::Decoder& dec) {
-  count_ = dec.get_u64();
-  sum_ = dec.get_f64();
-  sum_sq_ = dec.get_f64();
-  min_ = dec.get_f64();
-  max_ = dec.get_f64();
+void Distribution::state(ckpt::Archive& ar) {
+  ar(count_, sum_, sum_sq_, min_, max_);
 }
 
 StatSet::StatSet(std::string prefix) : prefix_(std::move(prefix)) {}
@@ -186,52 +142,30 @@ void StatSet::clear() {
   for (auto& d : distributions_) d->clear();
 }
 
-void StatSet::merge(const StatSet& other) {
-  for (const Stat& s : other.stats_) inc(s.name, s.value);
-  for (const auto& h : other.histograms_) {
-    histogram(h->name(), h->desc())->merge(*h);
+void StatSet::state(ckpt::Archive& ar) {
+  // Every entry travels by name, and a saved name finds its own entry.
+  // Loading creates absent counters in saved order, so lazily created
+  // ones land where they did in the run that produced the snapshot.
+  u32 n = static_cast<u32>(stats_.size());
+  ar(n);
+  for (u32 i = 0; i < n; ++i) {
+    std::string name = ar.loading() ? "" : stats_[i].name;
+    ar(name);
+    ar(*counter(name));
   }
-  for (const auto& d : other.distributions_) {
-    distribution(d->name(), d->desc())->merge(*d);
+  n = static_cast<u32>(histograms_.size());
+  ar(n);
+  for (u32 i = 0; i < n; ++i) {
+    std::string name = ar.loading() ? "" : histograms_[i]->name();
+    ar(name);
+    histogram(name)->state(ar);
   }
-}
-
-void StatSet::save_state(ckpt::Encoder& enc) const {
-  enc.put_u32(static_cast<u32>(stats_.size()));
-  for (const Stat& s : stats_) {
-    enc.put_str(s.name);
-    enc.put_f64(s.value);
-  }
-  enc.put_u32(static_cast<u32>(histograms_.size()));
-  for (const auto& h : histograms_) {
-    enc.put_str(h->name());
-    h->save_state(enc);
-  }
-  enc.put_u32(static_cast<u32>(distributions_.size()));
-  for (const auto& d : distributions_) {
-    enc.put_str(d->name());
-    d->save_state(enc);
-  }
-}
-
-void StatSet::restore_state(ckpt::Decoder& dec) {
-  const u32 n_counters = dec.get_u32();
-  for (u32 i = 0; i < n_counters; ++i) {
-    const std::string name = dec.get_str();
-    // counter() creates absent entries in saved order, so lazily
-    // created counters land at the same position as in the run that
-    // produced the snapshot.
-    *counter(name) = dec.get_f64();
-  }
-  const u32 n_hist = dec.get_u32();
-  for (u32 i = 0; i < n_hist; ++i) {
-    const std::string name = dec.get_str();
-    histogram(name)->restore_state(dec);
-  }
-  const u32 n_dist = dec.get_u32();
-  for (u32 i = 0; i < n_dist; ++i) {
-    const std::string name = dec.get_str();
-    distribution(name)->restore_state(dec);
+  n = static_cast<u32>(distributions_.size());
+  ar(n);
+  for (u32 i = 0; i < n; ++i) {
+    std::string name = ar.loading() ? "" : distributions_[i]->name();
+    ar(name);
+    distribution(name)->state(ar);
   }
 }
 

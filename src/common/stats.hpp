@@ -88,12 +88,10 @@ class Histogram {
   void set_enabled(bool on) { enabled_ = on; }
 
   void clear();
-  void merge(const Histogram& other);
 
-  /// Checkpoint the sample state (not the name/desc/enabled flag,
+  /// Snapshot fields: the sample state (not the name/desc/enabled flag,
   /// which are configuration).
-  void save_state(ckpt::Encoder& enc) const;
-  void restore_state(ckpt::Decoder& dec);
+  void state(ckpt::Archive& ar);
 
  private:
   std::string name_;
@@ -135,11 +133,9 @@ class Distribution {
   void set_enabled(bool on) { enabled_ = on; }
 
   void clear();
-  void merge(const Distribution& other);
 
-  /// Checkpoint the sample state (not the name/desc/enabled flag).
-  void save_state(ckpt::Encoder& enc) const;
-  void restore_state(ckpt::Decoder& dec);
+  /// Snapshot fields: the sample state (not the name/desc/enabled flag).
+  void state(ckpt::Archive& ar);
 
  private:
   std::string name_;
@@ -210,15 +206,11 @@ class StatSet {
   /// Reset every counter to zero (entries are kept); clears typed stats.
   void clear();
 
-  /// Merge: add every counter / typed stat of @p other into this set.
-  void merge(const StatSet& other);
-
-  /// Checkpoint every counter value and typed-stat sample state, by
-  /// name. Restoring recreates counters in the saved order (so report
+  /// Snapshot fields: every counter value and typed-stat sample state,
+  /// by name. Loading recreates counters in the saved order (so report
   /// ordering matches an uninterrupted run) and overwrites the values
   /// of counters that already exist.
-  void save_state(ckpt::Encoder& enc) const;
-  void restore_state(ckpt::Decoder& dec);
+  void state(ckpt::Archive& ar);
 
   const std::string& prefix() const { return prefix_; }
 

@@ -63,16 +63,9 @@ class BackingStoreInterface {
 
   const BsiConfig& config() const { return config_; }
 
-  /// Checkpoint the occupancy cursors (the stat set is owned by the
-  /// manager and checkpointed there).
-  void save_state(ckpt::Encoder& enc) const {
-    enc.put_u64(busy_until_);
-    enc.put_u64(last_fill_done_);
-  }
-  void restore_state(ckpt::Decoder& dec) {
-    busy_until_ = dec.get_u64();
-    last_fill_done_ = dec.get_u64();
-  }
+  /// Snapshot fields: the occupancy cursors (the stat set is owned by
+  /// the manager and checkpointed there).
+  void state(ckpt::Archive& ar) { ar(busy_until_, last_fill_done_); }
 
  private:
   Cycle issue(Addr addr, bool is_write, Cycle now);

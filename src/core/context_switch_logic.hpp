@@ -40,25 +40,10 @@ class ContextSwitchLogic {
   void warm_switch(int from_tid, int to_tid, int predicted_next,
                    Cycle warm_now);
 
-  /// Checkpoint the ping-pong buffer / prefetch state.
-  void save_state(ckpt::Encoder& enc) const {
-    enc.put_cycle_vec(sysreg_ready_);
-    enc.put_u32(static_cast<u32>(buffered_.size()));
-    for (u8 b : buffered_) enc.put_u8(b);
-  }
-  void restore_state(ckpt::Decoder& dec) {
-    const std::vector<Cycle> ready = dec.get_cycle_vec();
-    if (ready.size() != sysreg_ready_.size()) {
-      throw ckpt::CkptError("ContextSwitchLogic: snapshot thread count "
-                            "mismatch");
-    }
-    sysreg_ready_ = ready;
-    const u32 n = dec.get_u32();
-    if (n != buffered_.size()) {
-      throw ckpt::CkptError("ContextSwitchLogic: snapshot buffer size "
-                            "mismatch");
-    }
-    for (u8& b : buffered_) b = dec.get_u8();
+  /// Snapshot fields: the ping-pong buffer / prefetch state.
+  void state(ckpt::Archive& ar) {
+    ar.vec(sysreg_ready_, "CSL threads");
+    ar.vec(buffered_, "CSL buffer");
   }
 
  private:

@@ -150,20 +150,14 @@ class ReplacementPolicy {
   int pick_victim(const std::vector<RfEntry>& entries,
                   const std::vector<u8>& locked);
 
-  /// Checkpoint the RNG engine and LRU/FIFO counters (the per-entry
-  /// state lives in the tag store's RfEntry records).
-  void save_state(ckpt::Encoder& enc) const {
-    enc.put_u64(rng_.state0());
-    enc.put_u64(rng_.state1());
-    enc.put_u64(tick_);
-    enc.put_u64(seq_);
-  }
-  void restore_state(ckpt::Decoder& dec) {
-    const u64 s0 = dec.get_u64();
-    const u64 s1 = dec.get_u64();
+  /// Snapshot fields: the RNG engine and LRU/FIFO counters (the
+  /// per-entry state lives in the tag store's RfEntry records).
+  void state(ckpt::Archive& ar) {
+    u64 s0 = rng_.state0();
+    u64 s1 = rng_.state1();
+    ar(s0, s1, tick_, seq_);
+    if (!ar.loading()) return;
     rng_.set_state(s0, s1);
-    tick_ = dec.get_u64();
-    seq_ = dec.get_u64();
     // Snapshots carry materialized T values that the tag store rebases
     // onto the live epoch; stale per-thread switch events would
     // override those marks, so drop them.

@@ -52,32 +52,19 @@ class RollbackQueue {
   bool empty() const { return fifo_.empty(); }
   u32 depth() const { return depth_; }
 
-  /// Checkpoint the in-flight entries (oldest first).
-  void save_state(ckpt::Encoder& enc) const {
-    enc.put_u32(static_cast<u32>(fifo_.size()));
-    for (const Entry& e : fifo_) {
-      enc.put_u32(e.count);
-      for (u16 p : e.phys) enc.put_u16(p);
-      for (u8 t : e.tid) enc.put_u8(t);
-      for (isa::RegId a : e.arch) enc.put_u8(a);
-      enc.put_bool(e.is_mem);
-    }
-  }
-  void restore_state(ckpt::Decoder& dec) {
-    fifo_.clear();
-    const u32 n = dec.get_u32();
-    if (n > depth_) {
-      throw ckpt::CkptError("RollbackQueue: snapshot deeper than queue");
-    }
-    for (u32 i = 0; i < n; ++i) {
-      Entry e;
-      e.count = dec.get_u32();
-      for (u16& p : e.phys) p = dec.get_u16();
-      for (u8& t : e.tid) t = dec.get_u8();
-      for (isa::RegId& a : e.arch) a = dec.get_u8();
-      e.is_mem = dec.get_bool();
-      fifo_.push_back(e);
-    }
+  /// Snapshot fields: the in-flight entries, oldest first. Loading
+  /// checks each entry's registers against @p tags, the store they
+  /// index at flush.
+  void state(ckpt::Archive& ar, const TagStore& tags) {
+    ar.seq(fifo_, depth_, "rollback queue depth", [&](Entry& e) {
+      ar.index(e.count, e.phys.size() + 1, "rollback entry count");
+      for (u16& p : e.phys) ar.index(p, tags.size(), "rollback entry phys");
+      for (u8& t : e.tid) ar.index(t, tags.threads(), "rollback entry tid");
+      for (isa::RegId& a : e.arch) {
+        ar.index(a, isa::kNumArchRegs, "rollback entry arch");
+      }
+      ar(e.is_mem);
+    });
   }
 
  private:

@@ -136,54 +136,29 @@ bool TagStore::corrupt_swap_tags_for_test() {
   return false;
 }
 
-void TagStore::save_state(ckpt::Encoder& enc) const {
-  enc.put_u32(static_cast<u32>(entries_.size()));
-  for (const RfEntry& e : entries_) {
-    enc.put_bool(e.valid);
-    enc.put_u8(e.tid);
-    enc.put_u8(e.arch);
-    enc.put_bool(e.dirty);
-    // Materialize the lazy T and age fields so the snapshot format is
-    // unchanged from the eager representation.
-    enc.put_u8(e.valid ? policy_.t_of(e) : 0);
-    enc.put_u8(e.valid ? policy_.age_of(e) : 0);
-    enc.put_bool(e.c_bit);
-    enc.put_u64(e.last_use);
-    enc.put_u64(e.insert_seq);
-  }
-  enc.put_u32(static_cast<u32>(map_.size()));
-  for (i16 m : map_) enc.put_u16(static_cast<u16>(m));
-  policy_.save_state(enc);
-}
-
-void TagStore::restore_state(ckpt::Decoder& dec) {
-  const u32 n_entries = dec.get_u32();
-  if (n_entries != entries_.size()) {
-    throw ckpt::CkptError("TagStore: snapshot has " +
-                          std::to_string(n_entries) +
-                          " entries, tag store has " +
-                          std::to_string(entries_.size()));
-  }
+void TagStore::state(ckpt::Archive& ar) {
+  ar.length(entries_.size(), "tag store entries");
   for (RfEntry& e : entries_) {
-    e.valid = dec.get_bool();
-    e.tid = dec.get_u8();
-    e.arch = dec.get_u8();
-    e.dirty = dec.get_bool();
-    e.t_bits = dec.get_u8();
-    e.age = dec.get_u8();
-    e.c_bit = dec.get_bool();
-    e.last_use = dec.get_u64();
-    e.insert_seq = dec.get_u64();
+    // The lazy T and age fields travel materialized, the format of the
+    // eager representation; loading stores them as bases and rebases
+    // their marks below.
+    u8 t = e.valid ? policy_.t_of(e) : 0;
+    u8 age = e.valid ? policy_.age_of(e) : 0;
+    ar(e.valid);
+    ar.index(e.tid, threads(), "tag store tid");
+    ar.index(e.arch, isa::kNumArchRegs, "tag store arch");
+    ar(e.dirty, t, age, e.c_bit, e.last_use, e.insert_seq);
+    if (ar.loading()) {
+      e.t_bits = t;
+      e.age = age;
+    }
   }
-  const u32 n_map = dec.get_u32();
-  if (n_map != map_.size()) {
-    throw ckpt::CkptError("TagStore: snapshot map size mismatch");
-  }
-  for (i16& m : map_) m = static_cast<i16>(dec.get_u16());
-  policy_.restore_state(dec);
-  // The snapshot carries materialized ages and T values; rebase every
-  // entry's lazy marks on the live ticks (which are not serialized) and
-  // rebuild the valid-entry count.
+  ar.length(map_.size(), "tag store map");
+  for (i16& m : map_) ar.index(m, entries_.size(), "tag store map slot");
+  policy_.state(ar);
+  if (!ar.loading()) return;
+  // Rebase every entry's lazy marks on the live ticks (which are not
+  // serialized) and rebuild the valid-entry count.
   valid_count_ = 0;
   for (RfEntry& e : entries_) {
     e.age_mark = policy_.age_tick_now();

@@ -65,13 +65,16 @@ class TagStore {
   const RfEntry& entry(u32 idx) const { return entries_[idx]; }
   const std::vector<RfEntry>& entries() const { return entries_; }
   u32 size() const { return static_cast<u32>(entries_.size()); }
+  u32 threads() const {
+    return static_cast<u32>(map_.size() / isa::kNumArchRegs);
+  }
   u32 valid_entries() const;
   PolicyKind policy_kind() const { return policy_.kind(); }
 
-  /// Checkpoint every entry, the (tid, arch) -> phys map and the
-  /// policy counters. Restore validates the entry/map sizes.
-  void save_state(ckpt::Encoder& enc) const;
-  void restore_state(ckpt::Decoder& dec);
+  /// Snapshot fields: every entry, the (tid, arch) -> phys map and the
+  /// policy counters. Loading checks the sizes and that every tag and
+  /// map slot indexes this store.
+  void state(ckpt::Archive& ar);
 
   /// Hard invariants (VIREC_CHECK through @p check, no-op when null or
   /// disabled): the CAM and the direct map must agree bidirectionally —

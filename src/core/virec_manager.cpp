@@ -431,36 +431,17 @@ double ViReCManager::rf_hit_rate() const {
   return total == 0.0 ? 1.0 : hits / total;
 }
 
-void ViReCManager::save_state(ckpt::Encoder& enc) const {
-  ContextManager::save_state(enc);
-  tags_.save_state(enc);
-  rollback_.save_state(enc);
-  bsi_.save_state(enc);
-  csl_.save_state(enc);
-  enc.put_u64_vec(phys_values_);
-  enc.put_u32(static_cast<u32>(used_this_episode_.size()));
-  for (u32 m : used_this_episode_) enc.put_u32(m);
-  for (u32 m : last_episode_used_) enc.put_u32(m);
+void ViReCManager::state(ckpt::Archive& ar) {
+  ContextManager::state(ar);
+  tags_.state(ar);
+  rollback_.state(ar, tags_);
+  bsi_.state(ar);
+  csl_.state(ar);
+  ar.vec(phys_values_, "ViReC phys regs");
   // locked_scratch_ is per-decode scratch; not state.
-}
-
-void ViReCManager::restore_state(ckpt::Decoder& dec) {
-  ContextManager::restore_state(dec);
-  tags_.restore_state(dec);
-  rollback_.restore_state(dec);
-  bsi_.restore_state(dec);
-  csl_.restore_state(dec);
-  std::vector<u64> values = dec.get_u64_vec();
-  if (values.size() != phys_values_.size()) {
-    throw ckpt::CkptError("ViReCManager: snapshot phys reg count mismatch");
-  }
-  phys_values_ = std::move(values);
-  const u32 n = dec.get_u32();
-  if (n != used_this_episode_.size()) {
-    throw ckpt::CkptError("ViReCManager: snapshot thread count mismatch");
-  }
-  for (u32& m : used_this_episode_) m = dec.get_u32();
-  for (u32& m : last_episode_used_) m = dec.get_u32();
+  ar.length(used_this_episode_.size(), "ViReC threads");
+  for (u32& m : used_this_episode_) ar(m);
+  for (u32& m : last_episode_used_) ar(m);
 }
 
 }  // namespace virec::core

@@ -71,7 +71,6 @@ class ViReCManager final : public cpu::ContextManager {
   void warm_context_switch(int from_tid, int to_tid, int predicted_next,
                            Cycle warm_now) override;
   void warm_thread_halt(int tid, Cycle warm_now) override;
-  u32 physical_regs() const override { return config_.num_phys_regs; }
 
   // --- isa::RegisterFileIO (functional) ---
   u64 read_reg(int tid, isa::RegId reg) override;
@@ -90,8 +89,7 @@ class ViReCManager final : public cpu::ContextManager {
   /// the owning core uses.
   void set_tracer(cpu::TraceSink* tracer) override { tracer_ = tracer; }
 
-  void save_state(ckpt::Encoder& enc) const override;
-  void restore_state(ckpt::Decoder& dec) override;
+  void state(ckpt::Archive& ar) override;
 
  private:
   /// Evict whatever currently occupies (the policy's choice of) an

@@ -78,10 +78,6 @@ void BankedManager::warm_thread_halt(int tid, Cycle /*warm_now*/) {
   }
 }
 
-u32 BankedManager::physical_regs() const {
-  return env_.num_threads * isa::kNumArchRegs;
-}
-
 u64 BankedManager::read_reg(int tid, isa::RegId reg) {
   // Bank-ownership invariant: a thread may only touch its own bank, and
   // only allocatable registers (xzr never reaches the RF).
@@ -100,18 +96,9 @@ void BankedManager::write_reg(int tid, isa::RegId reg, u64 value) {
   banks_[static_cast<std::size_t>(tid)][reg] = value;
 }
 
-void BankedManager::save_state(ckpt::Encoder& enc) const {
-  ContextManager::save_state(enc);
-  for (const auto& bank : banks_) {
-    for (u64 v : bank) enc.put_u64(v);
-  }
-}
-
-void BankedManager::restore_state(ckpt::Decoder& dec) {
-  ContextManager::restore_state(dec);
-  for (auto& bank : banks_) {
-    for (u64& v : bank) v = dec.get_u64();
-  }
+void BankedManager::state(ckpt::Archive& ar) {
+  ContextManager::state(ar);
+  for (auto& bank : banks_) ar(bank);
 }
 
 }  // namespace virec::cpu

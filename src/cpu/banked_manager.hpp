@@ -20,14 +20,12 @@ class BankedManager final : public ContextManager {
   void on_thread_halt(int tid, Cycle now) override;
   void warm_thread_start(int tid, Cycle warm_now) override;
   void warm_thread_halt(int tid, Cycle warm_now) override;
-  u32 physical_regs() const override;
 
   // RegisterFileIO.
   u64 read_reg(int tid, isa::RegId reg) override;
   void write_reg(int tid, isa::RegId reg, u64 value) override;
 
-  void save_state(ckpt::Encoder& enc) const override;
-  void restore_state(ckpt::Decoder& dec) override;
+  void state(ckpt::Archive& ar) override;
 
  private:
   // banks_[tid][arch]

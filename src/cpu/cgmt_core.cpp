@@ -739,129 +739,49 @@ std::string CgmtCore::watchdog_diagnosis() const {
   return out;
 }
 
-namespace {
-
-void save_inst(ckpt::Encoder& enc, const isa::Inst& inst) {
-  enc.put_u8(static_cast<u8>(inst.op));
-  enc.put_u8(inst.rd);
-  enc.put_u8(inst.rn);
-  enc.put_u8(inst.rm);
-  enc.put_u8(inst.ra);
-  enc.put_u8(static_cast<u8>(inst.cond));
-  enc.put_u8(static_cast<u8>(inst.mem_mode));
-  enc.put_u8(inst.shift);
-  enc.put_u8(inst.imm2);
-  enc.put_i64(inst.imm);
-  enc.put_i64(inst.target);
-}
-
-void restore_inst(ckpt::Decoder& dec, isa::Inst& inst) {
-  inst.op = static_cast<isa::Op>(dec.get_u8());
-  inst.rd = dec.get_u8();
-  inst.rn = dec.get_u8();
-  inst.rm = dec.get_u8();
-  inst.ra = dec.get_u8();
-  inst.cond = static_cast<isa::Cond>(dec.get_u8());
-  inst.mem_mode = static_cast<isa::MemMode>(dec.get_u8());
-  inst.shift = dec.get_u8();
-  inst.imm2 = dec.get_u8();
-  inst.imm = dec.get_i64();
-  inst.target = dec.get_i64();
-}
-
-}  // namespace
-
-void CgmtCore::save_state(ckpt::Encoder& enc) const {
-  enc.put_u32(static_cast<u32>(threads_.size()));
-  for (const Thread& t : threads_) {
-    enc.put_bool(t.started);
-    enc.put_bool(t.halted);
-    enc.put_u64(t.pc);
-    enc.put_u8(t.nzcv);
-    enc.put_u64(t.blocked_until);
-    enc.put_u64(t.start_ready);
-    enc.put_bool(t.launched_context);
-    enc.put_bool(t.has_reserved_line);
-    enc.put_u64(t.reserved_line);
-  }
-  const auto save_latch = [&enc](const Latch& l) {
-    enc.put_bool(l.valid);
-    enc.put_u64(l.pc);
-    enc.put_u64(l.pred_next);
-    save_inst(enc, l.inst);
-    enc.put_u64(l.ready);
-    enc.put_bool(l.decoded);
-    enc.put_bool(l.mem_issued);
-    enc.put_u64(l.mem_addr);
-    enc.put_bool(l.fill_wait);
-    enc.put_u8(l.mem_kind);
-  };
-  save_latch(if_);
-  save_latch(id_);
-  save_latch(ex_);
-  save_latch(mem_);
-  enc.put_u64(cycle_);
-  enc.put_u64(instructions_);
-  enc.put_i64(current_tid_);
-  enc.put_u32(live_threads_);
-  enc.put_bool(committed_since_switch_);
-  enc.put_u64(fetch_ready_);
-  enc.put_u64(fetch_pc_);
-  enc.put_bool(switch_pending_);
-  enc.put_u64(switch_eligible_at_);
-  enc.put_u8(fetch_wait_cause_);
-  enc.put_u64(episode_start_instructions_);
-  sq_.save_state(enc);
-  stats_.save_state(enc);
-}
-
-void CgmtCore::restore_state(ckpt::Decoder& dec) {
-  const u32 n_threads = dec.get_u32();
-  if (n_threads != threads_.size()) {
-    throw ckpt::CkptError("CgmtCore: snapshot has " +
-                          std::to_string(n_threads) + " threads, core has " +
-                          std::to_string(threads_.size()));
-  }
+void CgmtCore::state(ckpt::Archive& ar) {
+  ar.length(threads_.size(), "core threads");
   for (Thread& t : threads_) {
-    t.started = dec.get_bool();
-    t.halted = dec.get_bool();
-    t.pc = dec.get_u64();
-    t.nzcv = dec.get_u8();
-    t.blocked_until = dec.get_u64();
-    t.start_ready = dec.get_u64();
-    t.launched_context = dec.get_bool();
-    t.has_reserved_line = dec.get_bool();
-    t.reserved_line = dec.get_u64();
+    ar(t.started, t.halted, t.pc, t.nzcv, t.blocked_until, t.start_ready,
+       t.launched_context, t.has_reserved_line, t.reserved_line);
   }
-  const auto restore_latch = [&dec](Latch& l) {
-    l.valid = dec.get_bool();
-    l.pc = dec.get_u64();
-    l.pred_next = dec.get_u64();
-    restore_inst(dec, l.inst);
-    l.ready = dec.get_u64();
-    l.decoded = dec.get_bool();
-    l.mem_issued = dec.get_bool();
-    l.mem_addr = dec.get_u64();
-    l.fill_wait = dec.get_bool();
-    l.mem_kind = dec.get_u8();
-  };
-  restore_latch(if_);
-  restore_latch(id_);
-  restore_latch(ex_);
-  restore_latch(mem_);
-  cycle_ = dec.get_u64();
-  instructions_ = dec.get_u64();
-  current_tid_ = static_cast<int>(dec.get_i64());
-  live_threads_ = dec.get_u32();
-  committed_since_switch_ = dec.get_bool();
-  fetch_ready_ = dec.get_u64();
-  fetch_pc_ = dec.get_u64();
-  switch_pending_ = dec.get_bool();
-  switch_eligible_at_ = dec.get_u64();
-  fetch_wait_cause_ = dec.get_u8();
-  episode_start_instructions_ = dec.get_u64();
-  sq_.restore_state(dec);
-  stats_.restore_state(dec);
+  for (Latch* l : {&if_, &id_, &ex_, &mem_}) {
+    isa::Inst& inst = l->inst;
+    ar(l->valid, l->pc, l->pred_next);
+    ar.enumeration(inst.op, isa::Op::kHalt, "latch opcode");
+    ar(inst.rd, inst.rn, inst.rm, inst.ra);
+    ar.enumeration(inst.cond, isa::Cond::kAl, "latch condition");
+    ar.enumeration(inst.mem_mode, isa::MemMode::kRegOffset,
+                   "latch addressing mode");
+    ar(inst.shift, inst.imm2, inst.imm, inst.target);
+    ar(l->ready, l->decoded, l->mem_issued, l->mem_addr, l->fill_wait);
+    ar.index(l->mem_kind, 4, "latch memory kind");
+    // One comparison covers every field a valid latch's instruction
+    // indexes or shifts with: register ids, shift and lane.
+    if (ar.loading() && l->valid &&
+        (l->pc >= program_.size() || !(inst == program_.at(l->pc)))) {
+      ar.fail("latch instruction at pc " + std::to_string(l->pc) +
+              " is not the program's");
+    }
+  }
+  ar(cycle_, instructions_);
+  ar.index(current_tid_, threads_.size(), "core current thread");
+  ar(live_threads_, committed_since_switch_, fetch_ready_, fetch_pc_,
+     switch_pending_, switch_eligible_at_);
+  // The run ends when this count reaches zero, so it must match the
+  // threads' flags.
+  if (ar.loading() &&
+      live_threads_ != std::count_if(threads_.begin(), threads_.end(),
+                                     [](const Thread& t) {
+                                       return t.started && !t.halted;
+                                     })) {
+    ar.fail("core live threads " + std::to_string(live_threads_) +
+            " is not the number of started, unhalted threads");
+  }
+  ar.enumeration(fetch_wait_cause_, kFwMispredict, "core fetch wait cause");
+  ar(episode_start_instructions_);
+  sq_.state(ar);
+  stats_.state(ar);
 }
 
 }  // namespace virec::cpu

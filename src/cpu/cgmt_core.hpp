@@ -194,11 +194,13 @@ class CgmtCore {
   /// Per-thread NZCV flags (functional sysreg, exposed for tests).
   u8 nzcv(int tid) const { return threads_[static_cast<std::size_t>(tid)].nzcv; }
 
-  /// Checkpoint the whole pipeline: thread contexts, latches, frontend
-  /// cursors, switch bookkeeping, the store queue and the stat set.
-  /// The attached ContextManager checkpoints separately.
-  void save_state(ckpt::Encoder& enc) const;
-  void restore_state(ckpt::Decoder& dec);
+  /// Snapshot fields of the whole pipeline: thread contexts, latches,
+  /// frontend cursors, switch bookkeeping, the store queue and the stat
+  /// set. The attached ContextManager checkpoints separately. Loading
+  /// refuses a current thread out of range, a live-thread count the
+  /// threads disagree with, and a valid latch whose instruction is not
+  /// the program's at its pc.
+  void state(ckpt::Archive& ar);
 
   /// One-line description of what the core is (or is not) doing, used
   /// by the watchdog to name the stuck core/thread when max_cycles is
@@ -329,7 +331,7 @@ class CgmtCore {
   /// as soon as the CSL masks clear (or the miss returns first).
   bool switch_pending_ = false;
   Cycle switch_eligible_at_ = 0;  // miss-detection (tag check) delay
-  u8 fetch_wait_cause_ = kFwFetch;
+  FetchWaitCause fetch_wait_cause_ = kFwFetch;
 
   Latch if_, id_, ex_, mem_;
   StatSet stats_;

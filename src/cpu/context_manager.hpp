@@ -166,9 +166,6 @@ class ContextManager : public isa::RegisterFileIO {
     (void)warm_now;
   }
 
-  /// Physical registers this scheme instantiates (area model input).
-  virtual u32 physical_regs() const = 0;
-
   /// Attach a trace sink for register-traffic events (fills, spills,
   /// rollbacks). Schemes without such traffic ignore it.
   virtual void set_tracer(TraceSink* tracer) { (void)tracer; }
@@ -177,11 +174,9 @@ class ContextManager : public isa::RegisterFileIO {
   /// structural invariants audit themselves against it on hot paths.
   virtual void set_check(const check::CheckContext* check) { check_ = check; }
 
-  /// Checkpoint scheme state. The base handles the stat set; overrides
-  /// must call the base first and then append their own state in the
-  /// same order on both sides.
-  virtual void save_state(ckpt::Encoder& enc) const { stats_.save_state(enc); }
-  virtual void restore_state(ckpt::Decoder& dec) { stats_.restore_state(dec); }
+  /// Snapshot fields of the scheme. The base moves the stat set;
+  /// overrides call the base first and then name their own fields.
+  virtual void state(ckpt::Archive& ar) { stats_.state(ar); }
 
   const StatSet& stats() const { return stats_; }
   StatSet& stats() { return stats_; }

@@ -18,7 +18,7 @@ PrefetchManager::PrefetchManager(const CoreEnv& env, PrefetchMode mode)
       resident_(env.num_threads, 0),
       used_this_episode_(env.num_threads, 0),
       last_episode_used_(env.num_threads, 0),
-      started_(env.num_threads, false),
+      started_(env.num_threads, 0),
       prefetch_ready_(env.num_threads, 0) {
   for (auto& v : values_) v.fill(0);
   c_rf_accesses_ = stats_.counter("rf_accesses",
@@ -274,10 +274,6 @@ void PrefetchManager::warm_thread_halt(int tid, Cycle /*warm_now*/) {
   started_[static_cast<std::size_t>(tid)] = false;
 }
 
-u32 PrefetchManager::physical_regs() const {
-  return 2 * isa::kNumArchRegs;  // double buffer
-}
-
 u64 PrefetchManager::read_reg(int tid, isa::RegId reg) {
   return values_[static_cast<std::size_t>(tid)][reg];
 }
@@ -286,34 +282,15 @@ void PrefetchManager::write_reg(int tid, isa::RegId reg, u64 value) {
   values_[static_cast<std::size_t>(tid)][reg] = value;
 }
 
-void PrefetchManager::save_state(ckpt::Encoder& enc) const {
-  ContextManager::save_state(enc);
-  for (const auto& regs : values_) {
-    for (u64 v : regs) enc.put_u64(v);
-  }
-  for (RegMask m : resident_) enc.put_u32(m);
-  for (RegMask m : used_this_episode_) enc.put_u32(m);
-  for (RegMask m : last_episode_used_) enc.put_u32(m);
-  for (bool s : started_) enc.put_bool(s);
-  enc.put_cycle_vec(prefetch_ready_);
-  enc.put_i64(prefetched_tid_);
-}
-
-void PrefetchManager::restore_state(ckpt::Decoder& dec) {
-  ContextManager::restore_state(dec);
-  for (auto& regs : values_) {
-    for (u64& v : regs) v = dec.get_u64();
-  }
-  for (RegMask& m : resident_) m = dec.get_u32();
-  for (RegMask& m : used_this_episode_) m = dec.get_u32();
-  for (RegMask& m : last_episode_used_) m = dec.get_u32();
-  for (std::size_t i = 0; i < started_.size(); ++i) started_[i] = dec.get_bool();
-  const std::vector<Cycle> ready = dec.get_cycle_vec();
-  if (ready.size() != prefetch_ready_.size()) {
-    throw ckpt::CkptError("PrefetchManager: snapshot thread count mismatch");
-  }
-  prefetch_ready_ = ready;
-  prefetched_tid_ = static_cast<int>(dec.get_i64());
+void PrefetchManager::state(ckpt::Archive& ar) {
+  ContextManager::state(ar);
+  for (RegValues& regs : values_) ar(regs);
+  for (RegMask& m : resident_) ar(m);
+  for (RegMask& m : used_this_episode_) ar(m);
+  for (RegMask& m : last_episode_used_) ar(m);
+  for (u8& s : started_) ar(s);
+  ar.vec(prefetch_ready_, "prefetch threads");
+  ar.index(prefetched_tid_, env_.num_threads, "prefetched thread");
 }
 
 }  // namespace virec::cpu

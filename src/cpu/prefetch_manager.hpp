@@ -42,13 +42,11 @@ class PrefetchManager final : public ContextManager {
   void warm_context_switch(int from_tid, int to_tid, int predicted_next,
                            Cycle warm_now) override;
   void warm_thread_halt(int tid, Cycle warm_now) override;
-  u32 physical_regs() const override;
 
   u64 read_reg(int tid, isa::RegId reg) override;
   void write_reg(int tid, isa::RegId reg, u64 value) override;
 
-  void save_state(ckpt::Encoder& enc) const override;
-  void restore_state(ckpt::Decoder& dec) override;
+  void state(ckpt::Archive& ar) override;
 
  private:
   using RegMask = u32;  // bit r set => x<r> involved, r in [0, 31)
@@ -75,7 +73,7 @@ class PrefetchManager final : public ContextManager {
   std::vector<RegMask> resident_;
   std::vector<RegMask> used_this_episode_;
   std::vector<RegMask> last_episode_used_;
-  std::vector<bool> started_;
+  std::vector<u8> started_;
   std::vector<Cycle> prefetch_ready_;
   int prefetched_tid_ = -1;
   // Hot-path counter handles (owned by stats_).

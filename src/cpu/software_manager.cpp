@@ -121,8 +121,6 @@ void SoftwareManager::warm_footprint(int tid, bool is_write, Cycle warm_now) {
       warm_now);
 }
 
-u32 SoftwareManager::physical_regs() const { return isa::kNumArchRegs; }
-
 u64 SoftwareManager::read_reg(int tid, isa::RegId reg) {
   if (tid == resident_tid_) return rf_[reg];
   return backing_read(tid, reg);
@@ -136,16 +134,10 @@ void SoftwareManager::write_reg(int tid, isa::RegId reg, u64 value) {
   }
 }
 
-void SoftwareManager::save_state(ckpt::Encoder& enc) const {
-  ContextManager::save_state(enc);
-  enc.put_i64(resident_tid_);
-  for (u64 v : rf_) enc.put_u64(v);
-}
-
-void SoftwareManager::restore_state(ckpt::Decoder& dec) {
-  ContextManager::restore_state(dec);
-  resident_tid_ = static_cast<int>(dec.get_i64());
-  for (u64& v : rf_) v = dec.get_u64();
+void SoftwareManager::state(ckpt::Archive& ar) {
+  ContextManager::state(ar);
+  ar.index(resident_tid_, env_.num_threads, "software resident thread");
+  ar(rf_);
 }
 
 }  // namespace virec::cpu

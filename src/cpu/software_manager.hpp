@@ -23,15 +23,13 @@ class SoftwareManager final : public ContextManager {
   void on_thread_halt(int tid, Cycle now) override;
   void warm_decode(int tid, const isa::Inst& inst, Cycle warm_now) override;
   void warm_thread_halt(int tid, Cycle warm_now) override;
-  u32 physical_regs() const override;
 
   // RegisterFileIO: only the resident thread has live values; all other
   // threads' values live in the backing region.
   u64 read_reg(int tid, isa::RegId reg) override;
   void write_reg(int tid, isa::RegId reg, u64 value) override;
 
-  void save_state(ckpt::Encoder& enc) const override;
-  void restore_state(ckpt::Decoder& dec) override;
+  void state(ckpt::Archive& ar) override;
 
  private:
   /// Store the resident context to memory (one store per register).

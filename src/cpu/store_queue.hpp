@@ -52,21 +52,12 @@ class StoreQueue {
     return next;
   }
 
-  /// Checkpoint the in-flight completion times.
-  void save_state(ckpt::Encoder& enc) const {
-    enc.put_cycle_vec(completion_);
-    enc.put_u64(last_completion_);
-  }
-  void restore_state(ckpt::Decoder& dec) {
-    // completion_ grows on demand up to capacity_, so only the upper
-    // bound is checked.
-    std::vector<Cycle> completion = dec.get_cycle_vec();
-    if (completion.size() > capacity_) {
-      throw ckpt::CkptError("StoreQueue: snapshot entry count exceeds "
-                            "capacity");
-    }
-    completion_ = std::move(completion);
-    last_completion_ = dec.get_u64();
+  /// Snapshot fields: the in-flight completion times. completion_ grows
+  /// on demand up to capacity_, so only that bound is checked.
+  void state(ckpt::Archive& ar) {
+    ar.seq(completion_, capacity_, "store queue entries",
+           [&ar](Cycle& c) { ar(c); });
+    ar(last_completion_);
   }
 
  private:

@@ -81,7 +81,7 @@ enum class Op : u8 {
   kStrw,
   kStrh,
   kStrb,
-  // Control.
+  // Control. kHalt stays last: snapshot loading bounds opcodes by it.
   kHalt,
 };
 
@@ -110,6 +110,8 @@ struct Inst {
   u8 imm2 = 0;     // movk 16-bit lane selector
   i64 imm = 0;     // immediate operand / memory displacement
   i64 target = -1; // branch target (absolute instruction index)
+
+  bool operator==(const Inst&) const = default;
 };
 
 /// Instruction classification queries. The ones every decoded or

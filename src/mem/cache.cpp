@@ -368,53 +368,14 @@ bool Cache::warm_access(Addr addr, bool is_write, Cycle warm_now,
   return false;
 }
 
-void Cache::save_state(ckpt::Encoder& enc) const {
-  enc.put_u32(static_cast<u32>(lines_.size()));
-  for (const Line& l : lines_) {
-    enc.put_u64(l.tag);
-    enc.put_bool(l.valid);
-    enc.put_bool(l.dirty);
-    enc.put_bool(l.reg_line);
-    enc.put_u8(l.pin);
-    enc.put_u64(l.pending_until);
-    enc.put_u64(l.lru);
-  }
-  enc.put_cycle_vec(mshr_until_);
-  enc.put_u64(port_next_free_);
-  enc.put_u64(reg_port_next_free_);
-  enc.put_u64(last_miss_line_);
-  enc.put_i64(last_stride_);
-  stats_.save_state(enc);
-}
-
-void Cache::restore_state(ckpt::Decoder& dec) {
-  const u32 n_lines = dec.get_u32();
-  if (n_lines != lines_.size()) {
-    throw ckpt::CkptError(std::string(config_.name) + ": snapshot has " +
-                    std::to_string(n_lines) + " lines, cache has " +
-                    std::to_string(lines_.size()));
-  }
+void Cache::state(ckpt::Archive& ar) {
+  ar.length(lines_.size(), "cache lines");
   for (Line& l : lines_) {
-    l.tag = dec.get_u64();
-    l.valid = dec.get_bool();
-    l.dirty = dec.get_bool();
-    l.reg_line = dec.get_bool();
-    l.pin = dec.get_u8();
-    l.pending_until = dec.get_u64();
-    l.lru = dec.get_u64();
+    ar(l.tag, l.valid, l.dirty, l.reg_line, l.pin, l.pending_until, l.lru);
   }
-  const std::vector<Cycle> mshrs = dec.get_cycle_vec();
-  if (mshrs.size() != mshr_until_.size()) {
-    throw ckpt::CkptError(std::string(config_.name) + ": snapshot has " +
-                    std::to_string(mshrs.size()) + " MSHRs, cache has " +
-                    std::to_string(mshr_until_.size()));
-  }
-  mshr_until_ = mshrs;
-  port_next_free_ = dec.get_u64();
-  reg_port_next_free_ = dec.get_u64();
-  last_miss_line_ = dec.get_u64();
-  last_stride_ = dec.get_i64();
-  stats_.restore_state(dec);
+  ar.vec(mshr_until_, "cache MSHRs");
+  ar(port_next_free_, reg_port_next_free_, last_miss_line_, last_stride_);
+  stats_.state(ar);
 }
 
 }  // namespace virec::mem

@@ -112,11 +112,10 @@ class Cache final : public MemLevel {
   /// leak invariant fires on the next miss.
   void leak_mshr_for_test() { mshr_until_[0] = kNeverCycle; }
 
-  /// Checkpoint all tag/MSHR/port/prefetcher state plus the stat set.
-  /// Restore validates that the saved geometry matches this cache's
+  /// Snapshot fields: all tag/MSHR/port/prefetcher state plus the stat
+  /// set. Loading checks that the saved geometry matches this cache's
   /// configuration and throws ckpt::CkptError otherwise.
-  void save_state(ckpt::Encoder& enc) const;
-  void restore_state(ckpt::Decoder& dec);
+  void state(ckpt::Archive& ar);
 
  private:
   struct Line {

@@ -31,14 +31,9 @@ Cycle Crossbar::line_access(Addr line_addr, bool is_write, Cycle now) {
   return done + config_.latency;
 }
 
-void Crossbar::save_state(ckpt::Encoder& enc) const {
-  enc.put_u64(link_next_free_);
-  stats_.save_state(enc);
-}
-
-void Crossbar::restore_state(ckpt::Decoder& dec) {
-  link_next_free_ = dec.get_u64();
-  stats_.restore_state(dec);
+void Crossbar::state(ckpt::Archive& ar) {
+  ar(link_next_free_);
+  stats_.state(ar);
 }
 
 }  // namespace virec::mem

@@ -31,9 +31,8 @@ class Crossbar final : public MemLevel {
 
   StatSet& stats() { return stats_; }
 
-  /// Checkpoint link occupancy plus the stat set.
-  void save_state(ckpt::Encoder& enc) const;
-  void restore_state(ckpt::Decoder& dec);
+  /// Snapshot fields: link occupancy plus the stat set.
+  void state(ckpt::Archive& ar);
 
  private:
   CrossbarConfig config_;

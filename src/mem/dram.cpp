@@ -84,35 +84,11 @@ void DramModel::warm_line(Addr line_addr, bool /*is_write*/,
       line_addr / config_.row_bytes;
 }
 
-void DramModel::save_state(ckpt::Encoder& enc) const {
-  enc.put_u32(static_cast<u32>(banks_.size()));
-  for (const Bank& b : banks_) {
-    enc.put_u64(b.next_free);
-    enc.put_u64(b.open_row);
-  }
-  enc.put_cycle_vec(bus_next_free_);
-  stats_.save_state(enc);
-}
-
-void DramModel::restore_state(ckpt::Decoder& dec) {
-  const u32 n_banks = dec.get_u32();
-  if (n_banks != banks_.size()) {
-    throw ckpt::CkptError("dram: snapshot has " + std::to_string(n_banks) +
-                          " banks, model has " +
-                          std::to_string(banks_.size()));
-  }
-  for (Bank& b : banks_) {
-    b.next_free = dec.get_u64();
-    b.open_row = dec.get_u64();
-  }
-  const std::vector<Cycle> bus = dec.get_cycle_vec();
-  if (bus.size() != bus_next_free_.size()) {
-    throw ckpt::CkptError("dram: snapshot has " + std::to_string(bus.size()) +
-                          " channels, model has " +
-                          std::to_string(bus_next_free_.size()));
-  }
-  bus_next_free_ = bus;
-  stats_.restore_state(dec);
+void DramModel::state(ckpt::Archive& ar) {
+  ar.length(banks_.size(), "dram banks");
+  for (Bank& b : banks_) ar(b.next_free, b.open_row);
+  ar.vec(bus_next_free_, "dram channels");
+  stats_.state(ar);
 }
 
 }  // namespace virec::mem

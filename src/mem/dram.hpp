@@ -44,10 +44,9 @@ class DramModel final : public MemLevel {
   /// Forget all bank/bus state (fresh run).
   void reset();
 
-  /// Checkpoint bank/bus timing state plus the stat set. Restore
-  /// validates the bank/channel counts against this model's config.
-  void save_state(ckpt::Encoder& enc) const;
-  void restore_state(ckpt::Decoder& dec);
+  /// Snapshot fields: bank/bus timing state plus the stat set. Loading
+  /// checks the bank/channel counts against this model's config.
+  void state(ckpt::Archive& ar);
 
  private:
   struct Bank {

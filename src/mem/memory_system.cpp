@@ -24,30 +24,14 @@ void MemorySystem::reset_timing() {
   for (auto& c : dcaches_) c->reset();
 }
 
-void MemorySystem::save_state(ckpt::CheckpointWriter& writer) const {
-  functional_.save_state(writer.section("mem.functional"));
-  dram_->save_state(writer.section("mem.dram"));
-  crossbar_->save_state(writer.section("mem.xbar"));
-  if (l2_) l2_->save_state(writer.section("mem.l2"));
+void MemorySystem::state(ckpt::Sections& sections) {
+  sections("mem.functional", functional_);
+  sections("mem.dram", *dram_);
+  sections("mem.xbar", *crossbar_);
+  if (l2_) sections("mem.l2", *l2_);
   for (u32 c = 0; c < config_.num_cores; ++c) {
-    icaches_[c]->save_state(writer.section("mem.icache" + std::to_string(c)));
-    dcaches_[c]->save_state(writer.section("mem.dcache" + std::to_string(c)));
-  }
-}
-
-void MemorySystem::restore_state(ckpt::CheckpointReader& reader) {
-  auto restore = [&reader](const std::string& name, auto& component) {
-    ckpt::Decoder dec = reader.section(name);
-    component.restore_state(dec);
-    dec.finish();
-  };
-  restore("mem.functional", functional_);
-  restore("mem.dram", *dram_);
-  restore("mem.xbar", *crossbar_);
-  if (l2_) restore("mem.l2", *l2_);
-  for (u32 c = 0; c < config_.num_cores; ++c) {
-    restore("mem.icache" + std::to_string(c), *icaches_[c]);
-    restore("mem.dcache" + std::to_string(c), *dcaches_[c]);
+    sections("mem.icache" + std::to_string(c), *icaches_[c]);
+    sections("mem.dcache" + std::to_string(c), *dcaches_[c]);
   }
 }
 

@@ -93,10 +93,9 @@ class MemorySystem {
   /// Reset all timing state (functional memory is preserved).
   void reset_timing();
 
-  /// Checkpoint the whole hierarchy as named sections: the functional
-  /// memory, DRAM, crossbar, the L2 (if present) and each core's L1s.
-  void save_state(ckpt::CheckpointWriter& writer) const;
-  void restore_state(ckpt::CheckpointReader& reader);
+  /// The whole hierarchy's snapshot sections: the functional memory,
+  /// DRAM, crossbar, the L2 (if present) and each core's L1s.
+  void state(ckpt::Sections& sections);
 
  private:
   MemSystemConfig config_;

@@ -5,26 +5,25 @@
 
 namespace virec::mem {
 
-void SparseMemory::save_state(ckpt::Encoder& enc) const {
+void SparseMemory::state(ckpt::Archive& ar) {
+  // One direction each: pages are saved in sorted order, and loading
+  // rebuilds the map from whatever order the snapshot holds.
   std::vector<u64> page_nos;
-  page_nos.reserve(pages_.size());
-  for (const auto& [no, page] : pages_) page_nos.push_back(no);
-  std::sort(page_nos.begin(), page_nos.end());
-  enc.put_u64(page_nos.size());
-  for (const u64 no : page_nos) {
-    enc.put_u64(no);
-    enc.raw(pages_.at(no).data(), kPageSize);
+  if (!ar.loading()) {
+    page_nos.reserve(pages_.size());
+    for (const auto& [no, page] : pages_) page_nos.push_back(no);
+    std::sort(page_nos.begin(), page_nos.end());
+  } else {
+    clear();
   }
-}
-
-void SparseMemory::restore_state(ckpt::Decoder& dec) {
-  clear();
-  const u64 n = dec.get_u64();
+  u64 n = page_nos.size();
+  ar(n);
   for (u64 i = 0; i < n; ++i) {
-    const u64 no = dec.get_u64();
+    u64 no = ar.loading() ? 0 : page_nos[i];
+    ar(no);
     Page& page = pages_[no];
     page.resize(kPageSize);
-    dec.raw(page.data(), kPageSize);
+    ar.bytes(page.data(), kPageSize);
   }
 }
 

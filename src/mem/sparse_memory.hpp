@@ -22,7 +22,7 @@ namespace virec::mem {
 static_assert(std::endian::native == std::endian::little,
               "SparseMemory requires a little-endian host");
 
-class SparseMemory final : public ckpt::Serializable {
+class SparseMemory {
  public:
   static constexpr u64 kPageSize = 4096;
 
@@ -40,10 +40,9 @@ class SparseMemory final : public ckpt::Serializable {
     return *this;
   }
 
-  /// Checkpoint every touched page (sorted by page number, so the
-  /// snapshot bytes are deterministic). Restore replaces all contents.
-  void save_state(ckpt::Encoder& enc) const override;
-  void restore_state(ckpt::Decoder& dec) override;
+  /// Snapshot fields: every touched page (sorted by page number, so the
+  /// snapshot bytes are deterministic). Loading replaces all contents.
+  void state(ckpt::Archive& ar);
 
   /// Read @p size (1/2/4/8) bytes at @p addr, little-endian, zero if
   /// the page was never written. Inline when the access lies inside

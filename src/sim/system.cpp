@@ -434,60 +434,32 @@ u64 System::config_hash() const {
 
 void System::save(const std::string& path) const {
   ckpt::CheckpointWriter writer(config_hash());
-  ms_->save_state(writer);
-  for (u32 c = 0; c < config_.num_cores; ++c) {
-    cores_[c]->save_state(writer.section("core" + std::to_string(c)));
-    managers_[c]->save_state(writer.section("mgr" + std::to_string(c)));
-  }
-  ckpt::Encoder& sim = writer.section("sim");
-  sim.put_u32(static_cast<u32>(samples_.size()));
-  for (const Sample& s : samples_) {
-    sim.put_u64(s.cycle);
-    sim.put_u64(s.instructions);
-    sim.put_f64(s.ipc);
-    sim.put_f64(s.interval_ipc);
-    sim.put_f64(s.rf_hit_rate);
-    sim.put_u32(s.runnable_threads);
-    sim.put_u32(s.outstanding_misses);
-    for (const double v : s.cpi) sim.put_f64(v);
-  }
-  sim.put_u64(sample_next_);
-  sim.put_u64(sample_prev_cycle_);
-  sim.put_u64(sample_prev_instructions_);
+  ckpt::Sections sections(writer);
+  // Saving only reads the fields the section list names.
+  const_cast<System&>(*this).state(sections);
   writer.write_file(path);
 }
 
 void System::restore(const std::string& path) {
   ckpt::CheckpointReader reader(path, config_hash());
-  ms_->restore_state(reader);
-  for (u32 c = 0; c < config_.num_cores; ++c) {
-    ckpt::Decoder core_dec = reader.section("core" + std::to_string(c));
-    cores_[c]->restore_state(core_dec);
-    core_dec.finish();
-    ckpt::Decoder mgr_dec = reader.section("mgr" + std::to_string(c));
-    managers_[c]->restore_state(mgr_dec);
-    mgr_dec.finish();
-  }
-  ckpt::Decoder sim = reader.section("sim");
-  samples_.clear();
-  const u32 n_samples = sim.get_u32();
-  for (u32 i = 0; i < n_samples; ++i) {
-    Sample s;
-    s.cycle = sim.get_u64();
-    s.instructions = sim.get_u64();
-    s.ipc = sim.get_f64();
-    s.interval_ipc = sim.get_f64();
-    s.rf_hit_rate = sim.get_f64();
-    s.runnable_threads = sim.get_u32();
-    s.outstanding_misses = sim.get_u32();
-    for (double& v : s.cpi) v = sim.get_f64();
-    samples_.push_back(s);
-  }
-  sample_next_ = sim.get_u64();
-  sample_prev_cycle_ = sim.get_u64();
-  sample_prev_instructions_ = sim.get_u64();
-  sim.finish();
+  ckpt::Sections sections(reader);
+  state(sections);
   restored_ = true;
+}
+
+void System::state(ckpt::Sections& sections) {
+  ms_->state(sections);
+  for (u32 c = 0; c < config_.num_cores; ++c) {
+    sections("core" + std::to_string(c), *cores_[c]);
+    sections("mgr" + std::to_string(c), *managers_[c]);
+  }
+  sections("sim", [this](ckpt::Archive& ar) {
+    ar.seq(samples_, ~u32{0}, "samples", [&ar](Sample& s) {
+      ar(s.cycle, s.instructions, s.ipc, s.interval_ipc, s.rf_hit_rate,
+         s.runnable_threads, s.outstanding_misses, s.cpi);
+    });
+    ar(sample_next_, sample_prev_cycle_, sample_prev_instructions_);
+  });
 }
 
 }  // namespace virec::sim

@@ -177,6 +177,8 @@ class System {
   }
 
  private:
+  /// The snapshot's sections, in file order (save() and restore()).
+  void state(ckpt::Sections& sections);
   void offload_contexts();
   void build_registry();
   void take_sample(Cycle prev_cycle, u64 prev_instructions);

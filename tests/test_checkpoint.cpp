@@ -1,7 +1,8 @@
 // Checkpoint/restore subsystem tests: the headline invariant (restore a
 // mid-run snapshot, run to completion, get bit-identical results and
 // stats versus the uninterrupted run — for every scheme x policy), the
-// crash-safety of the on-disk format, and the run watchdog.
+// crash-safety of the on-disk format, the refusal of hostile field
+// values behind valid CRCs, and the run watchdog.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,11 +10,13 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "ckpt/checkpoint.hpp"
 #include "ckpt/serialize.hpp"
+#include "planted_snapshot.hpp"
 #include "sim/runner.hpp"
 #include "sim/system.hpp"
 #include "workloads/workload.hpp"
@@ -358,6 +361,160 @@ TEST_F(CheckpointFile, WorkloadParamChangesConfigHash) {
   System a(build_config(spec_), w, spec_.params);
   System b(build_config(other), w, other.params);
   EXPECT_NE(a.config_hash(), b.config_hash());
+}
+
+// ---------------------------------------------------------------------
+// Hostile snapshot bytes: valid CRCs around a field no run could have
+// written. Every decoded value that later indexes an array, shifts or
+// selects a case is range-checked, so restore refuses the snapshot with
+// a CkptError naming the field instead of running on it.
+
+using test::PlantedSnapshot;
+
+// Payload offsets in a core section of tiny_spec's 4 threads: the
+// thread count and 37 bytes per thread, 4 latches of 62 bytes, then
+// cycle and instructions before the current thread.
+constexpr std::size_t kLatch0 = 4 + 37 * 4;
+constexpr std::size_t kLatchBytes = 62;
+constexpr std::size_t kCurrentThread = kLatch0 + 4 * kLatchBytes + 16;
+
+/// Snapshots of @p spec's run every 250 cycles, restored in turn; the
+/// first for which @p want(restored system) holds, or nullopt.
+template <typename Want>
+std::optional<fs::path> find_snapshot(const RunSpec& spec,
+                                      const fs::path& dir, Want want) {
+  const workloads::Workload& w = workloads::find_workload(spec.workload);
+  System straight(build_config(spec), w, spec.params);
+  straight.set_checkpointing(250, dir.string());
+  EXPECT_TRUE(straight.run().check_ok);
+  for (const fs::path& snap : snapshots_in(dir)) {
+    System restored(build_config(spec), w, spec.params);
+    restored.restore(snap.string());
+    if (want(restored)) return snap;
+  }
+  return std::nullopt;
+}
+
+/// Bytes @p component's fields take in a snapshot.
+template <typename T>
+std::size_t encoded_size(T& component) {
+  ckpt::Encoder enc;
+  ckpt::Archive ar(enc);
+  component.state(ar);
+  return enc.size();
+}
+
+/// Restoring @p path must fail with a CkptError that names @p field.
+void expect_refused(const RunSpec& spec, const std::string& path,
+                    const std::string& field) {
+  System system(build_config(spec), workloads::find_workload(spec.workload),
+                spec.params);
+  try {
+    system.restore(path);
+    ADD_FAILURE() << field << ": the planted snapshot was restored";
+  } catch (const ckpt::CkptError& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(HostileSnapshot, CoreThreadAndLatchInstructionsAreChecked) {
+  const RunSpec spec = tiny_spec(Scheme::kViReC, core::PolicyKind::kLRC);
+  const fs::path dir = scratch_dir("hostile_core");
+  // The first snapshot; an instruction is in flight there.
+  const auto path = find_snapshot(spec, dir, [](System&) { return true; });
+  ASSERT_TRUE(path.has_value());
+  const PlantedSnapshot snap(path->string());
+  std::size_t latch = kLatch0;
+  while (latch < kCurrentThread && snap.get("core0", latch, 1) == 0) {
+    latch += kLatchBytes;
+  }
+  ASSERT_LT(latch, kCurrentThread) << "no valid latch in " << *path;
+  const std::string out = (dir / "planted.vckpt").string();
+
+  // The unchanged field restores: the offsets and the CRC are right.
+  System system(build_config(spec), workloads::find_workload(spec.workload),
+                spec.params);
+  system.restore(snap.plant("core0", kCurrentThread, 8,
+                            snap.get("core0", kCurrentThread, 8), out));
+  expect_refused(spec, snap.plant("core0", kCurrentThread, 8, 7, out),
+                 "core current thread");
+  // The live-thread count follows the current thread.
+  expect_refused(spec, snap.plant("core0", kCurrentThread + 8, 4, 5, out),
+                 "core live threads");
+  // The opcode, then the destination register, of the valid latch.
+  const std::size_t op = latch + 17;
+  expect_refused(spec, snap.plant("core0", op, 1, 0xff, out),
+                 "latch opcode");
+  expect_refused(spec,
+                 snap.plant("core0", op + 1, 1,
+                            snap.get("core0", op + 1, 1) ^ 1, out),
+                 "latch instruction");
+  fs::remove_all(dir);
+}
+
+TEST(HostileSnapshot, ManagerThreadIndicesAreChecked) {
+  // The software manager's resident thread follows its stat set; the
+  // prefetch manager's prefetched thread ends its section.
+  for (const Scheme scheme : {Scheme::kSoftware, Scheme::kPrefetchExact}) {
+    SCOPED_TRACE(scheme_name(scheme));
+    const RunSpec spec = tiny_spec(scheme, core::PolicyKind::kLRC);
+    const fs::path dir = scratch_dir("hostile_mgr");
+    std::size_t offset = 0;
+    const auto path = find_snapshot(spec, dir, [&](System& system) {
+      cpu::ContextManager& mgr = system.manager(0);
+      offset = scheme == Scheme::kSoftware ? encoded_size(mgr.stats())
+                                           : encoded_size(mgr) - 8;
+      return true;
+    });
+    ASSERT_TRUE(path.has_value());
+    const PlantedSnapshot snap(path->string());
+    expect_refused(spec,
+                   snap.plant("mgr0", offset, 8, 7,
+                              (dir / "planted.vckpt").string()),
+                   scheme == Scheme::kSoftware ? "software resident thread"
+                                               : "prefetched thread");
+    fs::remove_all(dir);
+  }
+}
+
+TEST(HostileSnapshot, TagStoreAndRollbackQueueAreChecked) {
+  const RunSpec spec = tiny_spec(Scheme::kViReC, core::PolicyKind::kLRC);
+  const fs::path dir = scratch_dir("hostile_virec");
+  std::size_t tags = 0, entries = 0, slots = 0, in_flight = 0;
+  const auto path = find_snapshot(spec, dir, [&](System& system) {
+    auto& mgr = dynamic_cast<core::ViReCManager&>(system.manager(0));
+    tags = encoded_size(mgr.stats());
+    entries = mgr.tag_store().size();
+    slots = std::size_t{mgr.tag_store().threads()} * isa::kNumArchRegs;
+    in_flight = mgr.rollback_queue().size();
+    return in_flight > 0;
+  });
+  ASSERT_TRUE(path.has_value()) << "no snapshot with a rollback entry";
+  const PlantedSnapshot snap(path->string());
+  // Entries of 23 bytes, map slots of 2, then 32 bytes of policy state.
+  const std::size_t map = tags + 4 + 23 * entries;
+  const std::size_t rollback = map + 4 + 2 * slots + 32;
+  ASSERT_EQ(snap.get("mgr0", tags, 4), entries);
+  ASSERT_EQ(snap.get("mgr0", map, 4), slots);
+  ASSERT_EQ(snap.get("mgr0", rollback, 4), in_flight);
+
+  const std::string out = (dir / "planted.vckpt").string();
+  const auto refused = [&](std::size_t offset, std::size_t width, u64 value,
+                           const char* field) {
+    expect_refused(spec, snap.plant("mgr0", offset, width, value, out),
+                   field);
+  };
+  refused(tags + 4 + 1, 1, 4, "tag store tid");
+  refused(tags + 4 + 2, 1, isa::kNumArchRegs, "tag store arch");
+  refused(map + 4, 2, entries, "tag store map slot");
+  // The oldest in-flight entry: count, then 4 phys, 4 tid, 4 arch.
+  const std::size_t entry = rollback + 4;
+  refused(entry, 4, 5, "rollback entry count");
+  refused(entry + 4, 2, entries, "rollback entry phys");
+  refused(entry + 12, 1, 4, "rollback entry tid");
+  refused(entry + 16, 1, isa::kNumArchRegs, "rollback entry arch");
+  fs::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------

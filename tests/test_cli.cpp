@@ -18,6 +18,7 @@
 #include "ckpt/spec_codec.hpp"
 #include "svc/result_store.hpp"
 #include "json_parse.hpp"
+#include "planted_snapshot.hpp"
 
 namespace {
 
@@ -148,6 +149,11 @@ TEST(Cli, UnknownWorkloadFails) {
 TEST(Cli, UnknownFlagFails) {
   const CliResult r = run_cli("--frobnicate");
   EXPECT_EQ(r.exit_code, 2);
+  // The error and its --help hint go to stderr; stdout stays empty.
+  const CliResult out = run_command(std::string(VIREC_SIM_PATH) +
+                                    " --frobnicate 2>/dev/null");
+  EXPECT_EQ(out.exit_code, 2);
+  EXPECT_EQ(out.output, "");
 }
 
 TEST(Cli, MissingValueFails) {
@@ -251,6 +257,28 @@ TEST(Cli, RestoreRejectsMismatchedConfig) {
   EXPECT_EQ(other.exit_code, 2);
   EXPECT_NE(other.output.find("config hash"), std::string::npos)
       << other.output;
+}
+
+TEST(Cli, RestoreRefusesHostileSnapshotBytes) {
+  // core0's current thread planted as 7 of 4 behind a valid CRC: the
+  // payload holds the thread count, 37 bytes per thread, 4 latches of
+  // 62 bytes, then cycle and instructions before the current thread.
+  const std::string dir = ::testing::TempDir() + "virec_cli_ckpt_hostile";
+  const std::string args =
+      "--workload gather --scheme virec --threads 4 --iters 24 "
+      "--elements 4096";
+  const CliResult straight = run_cli(
+      args + " --checkpoint-every 1000 --checkpoint-out " + dir);
+  ASSERT_EQ(straight.exit_code, 0) << straight.output;
+  const std::string planted =
+      virec::test::PlantedSnapshot(dir + "/ckpt-1000.vckpt")
+          .plant("core0", 4 + 37 * 4 + 4 * 62 + 16, 8, 7,
+                 dir + "/planted.vckpt");
+  const CliResult r = run_cli(args + " --restore " + planted);
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_TRUE(has_line_prefix(r.output, "error: ")) << r.output;
+  EXPECT_NE(r.output.find("core current thread"), std::string::npos)
+      << r.output;
 }
 
 TEST(Cli, CheckpointFlagsMustComeTogether) {
@@ -432,6 +460,26 @@ TEST(Cli, SampleIntervalAddsTimeSeries) {
   const double final_ipc = ts.at("samples").array.back().at("ipc").number;
   const double scalar_ipc = v.at("results").at("ipc").number;
   EXPECT_NEAR(final_ipc, scalar_ipc, 0.01 * scalar_ipc);
+}
+
+TEST(Cli, TextReportPrintsEverySample) {
+  // One "sample" line per sample the JSON time series holds.
+  const std::string path = ::testing::TempDir() + "virec_cli_samples.json";
+  const CliResult r = run_cli("--iters 32 --elements 4096 --json=" + path +
+                              " --sample-interval 200");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  std::ifstream in(path);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  const auto v = virec::json_parse(ss.str());
+  const std::size_t samples = v.at("time_series").at("samples").array.size();
+  ASSERT_GT(samples, 0u);
+  std::size_t lines = 0;
+  std::istringstream text(r.output);
+  for (std::string line; std::getline(text, line);) {
+    if (line.rfind("sample cycle ", 0) == 0) ++lines;
+  }
+  EXPECT_EQ(lines, samples) << r.output;
 }
 
 TEST(Cli, TraceOutIsWellFormedEventArray) {

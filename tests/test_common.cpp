@@ -111,16 +111,6 @@ TEST(Stats, ClearKeepsEntries) {
   EXPECT_EQ(stats.get("a"), 0.0);
 }
 
-TEST(Stats, MergeAdds) {
-  StatSet a, b;
-  a.inc("x", 1);
-  b.inc("x", 2);
-  b.inc("y", 3);
-  a.merge(b);
-  EXPECT_DOUBLE_EQ(a.get("x"), 3.0);
-  EXPECT_DOUBLE_EQ(a.get("y"), 3.0);
-}
-
 TEST(Stats, Geomean) {
   EXPECT_DOUBLE_EQ(geomean({}), 0.0);
   EXPECT_DOUBLE_EQ(geomean({4.0}), 4.0);

@@ -69,11 +69,6 @@ TEST_F(ManagerTest, BankedHaltWritesBackToBacking) {
   EXPECT_EQ(backing(0, 3), 999u);
 }
 
-TEST_F(ManagerTest, BankedAreaScalesWithThreads) {
-  BankedManager banked(env);
-  EXPECT_EQ(banked.physical_regs(), 4u * isa::kNumArchRegs);
-}
-
 TEST_F(ManagerTest, SoftwareChargesSaveRestoreOnThreadChange) {
   SoftwareManager sw(env);
   seed_backing(0, 1, 10);
@@ -109,11 +104,6 @@ TEST_F(ManagerTest, SoftwareHaltSavesResidentContext) {
   sw.write_reg(0, 4, 31337);
   sw.on_thread_halt(0, 500);
   EXPECT_EQ(backing(0, 4), 31337u);
-}
-
-TEST_F(ManagerTest, SoftwareUsesOneRegisterFile) {
-  SoftwareManager sw(env);
-  EXPECT_EQ(sw.physical_regs(), static_cast<u32>(isa::kNumArchRegs));
 }
 
 class PrefetchTest : public ManagerTest,
@@ -158,11 +148,6 @@ TEST_P(PrefetchTest, HaltPersistsValues) {
   pf.write_reg(0, 9, 4711);
   pf.on_thread_halt(0, 100);
   EXPECT_EQ(backing(0, 9), 4711u);
-}
-
-TEST_P(PrefetchTest, UsesDoubleBufferArea) {
-  PrefetchManager pf(env, GetParam());
-  EXPECT_EQ(pf.physical_regs(), 2u * isa::kNumArchRegs);
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, PrefetchTest,

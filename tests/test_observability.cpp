@@ -79,18 +79,6 @@ TEST(Histogram, NegativeClampsToBucketZero) {
   EXPECT_DOUBLE_EQ(h.min(), 0.0);
 }
 
-TEST(Histogram, Merge) {
-  Histogram a("h", ""), b("h", "");
-  a.set_enabled(true);
-  b.set_enabled(true);
-  a.record(2.0);
-  b.record(100.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.max(), 100.0);
-  EXPECT_EQ(a.buckets()[Histogram::bucket_of(100.0)], 1u);
-}
-
 TEST(Distribution, Stddev) {
   Distribution d("d", "");
   d.set_enabled(true);

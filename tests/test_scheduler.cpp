@@ -329,6 +329,42 @@ TEST(Scheduler, MatchesPinnedSampledCheckpointedRun) {
   }
 }
 
+// The pin above covers only ViReC/LRC sections. Each scheme's manager
+// writes its own "mgr" layout, so every scheme's snapshot bytes are
+// pinned too, plus a 2-core run whose core and cache sections repeat.
+TEST(Scheduler, SnapshotBytesArePinnedForEveryScheme) {
+  struct SnapPin {
+    Scheme scheme;
+    u32 cores;
+    std::size_t count;
+    u64 fingerprint;
+  };
+  constexpr SnapPin kSnapPins[] = {
+      {Scheme::kBanked, 1, 4, 0xe170ff88c57fa986ull},
+      {Scheme::kSoftware, 1, 19, 0x3afc67dc3707a927ull},
+      {Scheme::kPrefetchFull, 1, 8, 0x479675f409418e1cull},
+      {Scheme::kPrefetchExact, 1, 6, 0xaac13fe05111c2ffull},
+      {Scheme::kViReC, 1, 5, 0xa532cb15260fc943ull},
+      {Scheme::kNSF, 1, 7, 0x3142be0ce50874f0ull},
+      {Scheme::kSoftware, 2, 21, 0x934cc266e392a8d2ull},
+  };
+  for (const SnapPin& p : kSnapPins) {
+    SCOPED_TRACE(std::string(scheme_name(p.scheme)) + " x" +
+                 std::to_string(p.cores));
+    const fs::path dir = scratch_dir("pin_scheme");
+    auto sys = make_system(tiny_spec(p.scheme, core::PolicyKind::kLRC,
+                                     p.cores));
+    sys->set_sample_interval(237);
+    sys->set_checkpointing(500, dir.string());
+    const RunResult r = sys->run();
+    ASSERT_TRUE(r.check_ok) << r.check_msg;
+    const auto [count, snaps] = snapshot_fingerprint(dir);
+    EXPECT_EQ(count, p.count);
+    EXPECT_EQ(snaps, p.fingerprint) << std::hex << "0x" << snaps;
+    fs::remove_all(dir);
+  }
+}
+
 // ---------------------------------------------------------------------
 // Sampling: epoch ends land on exactly the sampling grid, so the
 // sampled time series is identical sample for sample.

@@ -111,7 +111,7 @@ TEST(TagStore, ContextSwitchUpdatesTBits) {
   EXPECT_EQ(tags.entry_t(static_cast<u32>(b)), 0);
 }
 
-// Lazy T survives a checkpoint: save_state materializes every entry's
+// Lazy T survives a checkpoint: saving materializes every entry's
 // effective T (pending per-thread switch events and epoch decrements
 // folded in), and a restored store reports bit-identical T values —
 // both immediately and after further switches on both stores.
@@ -133,10 +133,12 @@ TEST(TagStore, CheckpointPreservesLazyTBits) {
   for (u32 i = 0; i < tags.size(); ++i) expected[i] = tags.entry_t(i);
 
   ckpt::Encoder enc;
-  tags.save_state(enc);
+  ckpt::Archive out(enc);
+  tags.state(out);
   TagStore restored(8, 4, PolicyKind::kLRC);
   ckpt::Decoder dec(enc.bytes().data(), enc.size());
-  restored.restore_state(dec);
+  ckpt::Archive in(dec);
+  restored.state(in);
 
   for (u32 i = 0; i < tags.size(); ++i) {
     EXPECT_EQ(restored.entry_t(i), expected[i]) << "entry " << i;

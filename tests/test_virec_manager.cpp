@@ -213,10 +213,6 @@ TEST_F(ViReCManagerTest, NsfConfigHasPublishedFeatureSet) {
   EXPECT_EQ(nsf.num_phys_regs, 32u);
 }
 
-TEST_F(ViReCManagerTest, PhysicalRegsReported) {
-  EXPECT_EQ(make(24)->physical_regs(), 24u);
-}
-
 TEST_F(ViReCManagerTest, FunctionalCorrectnessAcrossManyEvictions) {
   // Property: any interleaving of writes + evictions preserves values.
   auto mgr = make(6);
