@@ -3,11 +3,11 @@
 // Generates random programs (check::random_program, edge operands on),
 // runs each one across every scheme x policy configuration under the
 // lockstep reference oracle + hard invariants (check::run_checked), and
-// on the first failure shrinks the program (drop-instruction and
-// halve-iteration passes) and writes a standalone repro file replayable
-// with `virec-sim --replay FILE`.
+// on the failure with the lowest seed shrinks the program
+// (drop-instruction and halve-iteration passes) and writes a standalone
+// repro file replayable with `virec-sim --replay FILE`.
 //
-//   virec-fuzz --programs 200 --seed 1 --jobs 8
+//   virec-fuzz --cores 2 --programs 200 --seed 1 --jobs 8
 //   virec-fuzz --inject-tag-bug        # negative self-test (exit 0 if
 //                                      # the corruption is caught)
 #include <atomic>
@@ -31,11 +31,11 @@ namespace {
 struct Options {
   u64 programs = 50;
   u64 seed = 1;        // seed of program 0; program i uses seed + i
-  u32 body_len = 24;
-  u32 loop_iters = 40;
-  // --threads, --regs and --no-skip set the base point every
-  // configuration starts from.
-  sim::RunSpec spec = check::fuzz_spec();
+  check::ProgenOptions gen{.edge_ops = true};
+  // Knob flags (virec-sim's) set the base point every configuration
+  // starts from.
+  sim::SpecFlags flags{check::fuzz_spec()};
+  sim::RunSpec spec;
   u32 jobs = 0;        // 0 = hardware concurrency
   std::string out = "virec-fuzz-repro.txt";
   bool inject_tag_bug = false;
@@ -46,21 +46,22 @@ void print_usage() {
   std::cout <<
       "virec-fuzz — differential fuzzer (oracle-checked, all schemes)\n"
       "\n"
-      "usage: virec-fuzz [options]\n"
+      "usage: virec-fuzz [options] [knob flags]\n"
       "  --programs N     programs to generate (default 50)\n"
       "  --seed N         seed of the first program (default 1)\n"
       "  --body N         loop-body instructions per program (default 24)\n"
       "  --iters N        loop iterations per program (default 40)\n"
-      "  --threads N      hardware threads in the harness (default 2)\n"
-      "  --regs N         physical registers, virec/nsf (default 6)\n"
       "  --jobs N         worker threads (0 = all hardware threads)\n"
-      "  --out FILE       repro file for a shrunk failure\n"
-      "                   (default virec-fuzz-repro.txt)\n"
+      "  --out FILE       repro file for the shrunk failure with the\n"
+      "                   lowest seed (default virec-fuzz-repro.txt)\n"
       "  --inject-tag-bug self-test: corrupt the ViReC tag store mid-run\n"
       "                   and exit 0 iff the check layer catches it\n"
-      "  --no-skip        step every cycle instead of event-skipping\n"
-      "                   quiet stretches (results are identical; this\n"
-      "                   exists to bisect the skip layer itself)\n";
+      "\n"
+      "Knob flags (virec-sim --help) set the base point every\n"
+      "configuration starts from (1 core, 2 threads, 6 physical\n"
+      "registers, a 2000000-cycle watchdog): --cores, --threads, --regs,\n"
+      "--ctx, --no-skip and every other knob a checked run reads, but\n"
+      "--scheme and --policy, which the configuration matrix sets.\n";
 }
 
 bool parse(int argc, char** argv, Options& opt) {
@@ -76,20 +77,21 @@ bool parse(int argc, char** argv, Options& opt) {
     if (arg == "--help" || arg == "-h") opt.help = true;
     else if (arg == "--programs") opt.programs = parse_u64(arg, value());
     else if (arg == "--seed") opt.seed = parse_u64(arg, value());
-    else if (arg == "--body") opt.body_len = parse_u32(arg, value());
-    else if (arg == "--iters") opt.loop_iters = parse_u32(arg, value());
-    else if (arg == "--threads")
-      opt.spec.threads_per_core = parse_u32(arg, value());
-    else if (arg == "--regs") opt.spec.phys_regs = parse_u32(arg, value());
+    else if (arg == "--body") opt.gen.body_len = parse_u32(arg, value());
+    else if (arg == "--iters") opt.gen.loop_iters = parse_u32(arg, value());
     else if (arg == "--jobs") opt.jobs = parse_u32(arg, value());
     else if (arg == "--out") opt.out = value();
     else if (arg == "--inject-tag-bug") opt.inject_tag_bug = true;
-    else if (arg == "--no-skip") opt.spec.no_skip = true;
-    else {
+    else if (arg == "--scheme" || arg == "--policy") {
+      throw std::invalid_argument(arg +
+                                  ": the configuration matrix sets it (every "
+                                  "scheme, and virec under every policy)");
+    } else if (!check::parse_checked_flag(opt.flags, arg, value)) {
       std::cerr << "unknown option: " << arg << "\n";
       return false;
     }
   }
+  opt.spec = opt.flags.single();
   return true;
 }
 
@@ -124,7 +126,6 @@ std::string config_name(const sim::RunSpec& spec) {
 }
 
 struct Failure {
-  bool found = false;
   u64 seed = 0;
   sim::RunSpec spec;
   kasm::Program program;
@@ -133,10 +134,8 @@ struct Failure {
 
 /// A run reproduces the bug only if the checker fired; a timeout is a
 /// different (shrinker-induced) condition and must not be chased.
-bool reproduces(const kasm::Program& program, const sim::RunSpec& spec,
-                std::string* message = nullptr) {
+bool reproduces(const kasm::Program& program, const sim::RunSpec& spec) {
   const check::HarnessResult r = check::run_checked(program, spec);
-  if (message != nullptr) *message = r.message;
   return !r.ok && !r.timed_out;
 }
 
@@ -168,13 +167,12 @@ kasm::Program shrink(kasm::Program program, const sim::RunSpec& spec) {
 
 int fuzz(const Options& opt) {
   const std::vector<sim::RunSpec> configs = build_configs(opt);
-  check::ProgenOptions gen;
-  gen.body_len = opt.body_len;
-  gen.loop_iters = opt.loop_iters;
-  gen.edge_ops = true;
 
+  // Programs are handed out in seed order, so once a program fails
+  // every lower seed is already taken: the workers finish those and
+  // the failure with the lowest seed wins, whatever --jobs is.
   std::atomic<u64> next{0};
-  std::atomic<bool> stop{false};
+  std::atomic<u64> first_failed{opt.programs};
   std::atomic<u64> done{0};
   std::mutex mu;
   Failure failure;
@@ -182,9 +180,9 @@ int fuzz(const Options& opt) {
   auto worker = [&]() {
     for (;;) {
       const u64 index = next.fetch_add(1);
-      if (index >= opt.programs || stop.load()) return;
+      if (index >= first_failed.load()) return;
       const u64 seed = opt.seed + index;
-      const kasm::Program program = check::random_program(seed, gen);
+      const kasm::Program program = check::random_program(seed, opt.gen);
       for (const sim::RunSpec& spec : configs) {
         sim::RunSpec run_spec = spec;
         run_spec.params.seed = seed;
@@ -197,9 +195,9 @@ int fuzz(const Options& opt) {
           continue;
         }
         std::lock_guard<std::mutex> lock(mu);
-        if (!failure.found) {
-          failure = Failure{true, seed, run_spec, program, r.message};
-          stop.store(true);
+        if (index < first_failed.load()) {
+          failure = Failure{seed, run_spec, program, r.message};
+          first_failed.store(index);
         }
         return;
       }
@@ -214,7 +212,7 @@ int fuzz(const Options& opt) {
   worker();
   for (std::thread& t : threads) t.join();
 
-  if (!failure.found) {
+  if (first_failed.load() == opt.programs) {
     std::cout << "fuzz: " << done.load() << " program(s) x "
               << configs.size() << " config(s) clean (seeds " << opt.seed
               << ".." << (opt.seed + opt.programs - 1) << ")\n";
@@ -241,11 +239,7 @@ int fuzz(const Options& opt) {
 }
 
 int inject_tag_bug(const Options& opt) {
-  check::ProgenOptions gen;
-  gen.body_len = opt.body_len;
-  gen.loop_iters = opt.loop_iters;
-  gen.edge_ops = true;
-  const kasm::Program program = check::random_program(opt.seed, gen);
+  const kasm::Program program = check::random_program(opt.seed, opt.gen);
   sim::RunSpec spec = opt.spec;
   spec.params.seed = opt.seed;
   if (check::tag_bug_detected(program, spec)) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string_view>
 
 #include "check/check.hpp"
 #include "check/progen.hpp"
@@ -30,6 +31,23 @@ sim::RunSpec fuzz_spec() {
   spec.max_cycles = 2'000'000;
   spec.params.seed = 0;
   return spec;
+}
+
+bool checked_run_reads(const sim::Knob& knob) {
+  const std::string_view field = knob.field;
+  const bool kernel = field.starts_with("params.") && field != "params.seed";
+  return !kernel && (knob.roles & sim::kSampling) == 0 &&
+         field != "sample_windows" && field != "check";
+}
+
+bool parse_checked_flag(sim::SpecFlags& flags, const std::string& arg,
+                        const std::function<std::string()>& value) {
+  sim::for_each_knob([&](const sim::Knob& knob, auto) {
+    if (*knob.flag != '\0' && arg == knob.flag && !checked_run_reads(knob)) {
+      throw std::invalid_argument(arg + ": checked runs ignore this knob");
+    }
+  });
+  return flags.parse(arg, value);
 }
 
 namespace {

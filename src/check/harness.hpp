@@ -4,6 +4,7 @@
 // `virec-sim --replay`.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <utility>
 
@@ -51,6 +52,17 @@ class ProgramWorkload final : public workloads::Workload {
 /// loops). params.seed carries the generator seed for provenance in
 /// repro files (0 = none).
 sim::RunSpec fuzz_spec();
+
+/// Whether run_checked reads @p knob: every knob sim::build_config
+/// reads but the kernel's parameters (params.seed stays, as the
+/// program's provenance), the sampling knobs and check.
+bool checked_run_reads(const sim::Knob& knob);
+
+/// sim::SpecFlags::parse for a checked run's spec (virec-fuzz flags,
+/// repro headers); throws std::invalid_argument naming @p arg if it is
+/// the flag of a knob checked_run_reads refuses.
+bool parse_checked_flag(sim::SpecFlags& flags, const std::string& arg,
+                        const std::function<std::string()>& value);
 
 struct HarnessResult {
   bool ok = false;

@@ -1,29 +1,49 @@
 #include "check/repro.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
 
-#include "common/parse_number.hpp"
 #include "isa/disasm.hpp"
 #include "kasm/assembler.hpp"
 
 namespace virec::check {
 
+constexpr std::string_view kHeader = "// repro ";
+
 std::string write_repro(const sim::RunSpec& spec,
                         const kasm::Program& program) {
+  const sim::RunSpec base = fuzz_spec();
   std::ostringstream os;
-  os << "// repro scheme " << sim::scheme_name(spec.scheme) << "\n";
-  os << "// repro policy " << core::policy_name(spec.policy) << "\n";
-  os << "// repro phys-regs " << spec.phys_regs << "\n";
-  os << "// repro threads " << spec.threads_per_core << "\n";
-  os << "// repro max-cycles " << spec.max_cycles << "\n";
-  if (spec.params.seed != 0) {
-    os << "// repro seed " << spec.params.seed << "\n";
-  }
-  // Only recorded when set: older repro files (and the default mode)
-  // run with skipping on.
-  if (spec.no_skip) os << "// repro no-skip 1\n";
+  sim::for_each_knob([&](const sim::Knob& knob, auto field) {
+    const auto& value = field(spec);
+    if (value == field(base)) return;
+    using T = std::decay_t<decltype(value)>;
+    bool header = *knob.flag != '\0' && checked_run_reads(knob);
+    // A switch can only turn its knob on.
+    if constexpr (std::is_same_v<T, bool>) header = header && value;
+    if (!header) {
+      throw std::invalid_argument(
+          std::string("write_repro: no repro header carries ") + knob.field);
+    }
+    // The flag without its "--", then the value as the flag takes it.
+    os << kHeader << (knob.flag + 2);
+    if constexpr (std::is_same_v<T, sim::Scheme>) {
+      os << ' ' << sim::scheme_name(value);
+    } else if constexpr (std::is_same_v<T, core::PolicyKind>) {
+      os << ' ' << core::policy_name(value);
+    } else if constexpr (std::is_same_v<T, double>) {
+      char buf[32];  // shortest round-trip form
+      const char* end = std::to_chars(buf, buf + sizeof buf, value).ptr;
+      os << ' ' << std::string_view(buf, end);
+    } else if constexpr (!std::is_same_v<T, bool>) {
+      os << ' ' << value;
+    }
+    os << '\n';
+  });
   for (u64 pc = 0; pc < program.size(); ++pc) {
     os << isa::disasm(program.at(pc)) << "\n";
   }
@@ -31,43 +51,31 @@ std::string write_repro(const sim::RunSpec& spec,
 }
 
 Repro parse_repro(const std::string& text) {
-  Repro repro{fuzz_spec(), {}};
+  sim::SpecFlags flags(fuzz_spec());
   std::istringstream is(text);
   std::string line;
   std::string body;
   while (std::getline(is, line)) {
-    std::istringstream ls(line);
-    std::string slash, tag, key;
-    if (line.rfind("// repro ", 0) == 0) {
-      ls >> slash >> tag >> key;
-      std::string value;
-      ls >> value;
-      if (value.empty()) {
-        throw std::invalid_argument("repro header missing value: " + line);
-      }
-      if (key == "scheme") {
-        repro.spec.scheme = sim::parse_scheme(value);
-      } else if (key == "policy") {
-        repro.spec.policy = core::parse_policy(value);
-      } else if (key == "phys-regs") {
-        repro.spec.phys_regs = parse_u32("repro " + key, value);
-      } else if (key == "threads") {
-        repro.spec.threads_per_core = parse_u32("repro " + key, value);
-      } else if (key == "max-cycles") {
-        repro.spec.max_cycles = parse_u64("repro " + key, value);
-      } else if (key == "seed") {
-        repro.spec.params.seed = parse_u64("repro " + key, value);
-      } else if (key == "no-skip") {
-        repro.spec.no_skip = parse_u64("repro " + key, value) != 0;
-      } else {
-        throw std::invalid_argument("unknown repro header key: " + key);
-      }
-    } else {
-      body += line;
-      body += '\n';
+    if (line.rfind(kHeader, 0) != 0) {
+      body += line + '\n';
+      continue;
+    }
+    std::istringstream words(line.substr(kHeader.size()));
+    std::string key, value, extra;
+    words >> key;
+    if (!parse_checked_flag(flags, "--" + key, [&] {
+          if (!(words >> value)) {
+            throw std::invalid_argument("repro header missing value: " + line);
+          }
+          return value;
+        })) {
+      throw std::invalid_argument("unknown repro header key: " + key);
+    }
+    if (words >> extra) {
+      throw std::invalid_argument("repro header has trailing text: " + line);
     }
   }
-  repro.program = kasm::assemble(body);
+  Repro repro{flags.single(), kasm::assemble(body)};
   if (repro.program.empty()) {
     throw std::invalid_argument("repro contains no instructions");
   }

@@ -1,12 +1,12 @@
 // Standalone repro files for fuzzer-found failures.
 //
-// A repro is a plain-text file: `// repro <key> <value>` header lines
+// A repro is a plain-text file: `// repro <flag> [value]` header lines
 // carrying the failing configuration, followed by the (shrunk) program
-// as a disassembly listing the kasm assembler can read back. Replay
-// with `virec-sim --replay FILE` or programmatically via
-// check::run_checked(). Headers a file omits keep check::fuzz_spec()'s
-// values; `threads` is sim::RunSpec::threads_per_core and `seed` its
-// params.seed.
+// as a disassembly listing the kasm assembler can read back. A header
+// is a knob flag without its `--` and its value as on the command line
+// (`// repro cores 2`, `// repro no-skip`), for each knob that differs
+// from check::fuzz_spec(); headers read back through sim::SpecFlags.
+// Replay with `virec-sim --replay FILE` or via check::run_checked().
 #pragma once
 
 #include <string>
@@ -21,12 +21,16 @@ struct Repro {
   kasm::Program program;
 };
 
-/// Serialise @p spec + @p program into the repro text format.
+/// Serialise @p spec + @p program into the repro text format. Throws
+/// std::invalid_argument if @p spec differs from check::fuzz_spec() in
+/// a knob no header carries: one without a flag, one a checked run
+/// never reads, or a switch turned off.
 std::string write_repro(const sim::RunSpec& spec,
                         const kasm::Program& program);
 
 /// Parse repro text (throws std::invalid_argument / kasm::AsmError on
-/// malformed headers or unparseable instructions).
+/// an unknown, refused or malformed header or unparseable
+/// instructions).
 Repro parse_repro(const std::string& text);
 
 /// Convenience: read @p path and parse it.

@@ -57,13 +57,6 @@ void Decoder::need(std::size_t n) const {
   }
 }
 
-double Decoder::get_f64() {
-  const u64 bits = get_u64();
-  double v;
-  std::memcpy(&v, &bits, sizeof v);
-  return v;
-}
-
 std::string Decoder::get_str() {
   const u32 n = get_u32();
   need(n);

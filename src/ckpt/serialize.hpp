@@ -49,7 +49,6 @@ class Encoder {
     put_u32(static_cast<u32>(v));
     put_u32(static_cast<u32>(v >> 32));
   }
-  void put_i64(i64 v) { put_u64(static_cast<u64>(v)); }
   /// Doubles travel by bit pattern: restore is exact, never a reparse.
   void put_f64(double v);
   void put_str(const std::string& s) {
@@ -82,7 +81,6 @@ class Decoder {
     need(1);
     return data_[pos_++];
   }
-  bool get_bool() { return get_u8() != 0; }
   u16 get_u16() {
     const u16 lo = get_u8();
     return static_cast<u16>(lo | (static_cast<u16>(get_u8()) << 8));
@@ -95,21 +93,8 @@ class Decoder {
     const u64 lo = get_u32();
     return lo | (static_cast<u64>(get_u32()) << 32);
   }
-  i64 get_i64() { return static_cast<i64>(get_u64()); }
-  double get_f64();
   std::string get_str();
   void raw(void* out, std::size_t size);
-
-  std::vector<u64> get_u64_vec() {
-    const u32 n = get_u32();
-    // Bytes before memory: a hostile count fails here, not in the
-    // allocator.
-    need(static_cast<std::size_t>(n) * sizeof(u64));
-    std::vector<u64> v;
-    v.reserve(n);
-    for (u32 i = 0; i < n; ++i) v.push_back(get_u64());
-    return v;
-  }
 
   void skip(std::size_t n) {
     need(n);

@@ -45,39 +45,15 @@ void encode_spec_identity(Encoder& enc, const sim::RunSpec& spec) {
 }
 
 void encode_result(Encoder& enc, const sim::RunResult& result) {
-  enc.put_u64(result.cycles);
-  enc.put_u64(result.instructions);
-  enc.put_f64(result.ipc);
-  enc.put_bool(result.check_ok);
-  enc.put_str(result.check_msg);
-  enc.put_f64(result.rf_hit_rate);
-  enc.put_u64(result.context_switches);
-  enc.put_u64(result.rf_fills);
-  enc.put_u64(result.rf_spills);
-  enc.put_f64(result.avg_dcache_miss_latency);
-  enc.put_u32(static_cast<u32>(result.cpi_stack.size()));
-  for (const double v : result.cpi_stack) enc.put_f64(v);
+  sim::RunResult copy = result;  // state() moves fields both ways
+  Archive ar(enc);
+  copy.state(ar);
 }
 
 sim::RunResult decode_result(Decoder& dec) {
   sim::RunResult result;
-  result.cycles = dec.get_u64();
-  result.instructions = dec.get_u64();
-  result.ipc = dec.get_f64();
-  result.check_ok = dec.get_bool();
-  result.check_msg = dec.get_str();
-  result.rf_hit_rate = dec.get_f64();
-  result.context_switches = dec.get_u64();
-  result.rf_fills = dec.get_u64();
-  result.rf_spills = dec.get_u64();
-  result.avg_dcache_miss_latency = dec.get_f64();
-  const u32 buckets = dec.get_u32();
-  if (buckets != result.cpi_stack.size()) {
-    throw CkptError("result payload carries " + std::to_string(buckets) +
-                    " cycle buckets, this build has " +
-                    std::to_string(result.cpi_stack.size()));
-  }
-  for (double& v : result.cpi_stack) v = dec.get_f64();
+  Archive ar(dec);
+  result.state(ar);
   return result;
 }
 

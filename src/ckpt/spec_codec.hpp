@@ -41,8 +41,8 @@ inline constexpr u32 kSpecCodecVersion = 6;
 /// part of the format.
 void encode_spec_identity(Encoder& enc, const sim::RunSpec& spec);
 
-/// Store encoding of a completed result (all fields, doubles by bit
-/// pattern).
+/// Store encoding of a completed result: sim::RunResult::state's field
+/// list through an Archive (all fields, doubles by bit pattern).
 void encode_result(Encoder& enc, const sim::RunResult& result);
 sim::RunResult decode_result(Decoder& dec);
 

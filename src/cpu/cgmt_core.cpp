@@ -299,13 +299,10 @@ void CgmtCore::handle_mem_and_commit() {
           }
           mem_.ready = acc.done;
           mem_.mem_kind = acc.mshr_stall ? 3 : 1;
-          if (config_.switch_on_miss) {
-            // The miss signal to the CSL arrives after the dcache tag
-            // check (Figure 4, (C) -> (D)).
-            switch_pending_ = true;
-            switch_eligible_at_ =
-                cycle_ + env_.ms->config().dcache.hit_latency;
-          }
+          // The miss signal to the CSL arrives after the dcache tag
+          // check (Figure 4, (C) -> (D)).
+          switch_pending_ = true;
+          switch_eligible_at_ = cycle_ + env_.ms->config().dcache.hit_latency;
         }
       }
     } else {

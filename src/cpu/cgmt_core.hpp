@@ -37,9 +37,6 @@ namespace virec::cpu {
 struct CgmtCoreConfig {
   u32 num_threads = 1;
   u32 sq_entries = 5;
-  /// CGMT enable: switch threads on dcache data misses. With a single
-  /// thread the core simply stalls on misses.
-  bool switch_on_miss = true;
   /// Event-driven cycle skipping: run() fast-forwards provably quiet
   /// stretches (all threads blocked on memory, frontend waiting, CSL
   /// masks set) in one jump instead of stepping cycle by cycle. The

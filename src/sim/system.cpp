@@ -404,7 +404,9 @@ u64 System::config_hash() const {
   // --no-skip runs.
   enc.put_u64(config_.core.num_threads);
   enc.put_u64(config_.core.sq_entries);
-  enc.put_u64(config_.core.switch_on_miss ? 1 : 0);
+  // A retired config word, kept at 1 so that config hashes and
+  // snapshots stay byte-identical.
+  enc.put_u64(1);
   const mem::MemSystemConfig& m = config_.mem;
   put_cache(m.icache);
   put_cache(m.dcache);

@@ -40,6 +40,15 @@ struct RunResult {
   /// summed over all cores (Σ == Σ core cycles; per-core and
   /// per-thread splits live in the stat registry as cpi_*).
   std::array<double, kNumCycleBuckets> cpi_stack{};
+
+  /// The result-store payload (ckpt::encode_result): every field in
+  /// this order, doubles by bit pattern.
+  void state(ckpt::Archive& ar) {
+    ar(cycles, instructions, ipc, check_ok, check_msg, rf_hit_rate,
+       context_switches, rf_fills, rf_spills, avg_dcache_miss_latency);
+    ar.length(cpi_stack.size(), "cycle buckets");
+    ar(cpi_stack);
+  }
 };
 
 /// One row of the sampled time series (see System::set_sample_interval).

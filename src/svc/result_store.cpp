@@ -13,16 +13,34 @@ namespace virec::svc {
 
 namespace {
 
-// Entry layout (via ckpt::Encoder, little-endian):
-//   u32 magic, u32 format_version, u64 spec_hash,
-//   str provenance, f64 wall_secs,
-//   u32 identity_len + identity bytes (canonical spec encoding),
-//   u32 payload_crc, u32 payload_len + payload (encoded RunResult),
-//   u32 entry_crc (crc32 of every preceding byte).
-// The trailing entry_crc covers the whole file, so a flip anywhere —
-// header, provenance, identity, payload — reads as corruption; the
-// payload_crc additionally survives future envelope-layout changes.
+// An entry file is Entry's fields (little-endian), then a u32 entry_crc
+// over every preceding byte. It covers the whole file, so a flip
+// anywhere — header, provenance, identity, payload — reads as
+// corruption; the payload_crc additionally survives future
+// envelope-layout changes.
 constexpr const char* kEntrySuffix = ".vres";
+
+/// The one field list put() writes and lookup_entry() reads back.
+struct Entry {
+  u32 magic = kStoreMagic;
+  u32 format_version = kStoreFormatVersion;
+  u64 spec_hash = 0;
+  std::string provenance;
+  double wall_secs = 0.0;
+  std::vector<u8> identity;  ///< ckpt::encode_spec_identity bytes
+  u32 payload_crc = 0;
+  std::vector<u8> payload;   ///< ckpt::encode_result bytes
+
+  void state(ckpt::Archive& ar) {
+    // A byte string loads one byte at a time: a planted length runs out
+    // of entry before it sizes anything.
+    const auto byte = [&ar](u8& b) { ar(b); };
+    ar(magic, format_version, spec_hash, provenance, wall_secs);
+    ar.seq(identity, ~u32{0}, "identity", byte);
+    ar(payload_crc);
+    ar.seq(payload, ~u32{0}, "payload", byte);
+  }
+};
 
 /// Whole-file integrity: true iff @p bytes ends in a valid entry_crc.
 /// On success *body_size excludes the trailing CRC word.
@@ -70,41 +88,32 @@ std::string ResultStore::entry_path(u64 hash) const {
 bool ResultStore::lookup_entry(u64 hash, const sim::RunSpec& spec,
                                StoreEntry* out) const {
   const std::vector<u8> bytes = read_file(entry_path(hash));
-  if (bytes.empty()) return false;
   std::size_t body_size = 0;
   if (!check_entry_crc(bytes, &body_size)) return false;
   try {
+    Entry entry;
     ckpt::Decoder dec(bytes.data(), body_size, "store entry");
-    if (dec.get_u32() != kStoreMagic) return false;
-    if (dec.get_u32() != kStoreFormatVersion) return false;
-    if (dec.get_u64() != hash) return false;
-    StoreEntry entry;
-    entry.provenance = dec.get_str();
-    entry.wall_secs = dec.get_f64();
+    ckpt::Archive ar(dec);
+    entry.state(ar);
+    dec.finish();
     // Identity verification: the stored canonical spec bytes must match
     // the requested spec exactly — a hash collision or codec drift is a
     // miss, never a wrong result.
     ckpt::Encoder want;
     ckpt::encode_spec_identity(want, spec);
-    const u32 identity_len = dec.get_u32();
-    if (identity_len != want.size()) return false;
-    std::vector<u8> identity(identity_len);
-    dec.raw(identity.data(), identity_len);
-    if (identity != want.bytes()) return false;
-    const u32 payload_crc = dec.get_u32();
-    const u32 payload_len = dec.get_u32();
-    // Bytes before memory: a planted length must not size the buffer.
-    if (payload_len > dec.remaining()) return false;
-    std::vector<u8> payload(payload_len);
-    dec.raw(payload.data(), payload_len);
-    dec.finish();
-    if (ckpt::crc32(payload.data(), payload.size()) != payload_crc) {
+    if (entry.magic != kStoreMagic ||
+        entry.format_version != kStoreFormatVersion ||
+        entry.spec_hash != hash || entry.identity != want.bytes() ||
+        ckpt::crc32(entry.payload.data(), entry.payload.size()) !=
+            entry.payload_crc) {
       return false;
     }
-    ckpt::Decoder pdec(payload.data(), payload.size(), "store payload");
-    entry.result = ckpt::decode_result(pdec);
+    ckpt::Decoder pdec(entry.payload.data(), entry.payload.size(),
+                       "store payload");
+    StoreEntry found{ckpt::decode_result(pdec), entry.wall_secs,
+                     std::move(entry.provenance)};
     pdec.finish();
-    if (out != nullptr) *out = std::move(entry);
+    if (out != nullptr) *out = std::move(found);
     return true;
   } catch (const ckpt::CkptError&) {
     return false;  // truncated/corrupt entry: a miss, the point re-runs
@@ -121,24 +130,21 @@ bool ResultStore::lookup(u64 hash, const sim::RunSpec& spec,
 
 void ResultStore::put(u64 hash, const sim::RunSpec& spec,
                       const sim::RunResult& result, double wall_secs) {
-  ckpt::Encoder payload;
-  ckpt::encode_result(payload, result);
-
-  ckpt::Encoder enc;
-  enc.put_u32(kStoreMagic);
-  enc.put_u32(kStoreFormatVersion);
-  enc.put_u64(hash);
-  enc.put_str(build::provenance());
-  enc.put_f64(wall_secs);
   ckpt::Encoder identity;
   ckpt::encode_spec_identity(identity, spec);
-  enc.put_u32(static_cast<u32>(identity.size()));
-  enc.raw(identity.bytes().data(), identity.size());
-  enc.put_u32(ckpt::crc32(payload.bytes().data(), payload.size()));
-  enc.put_u32(static_cast<u32>(payload.size()));
-  enc.raw(payload.bytes().data(), payload.size());
-  const u32 entry_crc = ckpt::crc32(enc.bytes().data(), enc.size());
-  enc.put_u32(entry_crc);
+  ckpt::Encoder payload;
+  ckpt::encode_result(payload, result);
+  const u32 payload_crc = ckpt::crc32(payload.bytes().data(), payload.size());
+  Entry entry{.spec_hash = hash,
+              .provenance = build::provenance(),
+              .wall_secs = wall_secs,
+              .identity = identity.bytes(),
+              .payload_crc = payload_crc,
+              .payload = payload.bytes()};
+  ckpt::Encoder enc;
+  ckpt::Archive ar(enc);
+  entry.state(ar);
+  enc.put_u32(ckpt::crc32(enc.bytes().data(), enc.size()));
 
   // write_file_atomic's unique temp name keeps concurrent writers —
   // sweep worker threads, or separate processes sharing one store —

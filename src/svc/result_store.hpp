@@ -4,7 +4,8 @@
 // finishes — `virec-sim --sweep --store DIR` and `virec-repro --store
 // DIR`. One file per point under the store directory, named
 // by the point's canonical identity hash (ckpt::spec_hash), in a
-// versioned, CRC-checked binary format built on ckpt::Encoder/Decoder.
+// versioned, CRC-checked binary format whose fields one ckpt::Archive
+// field list both writes and reads.
 //
 // Safety properties (enforced by tests/test_svc.cpp and
 // tests/test_sweep.cpp):

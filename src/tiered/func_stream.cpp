@@ -162,7 +162,6 @@ std::shared_ptr<const FuncStream> build_func_stream(System& system) {
   const kasm::Program& program = system.program();
   mem::MemorySystem& ms = system.memory_system();
   TagLruModel model(ms.dcache(0).num_sets(), ms.dcache(0).assoc());
-  const bool switch_on_miss = system.config().core.switch_on_miss;
   const u64 cap = system.config().core.max_cycles;
 
   auto stream = std::make_shared<FuncStream>();
@@ -218,8 +217,7 @@ std::shared_ptr<const FuncStream> build_func_stream(System& system) {
       cur = sched_next;
       run_length = 0;
     } else {
-      const bool rotate =
-          (load_miss && switch_on_miss) || run_length >= kRotationPeriod;
+      const bool rotate = load_miss || run_length >= kRotationPeriod;
       if (rotate && live > 1) {
         const int next = next_live_thread(halted, total, tid, -1);
         if (next >= 0 && next != tid) {

@@ -248,32 +248,6 @@ TEST_F(CgmtTest, MultithreadingHidesLatency) {
   EXPECT_LT(four, single * 5 / 2);
 }
 
-TEST_F(CgmtTest, SwitchOnMissCanBeDisabled) {
-  mem::MemSystemConfig mc;
-  program = kasm::assemble(R"(
-    loop:
-      ldr x1, [x0], #4096
-      sub x2, x2, #1
-      cbnz x2, loop
-    halt
-  )");
-  ms = std::make_unique<mem::MemorySystem>(mc);
-  env = CoreEnv{.core_id = 0, .num_threads = 2, .ms = ms.get()};
-  manager = std::make_unique<BankedManager>(env);
-  CgmtCoreConfig config;
-  config.num_threads = 2;
-  config.switch_on_miss = false;
-  core = std::make_unique<CgmtCore>(config, env, *manager, program);
-  set_reg(0, 0, 0x10'0000);
-  set_reg(0, 2, 8);
-  set_reg(1, 0, 0x20'0000);
-  set_reg(1, 2, 8);
-  core->start_thread(0);
-  core->start_thread(1);
-  core->run();
-  EXPECT_EQ(core->stats().get("context_switches"), 0.0);
-}
-
 TEST_F(CgmtTest, StoreQueueAbsorbsStores) {
   build(R"(
     mov x0, #0x7000

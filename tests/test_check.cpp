@@ -6,11 +6,14 @@
 
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "check/check.hpp"
 #include "check/harness.hpp"
 #include "check/progen.hpp"
 #include "check/repro.hpp"
+#include "ckpt/spec_codec.hpp"
 #include "common/rng.hpp"
 #include "core/tag_store.hpp"
 #include "isa/disasm.hpp"
@@ -190,6 +193,96 @@ TEST(Repro, RejectsMalformedHeaders) {
                std::invalid_argument);
   EXPECT_THROW(check::parse_repro("// repro scheme virec\n"),
                std::invalid_argument);
+}
+
+/// A value of a knob's type that differs from @p v.
+template <typename T>
+T other_value(const T& v) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return v == "spmv" ? "gather" : "spmv";
+  } else if constexpr (std::is_same_v<T, sim::Scheme>) {
+    return v == sim::Scheme::kBanked ? sim::Scheme::kNSF
+                                     : sim::Scheme::kBanked;
+  } else if constexpr (std::is_same_v<T, core::PolicyKind>) {
+    return v == core::PolicyKind::kPLRU ? core::PolicyKind::kMrtLRU
+                                        : core::PolicyKind::kPLRU;
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return !v;
+  } else if constexpr (std::is_same_v<T, double>) {
+    return v / 3.0;  // needs all 17 digits to round-trip
+  } else {
+    return v + 3;
+  }
+}
+
+std::vector<u8> identity_bytes(const sim::RunSpec& spec) {
+  ckpt::Encoder enc;
+  ckpt::encode_spec_identity(enc, spec);
+  return enc.bytes();
+}
+
+TEST(Repro, EveryFlaggedKnobRoundTrips) {
+  // Each knob a checked run reads survives write_repro -> parse_repro,
+  // alone and all at once; write_repro refuses each one it never reads.
+  const kasm::Program program = edge_program(3);
+  sim::RunSpec all = check::fuzz_spec();
+  const auto expect_round_trip = [&](const sim::RunSpec& spec,
+                                     const std::string& what) {
+    const check::Repro back =
+        check::parse_repro(check::write_repro(spec, program));
+    EXPECT_EQ(identity_bytes(back.spec), identity_bytes(spec)) << what;
+    EXPECT_EQ(back.spec.no_skip, spec.no_skip) << what;
+  };
+  u32 round_trips = 0;
+  sim::for_each_knob([&](const sim::Knob& knob, auto field) {
+    if (*knob.flag == '\0') return;
+    sim::RunSpec spec = check::fuzz_spec();
+    field(spec) = other_value(field(spec));
+    if (!check::checked_run_reads(knob)) {
+      EXPECT_THROW(check::write_repro(spec, program), std::invalid_argument)
+          << knob.flag;
+      return;
+    }
+    field(all) = field(spec);
+    expect_round_trip(spec, knob.flag);
+    ++round_trips;
+  });
+  expect_round_trip(all, "every knob at once");
+  EXPECT_GE(round_trips, 12u);  // cores, ctx, dcache-*, switches, ...
+  EXPECT_NE(check::write_repro(all, program).find("// repro cores 4\n"),
+            std::string::npos);
+}
+
+TEST(Repro, RefusesKnobsNoHeaderCarries) {
+  const kasm::Program program = edge_program(3);
+  // Knobs without a flag have no header to carry them.
+  sim::RunSpec spec = check::fuzz_spec();
+  spec.params.extra_compute += 3;
+  EXPECT_THROW(check::write_repro(spec, program), std::invalid_argument);
+  spec = check::fuzz_spec();
+  spec.params.max_regs -= 3;
+  EXPECT_THROW(check::write_repro(spec, program), std::invalid_argument);
+
+  // A header names a knob a checked run reads, spelled as its flag.
+  const auto refusal = [](const std::string& header) {
+    try {
+      check::parse_repro(header + "\nhalt\n");
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  for (const char* key : {"iters", "elements", "stride", "window",
+                          "sample-windows", "window-insts", "warmup-insts",
+                          "check"}) {
+    const std::string why = refusal(std::string("// repro ") + key + " 4");
+    EXPECT_NE(why.find(std::string("--") + key), std::string::npos)
+        << key << ": " << why;
+  }
+  EXPECT_NE(refusal("// repro no-skip 1").find("trailing"),
+            std::string::npos);
+  EXPECT_NE(refusal("// repro regs").find("missing value"), std::string::npos);
+  EXPECT_EQ(refusal("// repro seed 9"), "accepted");
 }
 
 // ---------------------------------------------------------------------

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -527,21 +528,20 @@ TEST(Serialize, PrimitivesRoundTrip) {
   enc.put_u16(0xBEEF);
   enc.put_u32(0xDEADBEEFu);
   enc.put_u64(0x0123456789ABCDEFull);
-  enc.put_i64(-42);
   enc.put_f64(3.25);
   enc.put_str("virec");
   enc.put_u64_vec({1, 2, 3});
 
   ckpt::Decoder dec(enc.bytes().data(), enc.size());
   EXPECT_EQ(dec.get_u8(), 0xAB);
-  EXPECT_TRUE(dec.get_bool());
+  EXPECT_EQ(dec.get_u8(), 1);
   EXPECT_EQ(dec.get_u16(), 0xBEEF);
   EXPECT_EQ(dec.get_u32(), 0xDEADBEEFu);
   EXPECT_EQ(dec.get_u64(), 0x0123456789ABCDEFull);
-  EXPECT_EQ(dec.get_i64(), -42);
-  EXPECT_EQ(dec.get_f64(), 3.25);
+  EXPECT_EQ(dec.get_u64(), std::bit_cast<u64>(3.25));
   EXPECT_EQ(dec.get_str(), "virec");
-  EXPECT_EQ(dec.get_u64_vec(), (std::vector<u64>{1, 2, 3}));
+  EXPECT_EQ(dec.get_u32(), 3u);
+  for (u64 x = 1; x <= 3; ++x) EXPECT_EQ(dec.get_u64(), x);
   EXPECT_TRUE(dec.done());
   dec.finish();  // must not throw: everything consumed
 }
@@ -554,12 +554,15 @@ TEST(Serialize, DecoderBoundsChecked) {
 }
 
 TEST(Serialize, HostileVectorCountThrowsCkptError) {
-  // A count of 2^32-1 elements in a 4-byte payload: the bytes are
-  // checked before anything is sized, so this is a clean CkptError,
-  // not std::bad_alloc.
+  // A count of 2^32-1 elements in a 4-byte payload, with no bound on
+  // the count: the container grows one decoded element at a time, so
+  // this is a clean CkptError, not std::bad_alloc.
   const u8 bytes[] = {0xFF, 0xFF, 0xFF, 0xFF};
   ckpt::Decoder dec(bytes, sizeof bytes);
-  EXPECT_THROW(dec.get_u64_vec(), ckpt::CkptError);
+  ckpt::Archive ar(dec);
+  std::vector<u64> v;
+  EXPECT_THROW(ar.seq(v, ~u32{0}, "count", [&ar](u64& x) { ar(x); }),
+               ckpt::CkptError);
 }
 
 TEST(Serialize, AtomicWriteFailureLeavesNoTemp) {

@@ -1,6 +1,7 @@
-// End-to-end tests of the command-line front ends, virec-sim and the
-// reproduction driver virec-repro: spawn the real binaries (paths
-// injected by CMake) and check their output contracts.
+// End-to-end tests of the command-line front ends, virec-sim, the
+// reproduction driver virec-repro and the fuzzer virec-fuzz: spawn the
+// real binaries (paths injected by CMake) and check their output
+// contracts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,6 +28,9 @@ namespace {
 #endif
 #ifndef VIREC_REPRO_PATH
 #define VIREC_REPRO_PATH "virec-repro"
+#endif
+#ifndef VIREC_FUZZ_PATH
+#define VIREC_FUZZ_PATH "virec-fuzz"
 #endif
 
 struct CliResult {
@@ -599,6 +603,57 @@ TEST(Cli, ReplayRejectsEveryFlagButNoSkip) {
               std::string::npos)
         << flag << "\n" << r.output;
   }
+}
+
+TEST(Cli, ReplayRefusesHeadersItCannotHonour) {
+  // A header naming a knob a checked run never reads, or no knob at
+  // all, stops the replay with exit 2 naming it: it must not run
+  // silently with a default.
+  const std::string path = ::testing::TempDir() + "virec_cli_refused.repro";
+  for (const auto& [header, named] :
+       {std::pair{"sample-windows 4", "--sample-windows"},
+        std::pair{"iters 64", "--iters"}, std::pair{"check", "--check"},
+        std::pair{"registers 5", "registers"}}) {
+    std::ofstream(path) << "// repro " << header << "\nmov x0, #0xff\nhalt\n";
+    const CliResult r = run_cli("--replay " + path);
+    EXPECT_EQ(r.exit_code, 2) << header << "\n" << r.output;
+    EXPECT_NE(r.output.find("error: "), std::string::npos) << r.output;
+    EXPECT_NE(r.output.find(named), std::string::npos) << r.output;
+  }
+  // A multi-core header replays on that many cores.
+  std::ofstream(path) << "// repro cores 2\n// repro regs 5\n"
+                      << "mov x0, #0xff\nhalt\n";
+  const CliResult two = run_cli("--replay " + path);
+  ASSERT_EQ(two.exit_code, 0) << two.output;
+  EXPECT_EQ(run_cli("--replay " + path + " --no-skip").output, two.output);
+}
+
+TEST(VirecFuzz, KnobFlagsGoThroughTheKnobTable) {
+  const auto fuzz = [](const std::string& args) {
+    return run_command(std::string(VIREC_FUZZ_PATH) + " " + args + " 2>&1");
+  };
+  // The configuration matrix sets --scheme and --policy, and a checked
+  // run never reads a sampling knob: each is an error naming the flag.
+  for (const char* flag :
+       {"--scheme banked", "--policy plru", "--sample-windows 4",
+        "--elements 64", "--check"}) {
+    const CliResult r = fuzz(flag);
+    EXPECT_EQ(r.exit_code, 2) << flag << "\n" << r.output;
+    const std::string args = flag;
+    const std::string name = args.substr(0, args.find(' '));
+    EXPECT_NE(r.output.find("error: " + name), std::string::npos)
+        << flag << "\n" << r.output;
+  }
+  const CliResult unknown = fuzz("--frobnicate");
+  EXPECT_EQ(unknown.exit_code, 2);
+  EXPECT_NE(unknown.output.find("unknown option: --frobnicate"),
+            std::string::npos)
+      << unknown.output;
+  // Every knob flag a checked run reads is taken, --cores included.
+  const CliResult two = fuzz("--cores 2 --threads 3 --regs 5 --programs 2 "
+                             "--seed 1 --jobs 1");
+  EXPECT_EQ(two.exit_code, 0) << two.output;
+  EXPECT_NE(two.output.find("clean"), std::string::npos) << two.output;
 }
 
 TEST(Cli, FlagsTheModeWouldIgnoreAreRejected) {

@@ -11,12 +11,15 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "ckpt/spec_codec.hpp"
+#include "common/version.hpp"
 #include "svc/result_store.hpp"
 #include "json_parse.hpp"
 
@@ -264,6 +267,48 @@ TEST(SpecCodec, ResultRoundTripsBitExactly) {
   for (std::size_t b = 0; b < r.cpi_stack.size(); ++b) {
     EXPECT_EQ(back.cpi_stack[b], r.cpi_stack[b]);
   }
+}
+
+TEST(SpecCodec, ResultBytesArePinned) {
+  // The store payload of a fixed result, recorded before RunResult's
+  // field list moved onto ckpt::Archive: a change that moves a byte
+  // strands every stored entry, so it must bump kStoreFormatVersion.
+  ckpt::Encoder enc;
+  ckpt::encode_result(enc, synthetic_result());
+  EXPECT_EQ(enc.size(), 191u);
+  EXPECT_EQ(ckpt::fnv1a(ckpt::kFnvOffsetBasis, enc.bytes().data(), enc.size()),
+            0xd83d4c8b973af66bull);
+}
+
+TEST(ResultStore, EntryBytesFollowTheDocumentedLayout) {
+  // put() writes the layout docs/checkpointing.md documents, spelled
+  // out here field by field.
+  svc::ResultStore store(temp_dir("store_layout"));
+  const sim::RunSpec spec = quick_spec();
+  const u64 hash = ckpt::spec_hash(spec);
+  store.put(hash, spec, synthetic_result(), 1.5);
+
+  ckpt::Encoder identity;
+  ckpt::encode_spec_identity(identity, spec);
+  ckpt::Encoder payload;
+  ckpt::encode_result(payload, synthetic_result());
+  ckpt::Encoder want;
+  want.put_u32(svc::kStoreMagic);
+  want.put_u32(svc::kStoreFormatVersion);
+  want.put_u64(hash);
+  want.put_str(build::provenance());
+  want.put_f64(1.5);
+  want.put_u32(static_cast<u32>(identity.size()));
+  want.raw(identity.bytes().data(), identity.size());
+  want.put_u32(ckpt::crc32(payload.bytes().data(), payload.size()));
+  want.put_u32(static_cast<u32>(payload.size()));
+  want.raw(payload.bytes().data(), payload.size());
+  want.put_u32(ckpt::crc32(want.bytes().data(), want.size()));
+
+  std::ifstream in(store.entry_path(hash), std::ios::binary);
+  const std::vector<u8> got((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_EQ(got, want.bytes());
 }
 
 TEST(ResultStore, PutLookupRoundTrip) {
