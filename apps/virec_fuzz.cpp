@@ -34,7 +34,7 @@ struct Options {
   check::ProgenOptions gen{.edge_ops = true};
   // Knob flags (virec-sim's) set the base point every configuration
   // starts from.
-  sim::SpecFlags flags{check::fuzz_spec()};
+  check::CheckedFlags flags;
   sim::RunSpec spec;
   u32 jobs = 0;        // 0 = hardware concurrency
   std::string out = "virec-fuzz-repro.txt";
@@ -60,8 +60,9 @@ void print_usage() {
       "Knob flags (virec-sim --help) set the base point every\n"
       "configuration starts from (1 core, 2 threads, 6 physical\n"
       "registers, a 2000000-cycle watchdog): --cores, --threads, --regs,\n"
-      "--ctx, --no-skip and every other knob a checked run reads, but\n"
-      "--scheme and --policy, which the configuration matrix sets.\n";
+      "--no-skip and every other knob a checked run reads, but --scheme\n"
+      "and --policy, which the configuration matrix sets. --ctx and\n"
+      "--workload size the register file only with --regs 0.\n";
 }
 
 bool parse(int argc, char** argv, Options& opt) {
@@ -86,12 +87,12 @@ bool parse(int argc, char** argv, Options& opt) {
       throw std::invalid_argument(arg +
                                   ": the configuration matrix sets it (every "
                                   "scheme, and virec under every policy)");
-    } else if (!check::parse_checked_flag(opt.flags, arg, value)) {
+    } else if (!opt.flags.parse(arg, value)) {
       std::cerr << "unknown option: " << arg << "\n";
       return false;
     }
   }
-  opt.spec = opt.flags.single();
+  opt.spec = opt.flags.spec();
   return true;
 }
 

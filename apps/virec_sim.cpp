@@ -55,11 +55,10 @@ enum Mode : unsigned {
   kHelp = 1u << 0,
   kVersion = 1u << 1,
   kList = 1u << 2,
-  kLintStats = 1u << 3,
-  kReplay = 1u << 4,
-  kSweep = 1u << 5,
-  kSampled = 1u << 6,
-  kSingle = 1u << 7,
+  kReplay = 1u << 3,
+  kSweep = 1u << 4,
+  kSampled = 1u << 5,
+  kSingle = 1u << 6,
 };
 constexpr unsigned kOneRun = kSampled | kSingle;
 /// The modes that simulate a spec: each takes every knob flag.
@@ -198,10 +197,6 @@ const Flag kFlags[] = {
      .help = "replay a virec-fuzz repro file under the\n"
              "oracle and exit (0 = clean, 1 = diverged;\n"
              "--no-skip is the only other flag it takes)"},
-    {.name = "--lint-stats", .modes = kLintStats, .selects = true,
-     .help = "stat-schema lint: build every scheme and\n"
-             "fail (exit 1) if any registered stat lacks\n"
-             "a description; used by CI"},
     {.name = "--list", .modes = kList, .selects = true,
      .help = "list workloads and exit"},
     {.name = "--version", .modes = kVersion, .selects = true,
@@ -420,56 +415,6 @@ int run_sweep_mode(const Options& opt) {
   if (opt.spec.sample_windows > 0 && !opt.json) print_stream_stats();
   write_json(opt, [&](std::ostream& os) { results.write_json(os); });
   if (!opt.json_owns_stdout()) results.write_csv(std::cout);
-  return 0;
-}
-
-/// --lint-stats: build (and briefly run) a tiny system per scheme so
-/// every component type registers its stats, then require a non-empty
-/// description on each registered scalar, histogram and distribution.
-/// CI runs this so a counter can't land without documentation.
-int run_lint_stats() {
-  const char* schemes[] = {"banked",         "software", "prefetch-full",
-                           "prefetch-exact", "virec",    "nsf"};
-  int missing = 0;
-  for (const char* scheme : schemes) {
-    sim::RunSpec spec;
-    spec.workload = "gather";
-    spec.scheme = sim::parse_scheme(scheme);
-    spec.params.iters_per_thread = 1;
-    spec.params.elements = 256;
-    const workloads::Workload& workload =
-        workloads::find_workload(spec.workload);
-    sim::System system(sim::build_config(spec), workload, spec.params);
-    // Run so stats created lazily on first inc() are registered too.
-    system.run();
-    for (const Stat& s : system.registry().all_scalars()) {
-      if (!s.desc.empty()) continue;
-      std::cerr << "lint: stat without description: " << scheme << ": "
-                << s.name << "\n";
-      ++missing;
-    }
-    for (const StatRegistry::Entry& entry : system.registry().entries()) {
-      for (const auto& h : entry.set->histograms()) {
-        if (h->desc().empty()) {
-          std::cerr << "lint: histogram without description: " << scheme
-                    << ": " << h->name() << "\n";
-          ++missing;
-        }
-      }
-      for (const auto& d : entry.set->distributions()) {
-        if (d->desc().empty()) {
-          std::cerr << "lint: distribution without description: " << scheme
-                    << ": " << d->name() << "\n";
-          ++missing;
-        }
-      }
-    }
-  }
-  if (missing > 0) {
-    std::cerr << "lint: " << missing << " stat(s) lack a description\n";
-    return 1;
-  }
-  std::cout << "lint: every registered stat carries a description\n";
   return 0;
 }
 
@@ -854,15 +799,24 @@ int run_single_mode(const Options& opt) {
 /// --replay FILE: re-run a fuzzer repro under the lockstep oracle.
 int run_replay_mode(const Options& opt) {
   check::Repro repro = check::load_repro(opt.replay_path);
-  // A repro recorded under --no-skip replays stepped; the flag on the
-  // replay command line forces stepping either way.
-  repro.spec.no_skip |= opt.spec.no_skip;
   std::cout << "replay " << opt.replay_path << "\n"
             << "scheme " << sim::scheme_name(repro.spec.scheme) << "\n"
             << "policy " << core::policy_name(repro.spec.policy) << "\n"
-            << "phys_regs " << repro.spec.phys_regs << "\n"
+            << "phys_regs " << sim::spec_phys_regs(repro.spec) << "\n"
             << "threads " << repro.spec.threads_per_core << "\n"
-            << "instructions_in_program " << repro.program.size() << "\n";
+            << "cores " << repro.spec.num_cores << "\n";
+  // Every other header the file sets, in knob-table order.
+  for (const std::string& header : check::repro_headers(repro.spec)) {
+    const std::string key = header.substr(0, header.find(' '));
+    if (key != "scheme" && key != "policy" && key != "regs" &&
+        key != "threads" && key != "cores") {
+      std::cout << header << "\n";
+    }
+  }
+  std::cout << "instructions_in_program " << repro.program.size() << "\n";
+  // A repro recorded under --no-skip replays stepped; the flag on the
+  // replay command line forces stepping either way.
+  repro.spec.no_skip |= opt.spec.no_skip;
   const check::HarnessResult result =
       check::run_checked(repro.program, repro.spec);
   std::cout << "cycles " << result.cycles << "\n"
@@ -906,8 +860,6 @@ int main(int argc, char** argv) {
                     << " active regs)\t" << w->description() << "\n";
         }
         return 0;
-      case kLintStats:
-        return run_lint_stats();
       case kReplay:
         return run_replay_mode(opt);
       case kSweep:

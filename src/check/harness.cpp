@@ -33,21 +33,41 @@ sim::RunSpec fuzz_spec() {
   return spec;
 }
 
-bool checked_run_reads(const sim::Knob& knob) {
+bool checked_run_reads(const sim::Knob& knob, const sim::RunSpec& spec) {
   const std::string_view field = knob.field;
   const bool kernel = field.starts_with("params.") && field != "params.seed";
+  const bool sizes_regs = field == "workload" || field == "context_fraction";
   return !kernel && (knob.roles & sim::kSampling) == 0 &&
-         field != "sample_windows" && field != "check";
+         field != "sample_windows" && field != "check" &&
+         (!sizes_regs || spec.phys_regs == 0);
 }
 
-bool parse_checked_flag(sim::SpecFlags& flags, const std::string& arg,
-                        const std::function<std::string()>& value) {
+bool CheckedFlags::parse(const std::string& arg,
+                         const std::function<std::string()>& value) {
+  sim::RunSpec any = fuzz_spec();
+  any.phys_regs = 0;  // the spec that reads the most knobs
   sim::for_each_knob([&](const sim::Knob& knob, auto) {
-    if (*knob.flag != '\0' && arg == knob.flag && !checked_run_reads(knob)) {
+    if (*knob.flag != '\0' && arg == knob.flag &&
+        !checked_run_reads(knob, any)) {
       throw std::invalid_argument(arg + ": checked runs ignore this knob");
     }
   });
-  return flags.parse(arg, value);
+  if (!flags_.parse(arg, value)) return false;
+  given_.push_back(arg);
+  return true;
+}
+
+sim::RunSpec CheckedFlags::spec() const {
+  const sim::RunSpec spec = flags_.single();
+  sim::for_each_knob([&](const sim::Knob& knob, auto) {
+    if (*knob.flag != '\0' && !checked_run_reads(knob, spec) &&
+        std::find(given_.begin(), given_.end(), knob.flag) != given_.end()) {
+      throw std::invalid_argument(
+          std::string(knob.flag) +
+          ": checked runs read this knob only with --regs 0");
+    }
+  });
+  return spec;
 }
 
 namespace {

@@ -7,6 +7,7 @@
 #include <functional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/types.hpp"
 #include "kasm/program.hpp"
@@ -53,16 +54,32 @@ class ProgramWorkload final : public workloads::Workload {
 /// repro files (0 = none).
 sim::RunSpec fuzz_spec();
 
-/// Whether run_checked reads @p knob: every knob sim::build_config
-/// reads but the kernel's parameters (params.seed stays, as the
-/// program's provenance), the sampling knobs and check.
-bool checked_run_reads(const sim::Knob& knob);
+/// Whether run_checked reads @p knob of @p spec: every knob
+/// sim::build_config reads but the kernel's parameters (params.seed
+/// stays, as the program's provenance), the sampling knobs and check.
+/// The workload and the context fraction size the register file only
+/// through sim::spec_phys_regs, so they are read only when
+/// spec.phys_regs is 0.
+bool checked_run_reads(const sim::Knob& knob, const sim::RunSpec& spec);
 
-/// sim::SpecFlags::parse for a checked run's spec (virec-fuzz flags,
-/// repro headers); throws std::invalid_argument naming @p arg if it is
-/// the flag of a knob checked_run_reads refuses.
-bool parse_checked_flag(sim::SpecFlags& flags, const std::string& arg,
-                        const std::function<std::string()>& value);
+/// The knob flags of a checked run (virec-fuzz flags, repro headers),
+/// over fuzz_spec().
+class CheckedFlags {
+ public:
+  /// sim::SpecFlags::parse; throws std::invalid_argument naming @p arg
+  /// if it is the flag of a knob no checked run reads.
+  bool parse(const std::string& arg,
+             const std::function<std::string()>& value);
+
+  /// The spec the flags give. Throws std::invalid_argument naming a
+  /// given flag whose knob that spec leaves unread (--ctx or --workload
+  /// without --regs 0), whatever order the flags came in.
+  sim::RunSpec spec() const;
+
+ private:
+  sim::SpecFlags flags_{fuzz_spec()};
+  std::vector<std::string> given_;
+};
 
 struct HarnessResult {
   bool ok = false;

@@ -14,23 +14,23 @@ namespace virec::check {
 
 constexpr std::string_view kHeader = "// repro ";
 
-std::string write_repro(const sim::RunSpec& spec,
-                        const kasm::Program& program) {
+std::vector<std::string> repro_headers(const sim::RunSpec& spec) {
   const sim::RunSpec base = fuzz_spec();
-  std::ostringstream os;
+  std::vector<std::string> headers;
   sim::for_each_knob([&](const sim::Knob& knob, auto field) {
     const auto& value = field(spec);
     if (value == field(base)) return;
     using T = std::decay_t<decltype(value)>;
-    bool header = *knob.flag != '\0' && checked_run_reads(knob);
+    bool header = *knob.flag != '\0' && checked_run_reads(knob, spec);
     // A switch can only turn its knob on.
     if constexpr (std::is_same_v<T, bool>) header = header && value;
     if (!header) {
       throw std::invalid_argument(
-          std::string("write_repro: no repro header carries ") + knob.field);
+          std::string("repro_headers: no repro header carries ") + knob.field);
     }
     // The flag without its "--", then the value as the flag takes it.
-    os << kHeader << (knob.flag + 2);
+    std::ostringstream os;
+    os << (knob.flag + 2);
     if constexpr (std::is_same_v<T, sim::Scheme>) {
       os << ' ' << sim::scheme_name(value);
     } else if constexpr (std::is_same_v<T, core::PolicyKind>) {
@@ -42,8 +42,17 @@ std::string write_repro(const sim::RunSpec& spec,
     } else if constexpr (!std::is_same_v<T, bool>) {
       os << ' ' << value;
     }
-    os << '\n';
+    headers.push_back(os.str());
   });
+  return headers;
+}
+
+std::string write_repro(const sim::RunSpec& spec,
+                        const kasm::Program& program) {
+  std::ostringstream os;
+  for (const std::string& header : repro_headers(spec)) {
+    os << kHeader << header << '\n';
+  }
   for (u64 pc = 0; pc < program.size(); ++pc) {
     os << isa::disasm(program.at(pc)) << "\n";
   }
@@ -51,7 +60,7 @@ std::string write_repro(const sim::RunSpec& spec,
 }
 
 Repro parse_repro(const std::string& text) {
-  sim::SpecFlags flags(fuzz_spec());
+  CheckedFlags flags;
   std::istringstream is(text);
   std::string line;
   std::string body;
@@ -63,7 +72,7 @@ Repro parse_repro(const std::string& text) {
     std::istringstream words(line.substr(kHeader.size()));
     std::string key, value, extra;
     words >> key;
-    if (!parse_checked_flag(flags, "--" + key, [&] {
+    if (!flags.parse("--" + key, [&] {
           if (!(words >> value)) {
             throw std::invalid_argument("repro header missing value: " + line);
           }
@@ -75,7 +84,7 @@ Repro parse_repro(const std::string& text) {
       throw std::invalid_argument("repro header has trailing text: " + line);
     }
   }
-  Repro repro{flags.single(), kasm::assemble(body)};
+  Repro repro{flags.spec(), kasm::assemble(body)};
   if (repro.program.empty()) {
     throw std::invalid_argument("repro contains no instructions");
   }

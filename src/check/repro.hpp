@@ -10,6 +10,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "check/harness.hpp"
 #include "kasm/program.hpp"
@@ -21,10 +22,15 @@ struct Repro {
   kasm::Program program;
 };
 
-/// Serialise @p spec + @p program into the repro text format. Throws
-/// std::invalid_argument if @p spec differs from check::fuzz_spec() in
-/// a knob no header carries: one without a flag, one a checked run
-/// never reads, or a switch turned off.
+/// The headers of @p spec without their `// repro ` lead ("cores 2",
+/// "no-skip"), one per knob that differs from check::fuzz_spec(), in
+/// knob-table order. Throws std::invalid_argument if a knob differs
+/// that no header carries: one without a flag, one a checked run of
+/// @p spec does not read, or a switch turned off.
+std::vector<std::string> repro_headers(const sim::RunSpec& spec);
+
+/// Serialise @p spec + @p program into the repro text format: its
+/// repro_headers(), then the program. Throws like repro_headers().
 std::string write_repro(const sim::RunSpec& spec,
                         const kasm::Program& program);
 

@@ -73,10 +73,6 @@ std::size_t StatSet::index_of(const std::string& name) {
   return idx;
 }
 
-void StatSet::inc(const std::string& name, double delta) {
-  stats_[index_of(name)].value += delta;
-}
-
 double* StatSet::counter(const std::string& name, const std::string& desc) {
   Stat& stat = stats_[index_of(name)];
   if (!desc.empty()) stat.desc = desc;
@@ -142,31 +138,53 @@ void StatSet::clear() {
   for (auto& d : distributions_) d->clear();
 }
 
+namespace {
+
+/// Move one list of named entries: a u32 count, then each entry's name
+/// and @p fields. Loading requires the live entries, in saved order;
+/// a refusal names the entry as @p kind, @p prefix and its name.
+template <typename List, typename NameFn, typename FieldsFn>
+void named_entries(ckpt::Archive& ar, List& list, const std::string& kind,
+                   const std::string& prefix, NameFn name_of,
+                   FieldsFn fields) {
+  const auto label = [&](const std::string& name) {
+    return kind + " " + (prefix.empty() ? name : prefix + "." + name) +
+           " at position ";
+  };
+  u32 n = static_cast<u32>(list.size());
+  ar(n);
+  for (u32 i = 0; i < n; ++i) {
+    std::string name = ar.loading() ? "" : name_of(list[i]);
+    ar(name);
+    if (ar.loading() && (i >= list.size() || name != name_of(list[i]))) {
+      ar.fail(label(name) + std::to_string(i) +
+              (i < list.size() ? " is not this system's " + name_of(list[i])
+                               : " is not in this system"));
+    }
+    fields(list[i]);
+  }
+  if (ar.loading() && n < list.size()) {
+    ar.fail(label(name_of(list[n])) + std::to_string(n) +
+            " is not in the snapshot");
+  }
+}
+
+}  // namespace
+
 void StatSet::state(ckpt::Archive& ar) {
-  // Every entry travels by name, and a saved name finds its own entry.
-  // Loading creates absent counters in saved order, so lazily created
-  // ones land where they did in the run that produced the snapshot.
-  u32 n = static_cast<u32>(stats_.size());
-  ar(n);
-  for (u32 i = 0; i < n; ++i) {
-    std::string name = ar.loading() ? "" : stats_[i].name;
-    ar(name);
-    ar(*counter(name));
-  }
-  n = static_cast<u32>(histograms_.size());
-  ar(n);
-  for (u32 i = 0; i < n; ++i) {
-    std::string name = ar.loading() ? "" : histograms_[i]->name();
-    ar(name);
-    histogram(name)->state(ar);
-  }
-  n = static_cast<u32>(distributions_.size());
-  ar(n);
-  for (u32 i = 0; i < n; ++i) {
-    std::string name = ar.loading() ? "" : distributions_[i]->name();
-    ar(name);
-    distribution(name)->state(ar);
-  }
+  // Every stat exists from construction, so a snapshot holds exactly
+  // the live entries, in order.
+  named_entries(
+      ar, stats_, "stat", prefix_, [](const Stat& s) { return s.name; },
+      [&ar](Stat& s) { ar(s.value); });
+  named_entries(
+      ar, histograms_, "histogram", prefix_,
+      [](const std::unique_ptr<Histogram>& h) { return h->name(); },
+      [&ar](std::unique_ptr<Histogram>& h) { h->state(ar); });
+  named_entries(
+      ar, distributions_, "distribution", prefix_,
+      [](const std::unique_ptr<Distribution>& d) { return d->name(); },
+      [&ar](std::unique_ptr<Distribution>& d) { d->state(ar); });
 }
 
 void StatRegistry::add(std::string path, StatSet& set) {

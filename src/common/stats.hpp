@@ -151,20 +151,17 @@ class Distribution {
 /// A flat, ordered collection of named counters plus (optional) typed
 /// histogram / distribution statistics.
 ///
-/// Counters are created on first use and retain insertion order so
-/// reports are stable. Lookup is by exact name.
+/// Components create every counter at construction; counters retain
+/// insertion order so reports are stable. Lookup is by exact name.
 class StatSet {
  public:
   explicit StatSet(std::string prefix = "");
 
-  /// Add @p delta (default 1) to counter @p name.
-  void inc(const std::string& name, double delta = 1.0);
-
   /// Stable pointer to counter @p name's value (created if absent).
   /// Components fetch this once at construction and bump through it on
-  /// the simulation hot path, skipping the by-name map lookup that
-  /// inc() pays on every event. The pointer stays valid for the
-  /// lifetime of the set (clear() zeroes the value, never moves it).
+  /// the simulation hot path, with no by-name lookup per event. The
+  /// pointer stays valid for the lifetime of the set (clear() zeroes
+  /// the value, never moves it).
   double* counter(const std::string& name, const std::string& desc = "");
 
   /// Overwrite counter @p name.
@@ -207,9 +204,9 @@ class StatSet {
   void clear();
 
   /// Snapshot fields: every counter value and typed-stat sample state,
-  /// by name. Loading recreates counters in the saved order (so report
-  /// ordering matches an uninterrupted run) and overwrites the values
-  /// of counters that already exist.
+  /// each after its name. Loading refuses (CkptError naming the stat) a
+  /// saved entry whose name is not the live entry's at its position,
+  /// and a count that differs from the live set's.
   void state(ckpt::Archive& ar);
 
   const std::string& prefix() const { return prefix_; }

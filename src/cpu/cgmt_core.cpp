@@ -31,25 +31,12 @@ CgmtCore::CgmtCore(const CgmtCoreConfig& config, const CoreEnv& env,
   c_branches_ = stats_.counter("branches", "committed branch instructions");
   c_mispredicts_ =
       stats_.counter("mispredicts", "BTFN branch mispredictions at commit");
-  c_sq_full_stall_cycles_ = stats_.counter(
-      "sq_full_stall_cycles", "cycles a store stalled on a full store queue");
-  c_reg_region_miss_stalls_ = stats_.counter(
-      "reg_region_miss_stalls", "loads that missed in the register region");
   c_dcache_data_misses_ = stats_.counter(
       "dcache_data_misses", "demand data misses signalled to the CSL");
   c_replay_misses_ = stats_.counter(
       "replay_misses", "data misses taken again while replaying after a switch");
-  c_switch_no_target_cycles_ = stats_.counter(
-      "switch_no_target_cycles",
-      "cycles a pending switch found no ready thread");
-  c_switch_masked_cycles_ = stats_.counter(
-      "switch_masked_cycles", "cycles a pending switch was masked by the CSL");
   c_rf_miss_stall_cycles_ = stats_.counter(
       "rf_miss_stall_cycles", "decode stall cycles on register-file misses");
-  c_idle_cycles_ =
-      stats_.counter("idle_cycles", "cycles with no runnable thread");
-  c_frontend_wait_cycles_ = stats_.counter(
-      "frontend_wait_cycles", "cycles the empty pipe waited on fetch");
   hist_run_length_ = stats_.histogram(
       "run_length", "committed instructions between context switches");
   hist_miss_latency_ = stats_.histogram(
@@ -269,7 +256,6 @@ void CgmtCore::handle_mem_and_commit() {
       const bool reg_region = env_.ms->in_reg_region(addr);
       if (isa::is_store(mem_.inst.op)) {
         if (!sq_.push(addr, cycle_, reg_region)) {
-          ++*c_sq_full_stall_cycles_;
           tag_cycle(CycleBucket::kSqFull);
           return;  // retry next cycle
         }
@@ -288,7 +274,6 @@ void CgmtCore::handle_mem_and_commit() {
           // Register backing-store miss: never a context switch.
           mem_.ready = acc.done;
           mem_.mem_kind = acc.mshr_stall ? 3 : 2;
-          ++*c_reg_region_miss_stalls_;
         } else {
           ++*c_dcache_data_misses_;
           hist_miss_latency_->record(static_cast<double>(acc.done - cycle_));
@@ -319,10 +304,8 @@ void CgmtCore::handle_mem_and_commit() {
     } else if (cycle_ >= switch_eligible_at_ && rcm_.switch_allowed(cycle_) &&
                committed_since_switch_) {
       if (request_context_switch(mem_.pc, mem_.ready)) return;
-      ++*c_switch_no_target_cycles_;
       tag_cycle(CycleBucket::kSwitchNoTarget);
     } else {
-      ++*c_switch_masked_cycles_;
       tag_cycle(CycleBucket::kSwitchMasked);
     }
   }
@@ -387,24 +370,19 @@ void CgmtCore::step() {
   acct_tag_ = CycleBucket::kCount;  // untagged until an event claims it
   acct_tid_ = -1;
   if (current_tid_ < 0) {
+    // The initial-schedule branch of pick_next_thread() accepts blocked
+    // threads, so a live thread is always found.
     const int next = pick_next_thread();
-    if (next >= 0) {
-      const Cycle csl_ready =
-          rcm_.on_context_switch(-1, next, predict_thread_after(next), cycle_);
-      switch_to(next);
-      fetch_ready_ = std::max(fetch_ready_, csl_ready);
-      tag_cycle(CycleBucket::kSwitchOverhead);
-    } else {
-      ++*c_idle_cycles_;
-      acct_.charge(CycleBucket::kIdle, -1);
-      ++cycle_;
-      VIREC_CHECK(check_, acct_.total() == static_cast<double>(cycle_),
-                  "cycle accounting must close (idle)");
-      return;
+    if (next < 0) {
+      throw std::logic_error("CgmtCore: core " + std::to_string(env_.core_id) +
+                             " has live threads but none to schedule");
     }
+    const Cycle csl_ready =
+        rcm_.on_context_switch(-1, next, predict_thread_after(next), cycle_);
+    switch_to(next);
+    fetch_ready_ = std::max(fetch_ready_, csl_ready);
+    tag_cycle(CycleBucket::kSwitchOverhead);
   }
-  // A fully idle frontend+pipeline while the current thread is blocked
-  // counts as stall cycles.
   handle_mem_and_commit();
   advance_ex_mem();
   advance_id_ex();
@@ -415,10 +393,6 @@ void CgmtCore::step() {
   if (!switch_pending_) {
     advance_if_id();
     do_fetch();
-  }
-  if (!if_.valid && !id_.valid && !ex_.valid && !mem_.valid &&
-      cycle_ < fetch_ready_) {
-    ++*c_frontend_wait_cycles_;
   }
   // Cycle accounting: if no event tagged this cycle, classify the
   // (quiet) state — the same function skip_to() bulk-charges with.
@@ -448,11 +422,10 @@ Cycle CgmtCore::earliest_other_thread_ready() const {
 
 CycleBucket CgmtCore::classify_quiet() const {
   // Priority mirrors the head-of-line blocking structure of the pipe:
-  // no thread, then a frozen switch request, then the oldest latch
-  // (MEM outwards), then the empty-pipe fetch wait. Every input is
-  // constant across a quiet stretch (next_event_cycle() bounds them),
-  // so one evaluation at the stretch head equals per-cycle evaluation.
-  if (current_tid_ < 0) return CycleBucket::kIdle;
+  // a frozen switch request, then the oldest latch (MEM outwards), then
+  // the empty-pipe fetch wait. Every input is constant across a quiet
+  // stretch (next_event_cycle() bounds them), so one evaluation at the
+  // stretch head equals per-cycle evaluation.
   if (switch_pending_) {
     return (cycle_ >= switch_eligible_at_ && committed_since_switch_ &&
             rcm_.switch_allowed(cycle_))
@@ -495,13 +468,7 @@ CycleBucket CgmtCore::classify_quiet() const {
 
 Cycle CgmtCore::next_event_cycle() const {
   if (live_threads_ == 0) return cycle_;  // done; nothing to wait for
-  if (current_tid_ < 0) {
-    // live_threads_ > 0 guarantees the initial-schedule branch of
-    // pick_next_thread() finds a candidate (it accepts blocked
-    // threads), so the very next step schedules one. The kNeverCycle
-    // arm is defensive.
-    return pick_next_thread() >= 0 ? cycle_ : kNeverCycle;
-  }
+  if (current_tid_ < 0) return cycle_;  // the next step schedules one
   Cycle next = kNeverCycle;
   if (mem_.valid) {
     // An unissued memory stage (including a store stalled on a full
@@ -551,9 +518,9 @@ Cycle CgmtCore::next_event_cycle() const {
       } else if (!id_.valid && !ex_.valid && !mem_.valid &&
                  cycle_ < fetch_ready_) {
         // Wrong-path runoff with an empty pipeline: nothing will ever
-        // fetch again, but frontend_wait_cycles accrues only while
-        // cycle_ < fetch_ready_, so the quiet stretch must break there
-        // to keep the counter bit-exact.
+        // fetch again, but classify_quiet() charges the fetch-wait
+        // cause only while cycle_ < fetch_ready_, so the quiet stretch
+        // must break there to keep the CPI stack bit-exact.
         next = std::min(next, fetch_ready_);
       }
     }
@@ -566,29 +533,11 @@ Cycle CgmtCore::next_event_cycle() const {
 
 void CgmtCore::skip_to(Cycle target) {
   // Precondition: cycle_ < target <= next_event_cycle(). Within that
-  // stretch every stepped cycle would only advance the clock and bump
-  // the single stall counter classified here, so bulk-adding the span
-  // is bit-exact. The branch conditions mirror step()'s per-cycle
-  // bookkeeping; next_event_cycle()'s bounds guarantee none of them
-  // change before @p target.
-  const double span = static_cast<double>(target - cycle_);
-  // Closed accounting first: classify_quiet() is exactly what step()
-  // charges each untagged cycle, so one bulk add is bit-identical to
-  // stepping the stretch.
-  acct_.charge(classify_quiet(), current_tid_, span);
-  if (current_tid_ < 0) {
-    *c_idle_cycles_ += span;
-  } else if (switch_pending_) {
-    if (cycle_ >= switch_eligible_at_ && committed_since_switch_ &&
-        rcm_.switch_allowed(cycle_)) {
-      *c_switch_no_target_cycles_ += span;
-    } else {
-      *c_switch_masked_cycles_ += span;
-    }
-  } else if (!if_.valid && !id_.valid && !ex_.valid && !mem_.valid &&
-             cycle_ < fetch_ready_) {
-    *c_frontend_wait_cycles_ += span;
-  }
+  // stretch every stepped cycle would only advance the clock and charge
+  // classify_quiet()'s bucket, whose inputs next_event_cycle() bounds,
+  // so one bulk charge is bit-identical to stepping the stretch.
+  acct_.charge(classify_quiet(), current_tid_,
+               static_cast<double>(target - cycle_));
   cycle_ = target;
   VIREC_CHECK(check_, acct_.total() == static_cast<double>(cycle_),
               "cycle accounting must close after skip");

@@ -212,16 +212,15 @@ class CgmtCore {
   /// next step is such work, and kNeverCycle when no future event
   /// exists (the core would spin to the watchdog). Every cycle from
   /// cycle() up to (but excluding) the returned value is "quiet": the
-  /// stepped loop would only advance the clock and bump at most one
-  /// stall counter, which is exactly what skip_to() replays in bulk.
+  /// stepped loop would only advance the clock and charge one CPI
+  /// bucket, which is exactly what skip_to() replays in bulk.
   Cycle next_event_cycle() const;
 
   /// Fast-forward a quiet stretch: jump the core clock to @p target
   /// (cycle() < target <= next_event_cycle()) and charge the skipped
-  /// span to the same stall counter the stepped loop would have
-  /// incremented each cycle (idle / switch-masked / switch-no-target /
-  /// frontend-wait). Bit-exact with respect to stepping: no other
-  /// state changes during a quiet stretch.
+  /// span to classify_quiet()'s bucket, the one the stepped loop would
+  /// have charged each cycle. Bit-exact with respect to stepping: no
+  /// other state changes during a quiet stretch.
   void skip_to(Cycle target);
 
   /// Cheap pre-filter for the skip path: true when the core is in a
@@ -344,15 +343,9 @@ class CgmtCore {
   double* c_halts_ = nullptr;
   double* c_branches_ = nullptr;
   double* c_mispredicts_ = nullptr;
-  double* c_sq_full_stall_cycles_ = nullptr;
-  double* c_reg_region_miss_stalls_ = nullptr;
   double* c_dcache_data_misses_ = nullptr;
   double* c_replay_misses_ = nullptr;
-  double* c_switch_no_target_cycles_ = nullptr;
-  double* c_switch_masked_cycles_ = nullptr;
   double* c_rf_miss_stall_cycles_ = nullptr;
-  double* c_idle_cycles_ = nullptr;
-  double* c_frontend_wait_cycles_ = nullptr;
   u64 episode_start_instructions_ = 0;
   TraceSink* tracer_ = nullptr;
   // Mutable: the oracle advances its shadow state at each commit.

@@ -19,10 +19,12 @@ OooCore::OooCore(const OooCoreConfig& config, mem::MemorySystem& ms,
   program_.validate();
   stats_.describe("cycles", "total simulated cycles (time of the last commit)");
   stats_.describe("instructions", "instructions committed by this core");
-  stats_.describe("load_hits", "loads that hit in the data cache");
-  stats_.describe("load_misses", "loads that missed in the data cache");
-  stats_.describe("ret_redirects",
-                  "late front-end redirects through the link register");
+  c_load_hits_ =
+      stats_.counter("load_hits", "loads that hit in the data cache");
+  c_load_misses_ =
+      stats_.counter("load_misses", "loads that missed in the data cache");
+  c_ret_redirects_ = stats_.counter(
+      "ret_redirects", "late front-end redirects through the link register");
 }
 
 Cycle OooCore::run(u64 entry_pc) {
@@ -94,7 +96,7 @@ Cycle OooCore::run(u64 entry_pc) {
       lq[lq_head % config_.lq_entries] = complete;
       ++lq_head;
       load_missed = !acc.hit;
-      stats_.inc(acc.hit ? "load_hits" : "load_misses");
+      ++*(acc.hit ? c_load_hits_ : c_load_misses_);
     } else if (isa::is_store(inst.op)) {
       const Cycle sq_free = sq[sq_head % config_.sq_entries];
       const Cycle issue = std::max(ready + 1, sq_free);
@@ -166,7 +168,7 @@ Cycle OooCore::run(u64 entry_pc) {
     if (res.taken_branch && inst.op == isa::Op::kRet) {
       // Returns through the link register resolve late.
       redirect_at = complete + config_.mispredict_penalty;
-      stats_.inc("ret_redirects");
+      ++*c_ret_redirects_;
     }
     pc = res.next_pc;
   }

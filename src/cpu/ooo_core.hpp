@@ -87,6 +87,10 @@ class OooCore {
   Cycle last_commit_ = 0;
   StatSet stats_;
   CycleAccount acct_;
+  // Counter handles (owned by stats_).
+  double* c_load_hits_ = nullptr;
+  double* c_load_misses_ = nullptr;
+  double* c_ret_redirects_ = nullptr;
   check::CheckContext* check_ = nullptr;
 };
 

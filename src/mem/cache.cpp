@@ -47,10 +47,6 @@ Cache::Cache(const CacheConfig& config, MemLevel& below)
       "warm_hits", "functional warm-tier accesses that found the line");
   c_warm_misses_ = stats_.counter(
       "warm_misses", "functional warm-tier accesses that filled or bypassed");
-  // Always 0 since set-sampled warming was removed; still registered
-  // so stat dumps (and the digests taken over them) keep their schema.
-  stats_.counter("warm_skipped",
-                 "warm-tier accesses dropped by set-sampled warming");
   hist_miss_cycles_ = stats_.histogram(
       "miss_cycles", "per-miss latency from access to data return");
 }

@@ -110,12 +110,7 @@ void System::take_sample(Cycle prev_cycle, u64 prev_instructions) {
           ? static_cast<double>(s.instructions - prev_instructions) /
                 static_cast<double>(s.cycle - prev_cycle)
           : 0.0;
-  double hits = 0.0, misses = 0.0;
-  for (auto& m : managers_) {
-    hits += m->stats().get("rf_hits");
-    misses += m->stats().get("rf_misses");
-  }
-  s.rf_hit_rate = (hits + misses) == 0.0 ? 1.0 : hits / (hits + misses);
+  s.rf_hit_rate = rf_hit_rate();
   for (u32 c = 0; c < config_.num_cores; ++c) {
     s.runnable_threads += cores_[c]->runnable_threads(s.cycle);
     s.outstanding_misses += ms_->dcache(c).outstanding_misses(s.cycle);
@@ -125,6 +120,15 @@ void System::take_sample(Cycle prev_cycle, u64 prev_instructions) {
   }
   samples_.push_back(s);
   if (sample_hook_) sample_hook_(samples_.back());
+}
+
+double System::rf_hit_rate() const {
+  double hits = 0.0, misses = 0.0;
+  for (const auto& m : managers_) {
+    hits += m->stats().get("rf_hits");
+    misses += m->stats().get("rf_misses");
+  }
+  return (hits + misses) == 0.0 ? 1.0 : hits / (hits + misses);
 }
 
 double System::cpi_bucket_cycles(CycleBucket b) const {
@@ -359,12 +363,7 @@ RunResult System::make_result() {
   }
 
   if (config_.scheme == Scheme::kViReC || config_.scheme == Scheme::kNSF) {
-    double hits = 0.0, misses = 0.0;
-    for (auto& m : managers_) {
-      hits += m->stats().get("rf_hits");
-      misses += m->stats().get("rf_misses");
-    }
-    result.rf_hit_rate = (hits + misses) == 0.0 ? 1.0 : hits / (hits + misses);
+    result.rf_hit_rate = rf_hit_rate();
   }
 
   result.check_ok = workload_.check(ms_->memory(), params_, total_threads(),

@@ -191,6 +191,9 @@ class System {
   void offload_contexts();
   void build_registry();
   void take_sample(Cycle prev_cycle, u64 prev_instructions);
+  /// Register-file hit rate over every core's manager (1 before any
+  /// access).
+  double rf_hit_rate() const;
   /// Max cycle over all cores (the system clock at an epoch end).
   Cycle max_core_cycle() const;
   /// run()'s scheduler: every core to completion in (cycle, core index)

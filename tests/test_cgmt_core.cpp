@@ -260,7 +260,7 @@ TEST_F(CgmtTest, StoreQueueAbsorbsStores) {
   core->start_thread(0);
   core->run();
   // Stores retire through the SQ without stalling commit.
-  EXPECT_EQ(core->stats().get("sq_full_stall_cycles"), 0.0);
+  EXPECT_EQ(core->stats().get("cpi_sq_full"), 0.0);
   EXPECT_EQ(ms->memory().read_u64(0x7010), 1u);
 }
 

@@ -238,15 +238,18 @@ TEST(Repro, EveryFlaggedKnobRoundTrips) {
     if (*knob.flag == '\0') return;
     sim::RunSpec spec = check::fuzz_spec();
     field(spec) = other_value(field(spec));
-    if (!check::checked_run_reads(knob)) {
+    if (!check::checked_run_reads(knob, spec)) {
       EXPECT_THROW(check::write_repro(spec, program), std::invalid_argument)
           << knob.flag;
-      return;
+      // --ctx and --workload are read with --regs 0 alone.
+      spec.phys_regs = 0;
+      if (!check::checked_run_reads(knob, spec)) return;
     }
     field(all) = field(spec);
     expect_round_trip(spec, knob.flag);
     ++round_trips;
   });
+  all.phys_regs = 0;
   expect_round_trip(all, "every knob at once");
   EXPECT_GE(round_trips, 12u);  // cores, ctx, dcache-*, switches, ...
   EXPECT_NE(check::write_repro(all, program).find("// repro cores 4\n"),
@@ -283,6 +286,31 @@ TEST(Repro, RefusesKnobsNoHeaderCarries) {
             std::string::npos);
   EXPECT_NE(refusal("// repro regs").find("missing value"), std::string::npos);
   EXPECT_EQ(refusal("// repro seed 9"), "accepted");
+  // ctx and workload size the register file only through regs 0:
+  // beside any other register count they are refused, wherever the
+  // regs header sits.
+  EXPECT_NE(refusal("// repro ctx 0.25").find("--ctx"), std::string::npos);
+  EXPECT_NE(refusal("// repro workload spmv\n// repro regs 5")
+                .find("--workload"),
+            std::string::npos);
+  EXPECT_EQ(refusal("// repro ctx 0.25\n// repro regs 0"), "accepted");
+  EXPECT_EQ(refusal("// repro regs 0\n// repro workload spmv"), "accepted");
+}
+
+TEST(Repro, CtxSizesTheRegisterFileWithRegsZero) {
+  // With regs 0 the context fraction sizes the register file, so the
+  // same program replays in a different number of cycles.
+  const std::string program = check::write_repro(check::fuzz_spec(),
+                                                 edge_program(9));
+  const check::Repro full = check::parse_repro("// repro regs 0\n" + program);
+  const check::Repro quarter =
+      check::parse_repro("// repro regs 0\n// repro ctx 0.25\n" + program);
+  const check::HarnessResult a = check::run_checked(full.program, full.spec);
+  const check::HarnessResult b =
+      check::run_checked(quarter.program, quarter.spec);
+  EXPECT_TRUE(a.ok) << a.message;
+  EXPECT_TRUE(b.ok) << b.message;
+  EXPECT_NE(a.cycles, b.cycles);
 }
 
 // ---------------------------------------------------------------------

@@ -518,6 +518,30 @@ TEST(HostileSnapshot, TagStoreAndRollbackQueueAreChecked) {
   fs::remove_all(dir);
 }
 
+TEST(HostileSnapshot, RenamedStatIsRefused) {
+  // Every stat exists from construction, so stats load by position: a
+  // saved name that is not the live stat's at its position is refused.
+  const RunSpec spec = tiny_spec(Scheme::kViReC, core::PolicyKind::kLRC);
+  const fs::path dir = scratch_dir("hostile_stat");
+  std::size_t stats = 0;  // the core's stat set ends its section
+  const auto path = find_snapshot(spec, dir, [&](System& system) {
+    cpu::CgmtCore& core = system.core(0);
+    stats = encoded_size(core) - encoded_size(core.stats());
+    return true;
+  });
+  ASSERT_TRUE(path.has_value());
+  const PlantedSnapshot snap(path->string());
+  // The stat count, then the first stat's name length and bytes.
+  ASSERT_EQ(snap.get("core0", stats + 4, 4), std::string("cpi_commit").size());
+  ASSERT_EQ(snap.get("core0", stats + 8, 1), u64{'c'});
+  expect_refused(spec,
+                 snap.plant("core0", stats + 8, 1, 'C',
+                            (dir / "planted.vckpt").string()),
+                 "stat core.Cpi_commit at position 0 is not this system's "
+                 "cpi_commit");
+  fs::remove_all(dir);
+}
+
 // ---------------------------------------------------------------------
 // Serializer primitives.
 

@@ -73,7 +73,7 @@ TEST(Cli, HelpExitsCleanly) {
         "--progress", "--progress=SECS", "--trace", "--trace-core",
         "--trace-out", "--sample-interval", "--checkpoint-every",
         "--checkpoint-out", "--restore", "--sweep", "--jobs", "--store",
-        "--replay", "--lint-stats", "--list", "--version", "--help"}) {
+        "--replay", "--list", "--version", "--help"}) {
     EXPECT_NE(r.output.find(std::string("\n  ") + flag), std::string::npos)
         << flag;
   }
@@ -91,18 +91,10 @@ TEST(Cli, VersionPrintsProvenance) {
 }
 
 TEST(Cli, ListShowsEveryKernel) {
-  // The no-run modes that report on the build: --list and the
-  // stat-schema lint.
-  const std::pair<const char*, std::vector<const char*>> cases[] = {
-      {"--list", {"gather", "spmv", "pchase", "gather_wide"}},
-      {"--lint-stats", {"lint: every registered stat carries a description"}},
-  };
-  for (const auto& [args, lines] : cases) {
-    const CliResult r = run_cli(args);
-    EXPECT_EQ(r.exit_code, 0) << args << "\n" << r.output;
-    for (const char* line : lines) {
-      EXPECT_NE(r.output.find(line), std::string::npos) << args << ": " << line;
-    }
+  const CliResult r = run_cli("--list");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  for (const char* name : {"gather", "spmv", "pchase", "gather_wide"}) {
+    EXPECT_NE(r.output.find(name), std::string::npos) << name;
   }
 }
 
@@ -153,6 +145,12 @@ TEST(Cli, UnknownWorkloadFails) {
 TEST(Cli, UnknownFlagFails) {
   const CliResult r = run_cli("--frobnicate");
   EXPECT_EQ(r.exit_code, 2);
+  // The stat-schema check is a test (StatSchema.*), not a mode.
+  const CliResult lint = run_cli("--lint-stats");
+  EXPECT_EQ(lint.exit_code, 2);
+  EXPECT_NE(lint.output.find("unknown option: --lint-stats"),
+            std::string::npos)
+      << lint.output;
   // The error and its --help hint go to stderr; stdout stays empty.
   const CliResult out = run_command(std::string(VIREC_SIM_PATH) +
                                     " --frobnicate 2>/dev/null");
@@ -620,12 +618,33 @@ TEST(Cli, ReplayRefusesHeadersItCannotHonour) {
     EXPECT_NE(r.output.find("error: "), std::string::npos) << r.output;
     EXPECT_NE(r.output.find(named), std::string::npos) << r.output;
   }
-  // A multi-core header replays on that many cores.
+  // A multi-core header replays on that many cores, and the report
+  // names them before the run's own lines.
+  std::ofstream(path) << "// repro regs 5\nmov x0, #0xff\nhalt\n";
+  const CliResult one = run_cli("--replay " + path);
+  ASSERT_EQ(one.exit_code, 0) << one.output;
   std::ofstream(path) << "// repro cores 2\n// repro regs 5\n"
                       << "mov x0, #0xff\nhalt\n";
   const CliResult two = run_cli("--replay " + path);
   ASSERT_EQ(two.exit_code, 0) << two.output;
   EXPECT_EQ(run_cli("--replay " + path + " --no-skip").output, two.output);
+  const auto machine = [](const std::string& report) {
+    return report.substr(0, report.find("\ncycles "));
+  };
+  EXPECT_NE(machine(two.output), machine(one.output));
+  EXPECT_TRUE(has_line_prefix(two.output, "cores 2")) << two.output;
+  // Other headers follow, one line each, in knob-table order.
+  std::ofstream(path) << "// repro ctx 0.5\n// repro regs 0\n"
+                      << "// repro dcache-bytes 4096\n// repro seed 7\n"
+                      << "mov x0, #0xff\nhalt\n";
+  const CliResult more = run_cli("--replay " + path);
+  ASSERT_EQ(more.exit_code, 0) << more.output;
+  EXPECT_NE(machine(more.output).find("\nctx 0.5\nseed 7\ndcache-bytes 4096\n"),
+            std::string::npos)
+      << more.output;
+  // With regs 0 the register count is the one the context fraction
+  // gives, as in a single run's report.
+  EXPECT_FALSE(has_line_prefix(more.output, "phys_regs 0")) << more.output;
 }
 
 TEST(VirecFuzz, KnobFlagsGoThroughTheKnobTable) {
@@ -654,6 +673,21 @@ TEST(VirecFuzz, KnobFlagsGoThroughTheKnobTable) {
                              "--seed 1 --jobs 1");
   EXPECT_EQ(two.exit_code, 0) << two.output;
   EXPECT_NE(two.output.find("clean"), std::string::npos) << two.output;
+  // --ctx and --workload size the register file only with --regs 0,
+  // which may come before or after them.
+  for (const char* flag : {"--ctx 0.5", "--workload spmv"}) {
+    const CliResult r = fuzz(std::string(flag) + " --programs 2 --jobs 1");
+    EXPECT_EQ(r.exit_code, 2) << flag << "\n" << r.output;
+    const std::string args = flag;
+    EXPECT_NE(r.output.find("error: " + args.substr(0, args.find(' '))),
+              std::string::npos)
+        << flag << "\n" << r.output;
+  }
+  for (const char* args : {"--regs 0 --ctx 0.5", "--ctx 0.5 --regs 0"}) {
+    const CliResult r =
+        fuzz(std::string(args) + " --programs 2 --seed 1 --jobs 1");
+    EXPECT_EQ(r.exit_code, 0) << args << "\n" << r.output;
+  }
 }
 
 TEST(Cli, FlagsTheModeWouldIgnoreAreRejected) {
@@ -669,7 +703,7 @@ TEST(Cli, FlagsTheModeWouldIgnoreAreRejected) {
       {"--help --iters 8", "--iters"},
       {"--list --sweep", "--sweep"},
       {"--version --jobs 9", "--jobs"},
-      {"--lint-stats --sweep --workload nonsense", "--sweep"},
+      {"--version --sweep --workload nonsense", "--sweep"},
       // --jobs only sizes a sweep's worker pool.
       {"--iters 16 --elements 1024 --jobs 4", "--jobs"},
       {sampled + " --jobs 3", "--jobs"},

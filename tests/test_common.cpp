@@ -68,8 +68,9 @@ TEST(ParseNumber, AcceptsWholeNumbersOnly) {
 TEST(Stats, IncrementAndGet) {
   StatSet stats("unit");
   EXPECT_EQ(stats.get("x"), 0.0);
-  stats.inc("x");
-  stats.inc("x", 2.5);
+  double* x = stats.counter("x");
+  ++*x;
+  *x += 2.5;
   EXPECT_DOUBLE_EQ(stats.get("x"), 3.5);
   EXPECT_TRUE(stats.has("x"));
   EXPECT_FALSE(stats.has("y"));
@@ -77,14 +78,14 @@ TEST(Stats, IncrementAndGet) {
 
 TEST(Stats, SetOverwrites) {
   StatSet stats;
-  stats.inc("a", 10);
+  *stats.counter("a") += 10;
   stats.set("a", 3);
   EXPECT_DOUBLE_EQ(stats.get("a"), 3.0);
 }
 
 TEST(Stats, PrefixAppearsInAll) {
   StatSet stats("core");
-  stats.inc("cycles", 7);
+  *stats.counter("cycles") += 7;
   const auto all = stats.all();
   ASSERT_EQ(all.size(), 1u);
   EXPECT_EQ(all[0].name, "core.cycles");
@@ -93,9 +94,9 @@ TEST(Stats, PrefixAppearsInAll) {
 
 TEST(Stats, InsertionOrderStable) {
   StatSet stats;
-  stats.inc("b");
-  stats.inc("a");
-  stats.inc("c");
+  ++*stats.counter("b");
+  ++*stats.counter("a");
+  ++*stats.counter("c");
   const auto all = stats.all();
   ASSERT_EQ(all.size(), 3u);
   EXPECT_EQ(all[0].name, "b");
@@ -105,7 +106,7 @@ TEST(Stats, InsertionOrderStable) {
 
 TEST(Stats, ClearKeepsEntries) {
   StatSet stats;
-  stats.inc("a", 5);
+  *stats.counter("a") += 5;
   stats.clear();
   EXPECT_TRUE(stats.has("a"));
   EXPECT_EQ(stats.get("a"), 0.0);

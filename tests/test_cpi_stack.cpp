@@ -168,29 +168,6 @@ TEST(CpiSkipEquivalence, BucketsBitIdenticalSkippedVsStepped) {
 }
 
 // ---------------------------------------------------------------------
-// Legacy identities: buckets that shadow a pre-existing stall counter
-// must equal it exactly — the accounting is a closure over the same
-// events, not a parallel approximation.
-
-TEST(CpiLegacyIdentity, BucketsMatchLegacyStallCounters) {
-  const RunSpec spec = tiny_spec(Scheme::kViReC, core::PolicyKind::kLRC);
-  const workloads::Workload& workload =
-      workloads::find_workload(spec.workload);
-  System system(build_config(spec), workload, spec.params);
-  const RunResult result = system.run();
-  ASSERT_TRUE(result.check_ok) << result.check_msg;
-
-  const StatSet& cs = system.core(0).stats();
-  expect_bits_eq(cs.get("cpi_idle"), cs.get("idle_cycles"), "idle");
-  expect_bits_eq(cs.get("cpi_switch_no_target"),
-                 cs.get("switch_no_target_cycles"), "switch_no_target");
-  expect_bits_eq(cs.get("cpi_switch_masked"), cs.get("switch_masked_cycles"),
-                 "switch_masked");
-  expect_bits_eq(cs.get("cpi_sq_full"), cs.get("sq_full_stall_cycles"),
-                 "sq_full");
-}
-
-// ---------------------------------------------------------------------
 // Checkpointing: the stack lives in the core's StatSet, so a mid-run
 // snapshot must carry it and a resumed run must finish with the exact
 // stack of the uninterrupted run.

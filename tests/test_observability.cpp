@@ -1,19 +1,26 @@
 // Tests of the observability layer: histogram bucket math, typed-stat
-// bookkeeping, the StatRegistry walk, the JSON report (golden-parsed
-// with tests/json_parse.hpp), the sampled time series, and the
-// Perfetto trace sink's output framing.
+// bookkeeping, the StatRegistry walk, the stat schema (descriptions and
+// liveness over a fixed corpus), the JSON report (golden-parsed with
+// tests/json_parse.hpp), the sampled time series, and the Perfetto
+// trace sink's output framing.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <regex>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/json.hpp"
 #include "common/stats.hpp"
 #include "cpu/perfetto_trace.hpp"
 #include "sim/observability.hpp"
+#include "sim/parallel.hpp"
 #include "sim/runner.hpp"
 #include "sim/sweep.hpp"
+#include "tiered/tiered_runner.hpp"
 #include "json_parse.hpp"
 
 namespace {
@@ -106,9 +113,9 @@ TEST(StatSet, DetailedTogglesTypedStats) {
 
 TEST(StatRegistry, FullNamesAndScalars) {
   StatSet core_set("virec");
-  core_set.inc("rf_hits", 3);
+  *core_set.counter("rf_hits") += 3;
   StatSet dram_set("dram");
-  dram_set.inc("reads", 7);
+  *dram_set.counter("reads") += 7;
 
   StatRegistry reg;
   reg.add("core0", core_set);
@@ -131,6 +138,168 @@ TEST(StatRegistry, PopulatedHistogramsAndDetailed) {
   EXPECT_EQ(reg.populated_histograms(), 0u);
   h->record(1.0);
   EXPECT_EQ(reg.populated_histograms(), 1u);
+}
+
+// --------------------------------------------------------------------
+// Stat schema: every registered stat carries a description, and every
+// family of registered scalars moves in at least one run of a fixed
+// corpus, or is allowed to stay 0 for a stated reason. A stat nothing
+// moves is either a missing wire or dead code.
+
+/// A scalar's family: its full name with the core and thread numbers
+/// replaced by N ("coreN.core.cpi_tN_commit"). Sampled runs are
+/// single-core, so core 1 never moves a warm-tier stat of its own.
+std::string stat_family(const std::string& name) {
+  static const std::regex numbered(R"(\b(core|cpi_t)\d+)");
+  return std::regex_replace(name, numbered, "$1N");
+}
+
+/// Scalar families the corpus leaves at 0: a regex over the family
+/// name, and why the stats may stay registered.
+struct AllowedZero {
+  const char* pattern;
+  const char* reason;
+};
+
+const AllowedZero kAllowedZero[] = {
+    {R"(coreN\.core\.cpi_(tN_)?)"
+     R"((mem_data|mem_reg|mem_mshr|mispredict_redirect))",
+     "not wired on the CGMT core yet: memory waits are booked as "
+     "switching, and a redirect leaves no quiet cycle (ROADMAP item 2)"},
+    {R"(coreN\.core\.cpi_idle)",
+     "a CGMT core always has a live thread to schedule; the RunResult "
+     "stack, the sweep CSV and perfbench keep the column"},
+    {R"(coreN\.core\.cpi_tN_(idle|fast_forward))",
+     "idle and fast-forward cycles are charged to no thread"},
+    {R"(coreN\.icache\.(writes|writebacks|bypasses|reg_region_misses|)"
+     R"(coalesced_misses|port_wait_cycles|mshr_stall_cycles|warm_misses))",
+     "fetch only reads code, and each kernel's few code lines miss once "
+     "and then stay resident"},
+    {R"(coreN\.(icache|dcache)\.prefetches)",
+     "no System configuration turns on the L1 stride prefetcher"},
+    {R"(coreN\.dcache\.mshr_stall_cycles)",
+     "a CGMT core issues at most one data miss per switch, and its 24 "
+     "dcache MSHRs are never all busy"},
+    {R"(coreN\.prefetch_full\.demand_fills)",
+     "full prefetch loads every register at the switch, so decode never "
+     "fetches one on demand"},
+};
+
+/// What the corpus registered: each scalar family with whether any run
+/// moved one of its stats, and each stat that lacks a description with
+/// the first run that registered it.
+struct CorpusSchema {
+  std::map<std::string, bool> moved;
+  std::map<std::string, std::string> undescribed;
+
+  void add(const std::string& run, const sim::System& system) {
+    for (const Stat& s : system.registry().all_scalars()) {
+      bool& family = moved[stat_family(s.name)];
+      family = family || s.value != 0.0;
+      if (s.desc.empty()) undescribed.emplace(s.name, run);
+    }
+    for (const StatRegistry::Entry& e : system.registry().entries()) {
+      const auto full = [&e](const std::string& name) {
+        return StatRegistry::full_name(
+            e, e.set->prefix().empty() ? name : e.set->prefix() + "." + name);
+      };
+      for (const auto& h : e.set->histograms()) {
+        if (h->desc().empty()) undescribed.emplace(full(h->name()), run);
+      }
+      for (const auto& d : e.set->distributions()) {
+        if (d->desc().empty()) undescribed.emplace(full(d->name()), run);
+      }
+    }
+  }
+};
+
+/// The corpus, run once: every workload x scheme x {lrc, plru} at
+/// 2 cores x 8 threads, ctx 0.6, 64 iterations and 4096 elements; one
+/// ViReC run with both extensions; one sampled run.
+const CorpusSchema& corpus_schema() {
+  static const CorpusSchema schema = [] {
+    CorpusSchema out;
+    sim::RunSpec base;
+    base.num_cores = 2;
+    base.threads_per_core = 8;
+    base.context_fraction = 0.6;
+    base.params.iters_per_thread = 64;
+    base.params.elements = 4096;
+    const auto run = [&out](const sim::RunSpec& spec) {
+      sim::System system(sim::build_config(spec),
+                         workloads::find_workload(spec.workload),
+                         spec.params);
+      const sim::RunResult r = spec.sample_windows > 0
+                                   ? sim::TieredRunner(system, spec).run().full
+                                   : system.run();
+      EXPECT_TRUE(r.check_ok) << sim::spec_label(spec) << ": " << r.check_msg;
+      out.add(sim::spec_label(spec), system);
+    };
+    for (const workloads::Workload* w : workloads::workload_registry()) {
+      for (const sim::Scheme scheme :
+           {sim::Scheme::kBanked, sim::Scheme::kSoftware,
+            sim::Scheme::kPrefetchFull, sim::Scheme::kPrefetchExact,
+            sim::Scheme::kViReC, sim::Scheme::kNSF}) {
+        for (const core::PolicyKind policy :
+             {core::PolicyKind::kLRC, core::PolicyKind::kPLRU}) {
+          sim::RunSpec spec = base;
+          spec.workload = w->name();
+          spec.scheme = scheme;
+          spec.policy = policy;
+          run(spec);
+        }
+      }
+    }
+    sim::RunSpec extensions = base;
+    extensions.workload = "gather";
+    extensions.group_spill = true;
+    extensions.switch_prefetch = true;
+    run(extensions);
+    sim::RunSpec sampled;
+    sampled.workload = "gather";
+    sampled.params.iters_per_thread = 2048;
+    sampled.params.elements = 4096;
+    sampled.sample_windows = 5;
+    sampled.window_insts = 300;
+    sampled.warmup_insts = 150;
+    run(sampled);
+    return out;
+  }();
+  return schema;
+}
+
+TEST(StatSchema, EveryStatHasADescription) {
+  for (const auto& [stat, run] : corpus_schema().undescribed) {
+    ADD_FAILURE() << stat << " has no description (first in " << run << ")";
+  }
+}
+
+TEST(StatSchema, EveryScalarMovesOrIsAllowedToStayZero) {
+  const CorpusSchema& schema = corpus_schema();
+  std::vector<std::regex> patterns;
+  for (const AllowedZero& a : kAllowedZero) patterns.emplace_back(a.pattern);
+  std::vector<u32> matched(std::size(kAllowedZero), 0);
+  for (const auto& [name, moved] : schema.moved) {
+    const AllowedZero* allowed = nullptr;
+    for (std::size_t i = 0; i < patterns.size(); ++i) {
+      if (std::regex_match(name, patterns[i])) {
+        allowed = &kAllowedZero[i];
+        ++matched[i];
+        break;
+      }
+    }
+    if (allowed == nullptr) {
+      EXPECT_TRUE(moved) << name << " is 0 in every corpus run: wire it, "
+                         << "delete it, or allow it with a reason";
+    } else {
+      EXPECT_FALSE(moved) << name << " moves now, so its allow-list entry ("
+                          << allowed->reason << ") must not cover it";
+    }
+  }
+  for (std::size_t i = 0; i < std::size(kAllowedZero); ++i) {
+    EXPECT_GT(matched[i], 0u) << "allow-list entry " << kAllowedZero[i].pattern
+                              << " matches no registered stat";
+  }
 }
 
 // --------------------------------------------------------------------

@@ -228,41 +228,41 @@ struct Pinned {
 
 constexpr Pinned kPinned[] = {
     {2, "gather", Scheme::kBanked, 2652, 976,
-     0x089194b7770fd808ull, 0x305499f451ec71d8ull},
+     0x089194b7770fd808ull, 0x78ea83b20fab094cull},
     {2, "gather", Scheme::kViReC, 3065, 976,
-     0x651fd42e8b653e2aull, 0x01c76f934a72ee9eull},
+     0x651fd42e8b653e2aull, 0x5c985ba207e4b7f1ull},
     {2, "gather", Scheme::kNSF, 3766, 976,
-     0x861e242c608d7765ull, 0x10a7f679ce7666f6ull},
+     0x861e242c608d7765ull, 0x2f71e5acb9df4ec5ull},
     {2, "pchase", Scheme::kBanked, 2278, 592,
-     0xc7efd84d0d7f0021ull, 0xbdf0c8773037efb9ull},
+     0xc7efd84d0d7f0021ull, 0xf5678d2dabda8fa4ull},
     {2, "pchase", Scheme::kViReC, 2443, 592,
-     0x4d7bb3a1143db8dbull, 0xf957427940c8739full},
+     0x4d7bb3a1143db8dbull, 0x1146d417dff18252ull},
     {2, "pchase", Scheme::kNSF, 2729, 592,
-     0x476fd92707877a51ull, 0xcec34a87209db14bull},
+     0x476fd92707877a51ull, 0x063db0f86f9b02f6ull},
     {2, "spmv", Scheme::kBanked, 3283, 1568,
-     0x9a27a6aaf28d3af1ull, 0x6ef482d8b8389280ull},
+     0x9a27a6aaf28d3af1ull, 0xe9dea7145ad13663ull},
     {2, "spmv", Scheme::kViReC, 4179, 1568,
-     0x1b2c515020ea8651ull, 0x844e49a6f5078f12ull},
+     0x1b2c515020ea8651ull, 0x6311f36d75e3f8ecull},
     {2, "spmv", Scheme::kNSF, 5473, 1568,
-     0x85ac808dcd74ca17ull, 0x272257de2b46877cull},
+     0x85ac808dcd74ca17ull, 0x644100f7508ca81full},
     {4, "gather", Scheme::kBanked, 3454, 1952,
-     0x1b5687c7d4d831caull, 0x4955dc2bc7638cd0ull},
+     0x1b5687c7d4d831caull, 0x84e9d491e7ab6b05ull},
     {4, "gather", Scheme::kViReC, 3735, 1952,
-     0xf58dc775dc3e91d8ull, 0xb6eebae100ba0ac2ull},
+     0xf58dc775dc3e91d8ull, 0x6e869750bb1129c8ull},
     {4, "gather", Scheme::kNSF, 4252, 1952,
-     0xf857d98f0a2ea6dcull, 0x7dfeb47dadedf41dull},
+     0xf857d98f0a2ea6dcull, 0x8569ee6829aeaa2aull},
     {4, "pchase", Scheme::kBanked, 2992, 1184,
-     0xe29e8a363c72d112ull, 0xc7aeb598ea7d1d7dull},
+     0xe29e8a363c72d112ull, 0xa6726cd66f2cac7cull},
     {4, "pchase", Scheme::kViReC, 3136, 1184,
-     0x374d6f30cdb59275ull, 0xf4a42dd9f53e0c99ull},
+     0x374d6f30cdb59275ull, 0x92ab4124f4840343ull},
     {4, "pchase", Scheme::kNSF, 3573, 1184,
-     0x2f7a743caf32123aull, 0xd3c33581411b0663ull},
+     0x2f7a743caf32123aull, 0x7332c343073e00c5ull},
     {4, "spmv", Scheme::kBanked, 4076, 3136,
-     0xfaad382a2e164605ull, 0x7d305cc5b1c299fdull},
+     0xfaad382a2e164605ull, 0xc3eea36a4871d17full},
     {4, "spmv", Scheme::kViReC, 4878, 3136,
-     0x6d71ee738a9c9078ull, 0xfeae25f4816d2da3ull},
+     0x6d71ee738a9c9078ull, 0x1243a9380fa92b17ull},
     {4, "spmv", Scheme::kNSF, 5881, 3136,
-     0x5d24401c978a0e89ull, 0xf04a5f8d80e676f5ull},
+     0x5d24401c978a0e89ull, 0x0df736b055c2a56aull},
 };
 
 TEST(Scheduler, MatchesPinnedLockstepOutput) {
@@ -319,12 +319,12 @@ TEST(Scheduler, MatchesPinnedSampledCheckpointedRun) {
     const RunResult r = sys->run();
     ASSERT_TRUE(r.check_ok) << r.check_msg;
     EXPECT_EQ(result_hash(r), 0xf58dc775dc3e91d8ull);
-    EXPECT_EQ(registry_hash(*sys), 0xb6eebae100ba0ac2ull);
+    EXPECT_EQ(registry_hash(*sys), 0x6e869750bb1129c8ull);
     EXPECT_EQ(sys->samples().size(), 16u);
     EXPECT_EQ(samples_hash(*sys), 0xa110d08663ba7709ull);
     const auto [count, snaps] = snapshot_fingerprint(dir);
     EXPECT_EQ(count, 3u);
-    EXPECT_EQ(snaps, 0xe4c15d8c18bbb965ull);
+    EXPECT_EQ(snaps, 0xa5d99dbf7ddef63bull);
     fs::remove_all(dir);
   }
 }
@@ -340,13 +340,13 @@ TEST(Scheduler, SnapshotBytesArePinnedForEveryScheme) {
     u64 fingerprint;
   };
   constexpr SnapPin kSnapPins[] = {
-      {Scheme::kBanked, 1, 4, 0xe170ff88c57fa986ull},
-      {Scheme::kSoftware, 1, 19, 0x3afc67dc3707a927ull},
-      {Scheme::kPrefetchFull, 1, 8, 0x479675f409418e1cull},
-      {Scheme::kPrefetchExact, 1, 6, 0xaac13fe05111c2ffull},
-      {Scheme::kViReC, 1, 5, 0xa532cb15260fc943ull},
-      {Scheme::kNSF, 1, 7, 0x3142be0ce50874f0ull},
-      {Scheme::kSoftware, 2, 21, 0x934cc266e392a8d2ull},
+      {Scheme::kBanked, 1, 4, 0x603e3bdfe54082ceull},
+      {Scheme::kSoftware, 1, 19, 0x77d383852f09152aull},
+      {Scheme::kPrefetchFull, 1, 8, 0x0646f27023d0d73full},
+      {Scheme::kPrefetchExact, 1, 6, 0xad80cfd8a3c5808eull},
+      {Scheme::kViReC, 1, 5, 0xd7f23aaa6aa0432bull},
+      {Scheme::kNSF, 1, 7, 0x775c92aea45a4895ull},
+      {Scheme::kSoftware, 2, 21, 0x9fed9cdd57e504bdull},
   };
   for (const SnapPin& p : kSnapPins) {
     SCOPED_TRACE(std::string(scheme_name(p.scheme)) + " x" +
