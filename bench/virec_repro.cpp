@@ -760,8 +760,8 @@ void print(const ResultMap& results, u32) {
     for (double frac : kFractions) {
       const sim::RunSpec spec = spec_for(name, frac);
       const u32 rf = sim::spec_phys_regs(spec);
-      const analysis::OfflineHitRates offline = analysis::offline_hit_rates(
-          trace, rf, kThreads, kAccessesPerEpisode);
+      const analysis::OfflineHitRates offline =
+          analysis::offline_hit_rates(trace, rf, kThreads);
       table.add_row({std::to_string(rf), Table::fmt_pct(frac, 0),
                      Table::fmt_pct(offline.opt, 1),
                      Table::fmt_pct(offline.mrt_lru, 1),

@@ -98,8 +98,7 @@ double belady_hit_rate(const std::vector<TraceAccess>& trace,
 }
 
 OfflineHitRates offline_hit_rates(const std::vector<TraceAccess>& trace,
-                                  u32 rf_entries, u32 threads,
-                                  u32 accesses_per_episode) {
+                                  u32 rf_entries, u32 threads) {
   if (rf_entries == 0) {
     throw std::invalid_argument("offline_hit_rates: zero-entry RF");
   }
@@ -126,7 +125,6 @@ OfflineHitRates offline_hit_rates(const std::vector<TraceAccess>& trace,
     std::unordered_map<u32, std::size_t> index;
     std::vector<u64> suspended_at(threads, 0);  // episode counter
     u64 episode = 1;
-    u32 in_episode = 0;
     u8 running = trace[0].tid;
     u64 hits = 0, tick = 0;
 
@@ -134,10 +132,7 @@ OfflineHitRates offline_hit_rates(const std::vector<TraceAccess>& trace,
       if (access.tid != running) {
         suspended_at[running] = episode++;
         running = access.tid;
-        in_episode = 0;
       }
-      ++in_episode;
-      (void)in_episode;
       ++tick;
       const u32 key = access.key();
       auto it = index.find(key);
@@ -183,7 +178,6 @@ OfflineHitRates offline_hit_rates(const std::vector<TraceAccess>& trace,
   out.lru = run_policy(0);
   out.fifo = run_policy(1);
   out.mrt_lru = run_policy(2);
-  (void)accesses_per_episode;
   return out;
 }
 

@@ -44,12 +44,11 @@ struct OfflineHitRates {
 };
 
 /// Replay @p trace through an @p rf_entries-entry fully-associative
-/// register cache under each offline policy. @p threads and
-/// @p accesses_per_episode must match the trace so MRT-LRU can track
-/// the round-robin schedule.
+/// register cache under each offline policy. @p threads must cover
+/// every tid in the trace: MRT-LRU ranks threads by when each was last
+/// suspended, read off the trace's thread changes.
 OfflineHitRates offline_hit_rates(const std::vector<TraceAccess>& trace,
-                                  u32 rf_entries, u32 threads,
-                                  u32 accesses_per_episode);
+                                  u32 rf_entries, u32 threads);
 
 /// Belady's optimal hit rate alone (convenience).
 double belady_hit_rate(const std::vector<TraceAccess>& trace, u32 rf_entries);

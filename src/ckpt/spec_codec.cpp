@@ -65,7 +65,6 @@ u64 spec_hash(const sim::RunSpec& spec) {
 
 u64 functional_stream_hash(const sim::RunSpec& spec) {
   Encoder enc;
-  enc.put_u32(kFuncStreamVersion);
   sim::for_each_knob([&](const sim::Knob& knob, auto field) {
     if ((knob.roles & sim::kFunctional) != 0) put_knob(enc, field(spec));
   });

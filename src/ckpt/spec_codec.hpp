@@ -57,11 +57,6 @@ u64 spec_hash(const sim::RunSpec& spec);
 inline constexpr u64 kFnvOffsetBasis = 0xcbf29ce484222325ull;
 u64 fnv1a(u64 h, const void* data, std::size_t size);
 
-/// Leading word of every functional-stream key. Streams live only in
-/// one process's memory (sim::StreamCache), so a record-format or
-/// schedule change needs no bump; the word keeps every key's value.
-inline constexpr u32 kFuncStreamVersion = 1;
-
 /// Functional identity of an experiment point: hash over exactly the
 /// knob-table rows marked kFunctional, in table order — the fields that
 /// shape the functional tier's instruction stream and warm-event

@@ -20,12 +20,6 @@ void Histogram::record_always(double value) {
   sum_ += value;
 }
 
-void Histogram::clear() {
-  count_ = 0;
-  sum_ = min_ = max_ = 0.0;
-  buckets_.clear();
-}
-
 void Distribution::record_always(double value) {
   if (count_ == 0) {
     min_ = max_ = value;
@@ -44,11 +38,6 @@ double Distribution::stddev() const {
   const double m = sum_ / n;
   const double var = std::max(0.0, sum_sq_ / n - m * m);
   return std::sqrt(var);
-}
-
-void Distribution::clear() {
-  count_ = 0;
-  sum_ = sum_sq_ = min_ = max_ = 0.0;
 }
 
 void Histogram::state(ckpt::Archive& ar) {
@@ -130,12 +119,6 @@ void StatSet::set_detailed(bool on) {
   detailed_ = on;
   for (auto& h : histograms_) h->set_enabled(on);
   for (auto& d : distributions_) d->set_enabled(on);
-}
-
-void StatSet::clear() {
-  for (Stat& s : stats_) s.value = 0.0;
-  for (auto& h : histograms_) h->clear();
-  for (auto& d : distributions_) d->clear();
 }
 
 namespace {

@@ -87,8 +87,6 @@ class Histogram {
   bool enabled() const { return enabled_; }
   void set_enabled(bool on) { enabled_ = on; }
 
-  void clear();
-
   /// Snapshot fields: the sample state (not the name/desc/enabled flag,
   /// which are configuration).
   void state(ckpt::Archive& ar);
@@ -132,8 +130,6 @@ class Distribution {
   bool enabled() const { return enabled_; }
   void set_enabled(bool on) { enabled_ = on; }
 
-  void clear();
-
   /// Snapshot fields: the sample state (not the name/desc/enabled flag).
   void state(ckpt::Archive& ar);
 
@@ -160,8 +156,8 @@ class StatSet {
   /// Stable pointer to counter @p name's value (created if absent).
   /// Components fetch this once at construction and bump through it on
   /// the simulation hot path, with no by-name lookup per event. The
-  /// pointer stays valid for the lifetime of the set (clear() zeroes
-  /// the value, never moves it).
+  /// pointer stays valid for the lifetime of the set: counters are
+  /// never removed or moved.
   double* counter(const std::string& name, const std::string& desc = "");
 
   /// Overwrite counter @p name.
@@ -199,9 +195,6 @@ class StatSet {
   /// Applies to existing and future typed stats of this set.
   void set_detailed(bool on);
   bool detailed() const { return detailed_; }
-
-  /// Reset every counter to zero (entries are kept); clears typed stats.
-  void clear();
 
   /// Snapshot fields: every counter value and typed-stat sample state,
   /// each after its name. Loading refuses (CkptError naming the stat) a

@@ -1,6 +1,5 @@
 #include "core/replacement_policy.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace virec::core {
@@ -48,24 +47,6 @@ void ReplacementPolicy::on_access(std::vector<RfEntry>& entries, u32 idx) {
   entry.age_mark = age_tick_;
   entry.last_use = ++tick_;
   entry.c_bit = true;  // speculative; rollback clears it on flush
-}
-
-void ReplacementPolicy::on_instruction(std::vector<RfEntry>& entries,
-                                       const std::vector<u32>& accessed) {
-  // Materialize each entry's lazy age, apply the per-instruction
-  // increment, and rebase its mark on the current tick so the stored
-  // value is directly readable (tests and checkpoints rely on this).
-  for (u32 i = 0; i < entries.size(); ++i) {
-    RfEntry& entry = entries[i];
-    if (!entry.valid) continue;
-    const u8 aged = age_of(entry);
-    entry.age_mark = age_tick_;
-    if (std::find(accessed.begin(), accessed.end(), i) != accessed.end()) {
-      entry.age = aged;
-      continue;
-    }
-    entry.age = aged < kMaxAge ? static_cast<u8>(aged + 1) : kMaxAge;
-  }
 }
 
 void ReplacementPolicy::on_insert(std::vector<RfEntry>& entries, u32 idx,

@@ -81,11 +81,6 @@ class ReplacementPolicy {
   /// (Section 5.1: C is set on access and rolled back on flush).
   void on_access(std::vector<RfEntry>& entries, u32 idx);
 
-  /// Age every valid entry except those accessed this instruction;
-  /// called once per decoded instruction.
-  void on_instruction(std::vector<RfEntry>& entries,
-                      const std::vector<u32>& accessed);
-
   /// New mapping installed in entry @p idx.
   void on_insert(std::vector<RfEntry>& entries, u32 idx, u8 tid,
                  isa::RegId arch);

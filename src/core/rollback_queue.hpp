@@ -6,8 +6,11 @@
 //  * commit pops the oldest entry (its registers keep C = 1);
 //  * a context-switch flush compacts all remaining entries into a
 //    one-hot vector and resets the C bits of those registers, marking
-//    them "will be replayed soon -- retain";
-//  * the oldest entry's memory-op flag feeds the CSL switch mask.
+//    them "will be replayed soon -- retain".
+//
+// Only a test reads the memory-op flag (through oldest_is_mem()); the
+// CSL switch mask comes from the BSI's fill state. The flag stays
+// because it is part of the snapshot layout.
 #pragma once
 
 #include <array>
@@ -45,7 +48,7 @@ class RollbackQueue {
   /// entries without touching C bits.
   void clear() { fifo_.clear(); }
 
-  /// CSL mask input: is the oldest in-flight instruction a memory op?
+  /// Is the oldest in-flight instruction a memory op?
   bool oldest_is_mem() const { return !fifo_.empty() && fifo_.front().is_mem; }
 
   u32 size() const { return static_cast<u32>(fifo_.size()); }

@@ -24,12 +24,6 @@ class TagStore {
   /// Record a decode access to @p idx (policy A/C/timestamps).
   void touch(u32 idx) { policy_.on_access(entries_, idx); }
 
-  /// Per-instruction aging; @p accessed lists the entry indices the
-  /// instruction touched.
-  void age_tick(const std::vector<u32>& accessed) {
-    policy_.on_instruction(entries_, accessed);
-  }
-
   struct Victim {
     bool valid = false;  ///< an existing mapping was displaced
     u8 tid = 0;
@@ -57,6 +51,9 @@ class TagStore {
 
   /// Effective T value of entry @p idx (lazy T materialization).
   u8 entry_t(u32 idx) const { return policy_.t_of(entries_[idx]); }
+
+  /// Effective age of entry @p idx (lazy aging materialization).
+  u8 entry_age(u32 idx) const { return policy_.age_of(entries_[idx]); }
 
   /// Rollback-queue compaction: reset the C bit of entry @p idx if it
   /// still maps (tid, arch); stale (remapped) indices are ignored.

@@ -126,8 +126,7 @@ int CgmtCore::predict_thread_after(int after) const {
   return best;
 }
 
-void CgmtCore::flush_pipeline(bool replayed) {
-  (void)replayed;
+void CgmtCore::flush_pipeline() {
   if_.valid = false;
   id_.valid = false;
   ex_.valid = false;
@@ -170,7 +169,7 @@ bool CgmtCore::request_context_switch(u64 resume_pc, Cycle miss_done) {
   cur.has_reserved_line =
       dcache_.reserve_line(mem_.mem_addr);
   cur.reserved_line = mem_.mem_addr;
-  flush_pipeline(/*replayed=*/true);
+  flush_pipeline();
   ++*c_context_switches_;
   hist_run_length_->record(
       static_cast<double>(instructions_ - episode_start_instructions_));
@@ -212,7 +211,7 @@ void CgmtCore::commit(Latch& latch) {
     t.halted = true;
     --live_threads_;
     rcm_.on_thread_halt(tid, cycle_);
-    flush_pipeline(/*replayed=*/false);
+    flush_pipeline();
     rcm_.on_mispredict_flush(tid);
     ++*c_halts_;
     hist_run_length_->record(
@@ -240,7 +239,7 @@ void CgmtCore::commit(Latch& latch) {
     if (tracer_ != nullptr) {
       tracer_->on_mispredict(cycle_, tid, latch.pc, res.next_pc);
     }
-    flush_pipeline(/*replayed=*/false);
+    flush_pipeline();
     rcm_.on_mispredict_flush(tid);
     fetch_pc_ = res.next_pc;
     fetch_ready_ = std::max(fetch_ready_, cycle_ + 1);
@@ -599,7 +598,7 @@ void CgmtCore::cut_to_functional() {
     } else {
       cur.pc = fetch_pc_;
     }
-    flush_pipeline(/*replayed=*/true);
+    flush_pipeline();
     rcm_.on_mispredict_flush(current_tid_);
     current_tid_ = -1;
   }

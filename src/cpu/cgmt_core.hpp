@@ -276,9 +276,8 @@ class CgmtCore {
   void advance_ex_mem();
   void handle_mem_and_commit();
   void commit(Latch& latch);
-  /// Flush IF/ID/EX/MEM latches. @p replayed: a context switch will
-  /// replay these instructions (vs. a wrong-path discard).
-  void flush_pipeline(bool replayed);
+  /// Invalidate the IF/ID/EX/MEM latches and drop a pending switch.
+  void flush_pipeline();
   u64 predict_next(const isa::Inst& inst, u64 pc) const;
   /// Round-robin choice of the next thread to run; -1 if none exists.
   int pick_next_thread() const;

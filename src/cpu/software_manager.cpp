@@ -47,11 +47,6 @@ Cycle SoftwareManager::load_context(int tid, Cycle now) {
   return t;
 }
 
-Cycle SoftwareManager::on_thread_start(int tid, Cycle now) {
-  if (resident_tid_ == tid) return now;
-  return now;  // context is loaded lazily at the first switch-in
-}
-
 DecodeAccess SoftwareManager::on_decode(int tid, const isa::Inst& inst,
                                         Cycle now) {
   (void)inst;

@@ -16,7 +16,6 @@ class SoftwareManager final : public ContextManager {
  public:
   explicit SoftwareManager(const CoreEnv& env);
 
-  Cycle on_thread_start(int tid, Cycle now) override;
   DecodeAccess on_decode(int tid, const isa::Inst& inst, Cycle now) override;
   Cycle on_context_switch(int from_tid, int to_tid, int predicted_next,
                           Cycle now) override;

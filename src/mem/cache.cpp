@@ -51,16 +51,6 @@ Cache::Cache(const CacheConfig& config, MemLevel& below)
       "miss_cycles", "per-miss latency from access to data return");
 }
 
-void Cache::reset() {
-  std::fill(lines_.begin(), lines_.end(), Line{});
-  std::fill(mshr_until_.begin(), mshr_until_.end(), Cycle{0});
-  port_next_free_ = 0;
-  reg_port_next_free_ = 0;
-  last_miss_line_ = 0;
-  last_stride_ = 0;
-  stats_.clear();
-}
-
 Cache::Line* Cache::find_line(Addr line_addr) {
   const u64 line_no = line_addr / kLineBytes;
   const u32 set = static_cast<u32>(line_no & (num_sets_ - 1));
@@ -118,7 +108,7 @@ Cache::Line* Cache::pick_victim(u32 set, Cycle now) {
   return victim;
 }
 
-Cycle Cache::acquire_mshr(Addr /*line_addr*/, Cycle start, bool& stalled) {
+Cycle Cache::acquire_mshr(Cycle start, bool& stalled) {
   // Find a free MSHR; if all are busy, wait for the earliest to retire.
   Cycle* best = &mshr_until_[0];
   for (Cycle& until : mshr_until_) {
@@ -240,8 +230,7 @@ CacheAccess Cache::access(Addr addr, bool is_write, Cycle now,
   maybe_prefetch(laddr, start);
 
   bool mshr_stalled = false;
-  const Cycle issue = acquire_mshr(laddr, start + config_.hit_latency,
-                                   mshr_stalled);
+  const Cycle issue = acquire_mshr(start + config_.hit_latency, mshr_stalled);
   result.mshr_stall = mshr_stalled;
 
   const u64 line_no = laddr / kLineBytes;

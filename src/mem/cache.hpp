@@ -102,8 +102,6 @@ class Cache final : public MemLevel {
   const StatSet& stats() const { return stats_; }
   StatSet& stats() { return stats_; }
 
-  void reset();
-
   /// Attach the hard-invariant context (nullptr detaches): MSHR
   /// accounting is audited on every access.
   void set_check(const check::CheckContext* check) { check_ = check; }
@@ -134,7 +132,7 @@ class Cache final : public MemLevel {
   /// every line is pinned or mid-fill (caller must bypass).
   Line* pick_victim(u32 set, Cycle now);
   /// Block until an MSHR is free; returns adjusted start time.
-  Cycle acquire_mshr(Addr line_addr, Cycle start, bool& stalled);
+  Cycle acquire_mshr(Cycle start, bool& stalled);
   void maybe_prefetch(Addr line_addr, Cycle now);
 
   CacheConfig config_;

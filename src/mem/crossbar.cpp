@@ -14,11 +14,6 @@ Crossbar::Crossbar(const CrossbarConfig& config, MemLevel& below)
       "link_wait", "per-transfer cycles spent waiting for the shared link");
 }
 
-void Crossbar::reset() {
-  link_next_free_ = 0;
-  stats_.clear();
-}
-
 Cycle Crossbar::line_access(Addr line_addr, bool is_write, Cycle now) {
   const Cycle start = std::max(now, link_next_free_);
   if (start > now) *c_contention_cycles_ += double(start - now);

@@ -27,8 +27,6 @@ class Crossbar final : public MemLevel {
   }
 
   const StatSet& stats() const { return stats_; }
-  void reset();
-
   StatSet& stats() { return stats_; }
 
   /// Snapshot fields: link occupancy plus the stat set.

@@ -29,12 +29,6 @@ DramModel::DramModel(const DramConfig& config)
       "access_latency", "per-access cycles from issue to data return");
 }
 
-void DramModel::reset() {
-  std::fill(banks_.begin(), banks_.end(), Bank{});
-  std::fill(bus_next_free_.begin(), bus_next_free_.end(), Cycle{0});
-  stats_.clear();
-}
-
 Cycle DramModel::line_access(Addr line_addr, bool is_write, Cycle now) {
   // Line-interleaved channel mapping, then bank bits.
   const u64 line = line_addr / kLineBytes;

@@ -41,9 +41,6 @@ class DramModel final : public MemLevel {
   const StatSet& stats() const { return stats_; }
   StatSet& stats() { return stats_; }
 
-  /// Forget all bank/bus state (fresh run).
-  void reset();
-
   /// Snapshot fields: bank/bus timing state plus the stat set. Loading
   /// checks the bank/channel counts against this model's config.
   void state(ckpt::Archive& ar);

@@ -16,14 +16,6 @@ MemorySystem::MemorySystem(const MemSystemConfig& config) : config_(config) {
   }
 }
 
-void MemorySystem::reset_timing() {
-  dram_->reset();
-  crossbar_->reset();
-  if (l2_) l2_->reset();
-  for (auto& c : icaches_) c->reset();
-  for (auto& c : dcaches_) c->reset();
-}
-
 void MemorySystem::state(ckpt::Sections& sections) {
   sections("mem.functional", functional_);
   sections("mem.dram", *dram_);

@@ -90,9 +90,6 @@ class MemorySystem {
   /// icache address for instruction index @p pc.
   static Addr code_addr(u64 pc) { return kCodeBase + pc * 4; }
 
-  /// Reset all timing state (functional memory is preserved).
-  void reset_timing();
-
   /// The whole hierarchy's snapshot sections: the functional memory,
   /// DRAM, crossbar, the L2 (if present) and each core's L1s.
   void state(ckpt::Sections& sections);

@@ -201,13 +201,6 @@ TEST_F(CacheTest, WriteMissAllocatesDirtyLine) {
   EXPECT_GE(backing.writes, 1u);  // the allocated dirty line wrote back
 }
 
-TEST_F(CacheTest, ResetRestoresColdState) {
-  cache.access(0x1000, false, 0);
-  cache.reset();
-  EXPECT_FALSE(cache.probe(0x1000));
-  EXPECT_EQ(cache.stats().get("misses"), 0.0);
-}
-
 TEST(CachePrefetch, StridePrefetcherFillsAhead) {
   FakeBacking backing(50);
   CacheConfig config = small_config();

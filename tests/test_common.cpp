@@ -104,14 +104,6 @@ TEST(Stats, InsertionOrderStable) {
   EXPECT_EQ(all[2].name, "c");
 }
 
-TEST(Stats, ClearKeepsEntries) {
-  StatSet stats;
-  *stats.counter("a") += 5;
-  stats.clear();
-  EXPECT_TRUE(stats.has("a"));
-  EXPECT_EQ(stats.get("a"), 0.0);
-}
-
 TEST(Stats, Geomean) {
   EXPECT_DOUBLE_EQ(geomean({}), 0.0);
   EXPECT_DOUBLE_EQ(geomean({4.0}), 4.0);

@@ -50,16 +50,5 @@ TEST(Crossbar, ManyCoresSerialiseOnLink) {
   EXPECT_GE(last, 46u + 7 * 4);
 }
 
-TEST(Crossbar, ResetClearsLinkState) {
-  FixedLevel below;
-  Crossbar xbar(CrossbarConfig{}, below);
-  xbar.line_access(0, false, 0);
-  xbar.reset();
-  EXPECT_EQ(xbar.stats().get("transfers"), 0.0);
-  const Cycle a = xbar.line_access(0, false, 0);
-  xbar.reset();
-  EXPECT_EQ(xbar.line_access(0, false, 0), a);
-}
-
 }  // namespace
 }  // namespace virec::mem

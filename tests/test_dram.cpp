@@ -91,15 +91,6 @@ TEST(Dram, ManyBanksOverlap) {
   EXPECT_LT(last, serial_last);
 }
 
-TEST(Dram, ResetClearsState) {
-  DramModel dram(one_bank());
-  dram.line_access(0, false, 0);
-  dram.reset();
-  EXPECT_EQ(dram.stats().get("reads"), 0.0);
-  const DramConfig c = one_bank();
-  EXPECT_EQ(dram.line_access(0, false, 0), c.t_rcd + c.t_cl + c.burst_cycles);
-}
-
 TEST(Dram, CountsReadsAndWrites) {
   DramModel dram(one_bank());
   dram.line_access(0, false, 0);

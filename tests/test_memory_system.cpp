@@ -93,16 +93,6 @@ TEST(Integration, L2OptionInterposes) {
   EXPECT_LT(warm - warm_start, cold);
 }
 
-TEST(Integration, ResetTimingPreservesFunctionalMemory) {
-  MemorySystem ms(MemSystemConfig{});
-  ms.memory().write_u64(0x1234, 99);
-  ms.dcache(0).access(0x1234, false, 0);
-  ms.reset_timing();
-  EXPECT_EQ(ms.memory().read_u64(0x1234), 99u);
-  EXPECT_FALSE(ms.dcache(0).probe(0x1234));
-  EXPECT_EQ(ms.dcache(0).stats().get("reads"), 0.0);
-}
-
 TEST(Integration, PerContextStrideFitsGprsAndSysregs) {
   // 4 GPR lines + 1 sysreg line = 320 B must fit in the 512 B stride.
   EXPECT_GE(MemorySystem::kBytesPerContext, 5 * kLineBytes);

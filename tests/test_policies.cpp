@@ -39,21 +39,21 @@ TEST(Plru, EvictsOldestAge) {
   // Touch 1 and 2 repeatedly; 0 ages out.
   for (int round = 0; round < 4; ++round) {
     plru.on_access(entries, 1);
-    plru.on_instruction(entries, {1});
     plru.on_access(entries, 2);
-    plru.on_instruction(entries, {2});
   }
   EXPECT_EQ(plru.pick_victim(entries, no_locks(3)), 0);
 }
 
 TEST(Plru, AgeSaturatesAtMax) {
   ReplacementPolicy plru(PolicyKind::kPLRU);
-  auto entries = make_entries(2);
+  auto entries = make_entries(3);
   insert(plru, entries, 0, 0, 0);
   insert(plru, entries, 1, 0, 1);
-  for (int i = 0; i < 100; ++i) plru.on_instruction(entries, {});
-  EXPECT_EQ(entries[0].age, ReplacementPolicy::kMaxAge);
-  EXPECT_EQ(entries[1].age, ReplacementPolicy::kMaxAge);
+  insert(plru, entries, 2, 0, 2);
+  // Every access to entry 2 ages the other two.
+  for (int i = 0; i < 100; ++i) plru.on_access(entries, 2);
+  EXPECT_EQ(plru.age_of(entries[0]), ReplacementPolicy::kMaxAge);
+  EXPECT_EQ(plru.age_of(entries[1]), ReplacementPolicy::kMaxAge);
 }
 
 TEST(Plru, IgnoresThreads) {
@@ -68,9 +68,7 @@ TEST(Plru, IgnoresThreads) {
   // Red thread executes for a while: blue entries age.
   for (int i = 0; i < 5; ++i) {
     plru.on_access(entries, 2);
-    plru.on_instruction(entries, {2});
     plru.on_access(entries, 3);
-    plru.on_instruction(entries, {3});
   }
   plru.on_context_switch(/*from_tid=*/1, /*to_tid=*/0);
   // Even though thread 0 runs next, PLRU victimises its aged registers.
@@ -86,10 +84,7 @@ TEST(MrtPlru, TargetsMostRecentlySuspendedThread) {
   insert(mrt, entries, 1, 0, 4);
   insert(mrt, entries, 2, 1, 5);
   insert(mrt, entries, 3, 1, 6);
-  for (int i = 0; i < 5; ++i) {
-    mrt.on_access(entries, 2);
-    mrt.on_instruction(entries, {2});
-  }
+  for (int i = 0; i < 5; ++i) mrt.on_access(entries, 2);
   mrt.on_context_switch(/*from_tid=*/1, /*to_tid=*/0);
   const int victim = mrt.pick_victim(entries, no_locks(4));
   // Thread 1 just suspended (runs furthest in the future): its entries
@@ -128,8 +123,8 @@ TEST(Lrc, CommitBitBreaksTies) {
   insert(lrc, entries, 0, 1, 0);  // x0: committed
   insert(lrc, entries, 1, 1, 2);  // x2: in flight, flushed
   insert(lrc, entries, 2, 1, 5);  // x5: in flight, flushed
-  // All same thread, saturate ages equally.
-  for (int i = 0; i < 10; ++i) lrc.on_instruction(entries, {});
+  // All same thread, saturated ages alike.
+  for (RfEntry& e : entries) e.age = ReplacementPolicy::kMaxAge;
   // Rollback resets C of the flushed ones.
   ReplacementPolicy::on_flush_reset(entries[1]);
   ReplacementPolicy::on_flush_reset(entries[2]);
@@ -174,19 +169,19 @@ TEST(Lru, DistinguishesBeyondAgeSaturation) {
   // Perfect LRU keeps ordering that PLRU's 3-bit ages lose.
   ReplacementPolicy lru(PolicyKind::kLRU);
   ReplacementPolicy plru(PolicyKind::kPLRU);
-  auto e_lru = make_entries(2);
-  auto e_plru = make_entries(2);
-  insert(lru, e_lru, 0, 0, 0);
-  insert(lru, e_lru, 1, 0, 1);
-  insert(plru, e_plru, 0, 0, 0);
-  insert(plru, e_plru, 1, 0, 1);
-  // Long time passes; both saturate in PLRU.
-  for (int i = 0; i < 20; ++i) {
-    lru.on_instruction(e_lru, {});
-    plru.on_instruction(e_plru, {});
+  auto e_lru = make_entries(3);
+  auto e_plru = make_entries(3);
+  for (u32 i = 0; i < 3; ++i) {
+    insert(lru, e_lru, i, 0, static_cast<u8>(i));
+    insert(plru, e_plru, i, 0, static_cast<u8>(i));
   }
-  EXPECT_EQ(e_plru[0].age, e_plru[1].age);       // PLRU cannot tell apart
-  EXPECT_EQ(lru.pick_victim(e_lru, no_locks(2)), 0);  // LRU still can
+  // Long time passes, spent on entry 2; 0 and 1 saturate in PLRU.
+  for (int i = 0; i < 20; ++i) {
+    lru.on_access(e_lru, 2);
+    plru.on_access(e_plru, 2);
+  }
+  EXPECT_EQ(plru.age_of(e_plru[0]), plru.age_of(e_plru[1]));  // PLRU ties
+  EXPECT_EQ(lru.pick_victim(e_lru, no_locks(3)), 0);  // LRU still can
 }
 
 TEST(MrtLru, ThreadThenTimestamp) {

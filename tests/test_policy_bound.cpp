@@ -72,7 +72,7 @@ TEST(Belady, DegradesWithSize) {
 TEST(Belady, DominatesEveryOnlinePolicy) {
   const auto trace = gather_trace();
   for (u32 rf : {6u, 12u, 18u, 24u}) {
-    const OfflineHitRates rates = offline_hit_rates(trace, rf, 4, 14);
+    const OfflineHitRates rates = offline_hit_rates(trace, rf, 4);
     EXPECT_GE(rates.opt + 1e-9, rates.lru) << rf;
     EXPECT_GE(rates.opt + 1e-9, rates.fifo) << rf;
     EXPECT_GE(rates.opt + 1e-9, rates.mrt_lru) << rf;
@@ -83,13 +83,13 @@ TEST(Offline, MrtLruBeatsLruUnderRoundRobin) {
   // The Section 4.1 effect, measured offline: plain LRU victimises the
   // next-to-run thread's registers.
   const auto trace = gather_trace(8);
-  const OfflineHitRates rates = offline_hit_rates(trace, 24, 8, 14);
+  const OfflineHitRates rates = offline_hit_rates(trace, 24, 8);
   EXPECT_GT(rates.mrt_lru, rates.lru + 0.05);
 }
 
 TEST(Offline, AllPoliciesPerfectAtFullCapacity) {
   const auto trace = gather_trace();
-  const OfflineHitRates rates = offline_hit_rates(trace, 4 * 31, 4, 14);
+  const OfflineHitRates rates = offline_hit_rates(trace, 4 * 31, 4);
   EXPECT_NEAR(rates.opt, rates.lru, 1e-9);
   EXPECT_NEAR(rates.opt, rates.fifo, 1e-9);
   EXPECT_NEAR(rates.opt, rates.mrt_lru, 1e-9);
@@ -97,22 +97,21 @@ TEST(Offline, AllPoliciesPerfectAtFullCapacity) {
 
 TEST(Offline, Deterministic) {
   const auto trace = gather_trace();
-  const OfflineHitRates a = offline_hit_rates(trace, 12, 4, 14);
-  const OfflineHitRates b = offline_hit_rates(trace, 12, 4, 14);
+  const OfflineHitRates a = offline_hit_rates(trace, 12, 4);
+  const OfflineHitRates b = offline_hit_rates(trace, 12, 4);
   EXPECT_EQ(a.opt, b.opt);
   EXPECT_EQ(a.lru, b.lru);
   EXPECT_EQ(a.mrt_lru, b.mrt_lru);
 }
 
 TEST(Offline, EmptyTraceIsTriviallyPerfect) {
-  const OfflineHitRates rates = offline_hit_rates({}, 8, 4, 14);
+  const OfflineHitRates rates = offline_hit_rates({}, 8, 4);
   EXPECT_EQ(rates.opt, 1.0);
   EXPECT_EQ(rates.accesses, 0u);
 }
 
 TEST(Offline, ZeroEntryRfThrows) {
-  EXPECT_THROW(offline_hit_rates(gather_trace(), 0, 4, 14),
-               std::invalid_argument);
+  EXPECT_THROW(offline_hit_rates(gather_trace(), 0, 4), std::invalid_argument);
 }
 
 TEST(Offline, HandCraftedBeladyExample) {
@@ -125,7 +124,7 @@ TEST(Offline, HandCraftedBeladyExample) {
   // achievable: 2 hits (keep the nearest-reused key each time).
   EXPECT_NEAR(belady_hit_rate(trace, 2), 2.0 / 6.0, 1e-9);
   // LRU gets zero hits on this pattern.
-  const OfflineHitRates rates = offline_hit_rates(trace, 2, 1, 100);
+  const OfflineHitRates rates = offline_hit_rates(trace, 2, 1);
   EXPECT_NEAR(rates.lru, 0.0, 1e-9);
 }
 

@@ -179,6 +179,47 @@ TEST(Skip, MulticoreContentionEquivalence) {
 }
 
 // ---------------------------------------------------------------------
+// MSHR starvation: no run of the stat-schema corpus fills the default
+// dcache's 24 MSHRs, so none reaches the path where a miss waits for a
+// free one. With one or two MSHRs the miss-heavy kernels wait there;
+// skipping must stay exact, under the oracle.
+
+TEST(Skip, MshrStarvedDcacheMatchesStepped) {
+  for (const char* name : {"gather", "spmv"}) {
+    for (Scheme scheme : {Scheme::kBanked, Scheme::kViReC}) {
+      for (u32 mshrs : {1u, 2u}) {
+        SCOPED_TRACE(std::string(name) + " " + scheme_name(scheme) + " " +
+                     std::to_string(mshrs) + " MSHR(s)");
+        RunSpec spec = tiny_spec(scheme, core::PolicyKind::kLRC);
+        spec.workload = name;
+        spec.threads_per_core = 8;
+        spec.context_fraction = 0.6;
+        spec.params.iters_per_thread = 64;
+        const workloads::Workload& workload = workloads::find_workload(name);
+        const auto run = [&](bool no_skip) {
+          RunSpec s = spec;
+          s.no_skip = no_skip;
+          SystemConfig config = build_config(s);
+          config.mem.dcache.mshrs = mshrs;
+          auto sys = std::make_unique<System>(config, workload, s.params);
+          sys->enable_check();
+          const RunResult result = sys->run();
+          return std::make_pair(result, std::move(sys));
+        };
+        const auto [ra, skip] = run(false);
+        const auto [rb, stepped] = run(true);
+        ASSERT_TRUE(ra.check_ok) << ra.check_msg;
+        EXPECT_GT(skip->memory_system().dcache(0).stats().get(
+                      "mshr_stall_cycles"),
+                  0.0);
+        expect_results_identical(ra, rb);
+        expect_stats_identical(*skip, *stepped);
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
 // Sampling: skips are clamped to the sampling grid, so the sampled
 // time series (including instantaneous fields like runnable_threads
 // and outstanding_misses) is identical sample for sample.

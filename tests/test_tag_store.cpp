@@ -90,14 +90,16 @@ TEST(TagStore, ResetCBitOnlyIfMappingCurrent) {
 TEST(TagStore, TouchRefreshesAgeAndC) {
   TagStore tags(2, 1, PolicyKind::kLRC);
   std::vector<u8> locked(2, 0);
-  const int idx = tags.allocate(0, 0, locked, nullptr);
-  tags.age_tick({});
-  tags.age_tick({});
-  EXPECT_GT(tags.entry(static_cast<u32>(idx)).age, 0);
-  tags.reset_c_bit(static_cast<u32>(idx), 0, 0);
-  tags.touch(static_cast<u32>(idx));
-  EXPECT_EQ(tags.entry(static_cast<u32>(idx)).age, 0);
-  EXPECT_TRUE(tags.entry(static_cast<u32>(idx)).c_bit);
+  const u32 idx = static_cast<u32>(tags.allocate(0, 0, locked, nullptr));
+  const u32 other = static_cast<u32>(tags.allocate(0, 1, locked, nullptr));
+  // Accesses to the other entry age this one.
+  tags.touch(other);
+  tags.touch(other);
+  EXPECT_GT(tags.entry_age(idx), 0);
+  tags.reset_c_bit(idx, 0, 0);
+  tags.touch(idx);
+  EXPECT_EQ(tags.entry_age(idx), 0);
+  EXPECT_TRUE(tags.entry(idx).c_bit);
 }
 
 TEST(TagStore, ContextSwitchUpdatesTBits) {
